@@ -269,8 +269,9 @@ def _validate_params(section, kind, options) -> dict:
         p["t_end"] = _parse_float(section, options, "t_end", default=1000.0, lo=0, lo_open=True)
         p["profile"] = options.get("profile", "parabola").strip()
         p["amplitude"] = _parse_float(section, options, "amplitude", default=0.9, lo=0, hi=1)
+        # Below 2, the slope interval -alpha*(2 +- band) excludes growth.
         p["slope_band"] = _parse_float(
-            section, options, "slope_band", default=0.15, lo=0, lo_open=True
+            section, options, "slope_band", default=0.15, lo=0, hi=2, lo_open=True, hi_open=True
         )
         p["envelope_slack"] = _parse_float(
             section, options, "envelope_slack", default=1.05, lo=1

@@ -50,6 +50,14 @@ class TestParseConfig:
             parse_config(_write(tmp_path, bad))
         assert err.value.key == "s"
 
+    def test_slope_band_two_rejected(self, tmp_path):
+        # From slope_band = 2 the slope interval reaches 0 and would accept growth.
+        bad = MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 2")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.key == "slope_band"
+        assert err.value.section == "decay-small"
+
     def test_unknown_kind(self, tmp_path):
         bad = MINIMAL_DECAY.replace("kind = decay", "kind = frobnicate")
         with pytest.raises(ConfigError) as err:
@@ -173,7 +181,7 @@ class TestCli:
         assert csv.read_text().splitlines()[0] == "x,e1"
 
     def test_run_config_exit_zero_and_outputs(self, tmp_path, capsys):
-        cfg = _write(tmp_path, MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 3.0"))
+        cfg = _write(tmp_path, MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 0.5"))
         out_dir = tmp_path / "out"
         code = cli.main(["run", str(cfg), "--out", str(out_dir)])
         captured = capsys.readouterr().out

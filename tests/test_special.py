@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracrd
 from fracrd.errors import DomainError, UnsupportedParameterError
 from fracrd.harness import load_oracle_table
 from fracrd.special import (
@@ -79,13 +86,47 @@ class TestMLEval:
         # (-z)**(1/alpha) at 3 and 36 nats; accuracy must hold on both sides.
         from fracrd import mlref
 
-        for alpha in (0.3, 0.5, 0.9):
+        for alpha in (0.3, 0.5, 0.9, 0.99):
             for nats in (3.0, 36.0):
                 for factor in (0.99, 1.01):
                     z = -((nats * factor) ** alpha)
                     ref = float(mlref.ml_reference(alpha, z, digits=25))
                     val = ml_eval(MLParams(alpha=alpha, z=z))
                     assert abs(val - ref) <= 1e-10 * abs(ref), (alpha, z)
+
+    def test_mid_regime_against_reference(self):
+        # Dense grid over the spectral-quadrature regime; alpha near 1 puts a
+        # sharp kernel resonance on the integration path.
+        from fracrd import mlref
+
+        for alpha in (0.25, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999):
+            for nats in np.geomspace(3.0, 36.0, 13):
+                z = -float(nats) ** alpha
+                ref = float(mlref.ml_reference(alpha, z, digits=25))
+                val = ml_eval(MLParams(alpha=alpha, z=z))
+                assert abs(val - ref) <= 1e-10 * abs(ref), (alpha, z)
+
+    def test_mid_regime_threads_bit_identical(self):
+        points = [
+            MLParams(alpha=alpha, z=-(float(nats) ** alpha))
+            for alpha in (0.5, 0.8, 0.99)
+            for nats in np.linspace(3.5, 35.5, 40)
+        ]
+        serial = [ml_eval(p) for p in points]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(ml_eval, points))
+        assert threaded == serial
+
+    def test_runtime_imports_without_mpmath(self):
+        code = (
+            "import sys, fracrd, fracrd.harness, fracrd.cli; "
+            "sys.exit('mpmath' in sys.modules)"
+        )
+        env = dict(os.environ)
+        src = str(Path(fracrd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
 
     def test_outside_box_rejected(self):
         with pytest.raises(UnsupportedParameterError):
