@@ -34,7 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .caputo import L1Weights, caputo_convolution, l1_weights
+from .caputo import (
+    L1Weights,
+    _grown,
+    _nonuniform_history_weights,
+    caputo_convolution,
+    l1_weights,
+)
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -157,36 +163,33 @@ class SimConfig:
 
 @dataclass
 class HistoryBuffer:
-    """Ordered snapshots u^0 ... u^(n-1) on a uniform mesh of step dt.
+    """Fields u^0 ... u^(n-1) on a uniform mesh of step dt, as increments.
 
-    Successive differences are maintained incrementally in a preallocated
-    array so the memory convolution costs one dot product per step.
+    Only the last field is kept; the successive differences are maintained
+    incrementally in a preallocated array that doubles when full, so the
+    memory convolution costs one matrix-vector product per step.
     """
 
-    snapshots: list
+    last: np.ndarray
     dt: float
+    count: int = field(default=1, init=False)
 
     def __post_init__(self):
-        nx = len(self.snapshots[0]) if self.snapshots else 0
-        self._diffs = np.zeros((max(16, len(self.snapshots)), nx))
-        for m in range(1, len(self.snapshots)):
-            self._diffs[m] = self.snapshots[m] - self.snapshots[m - 1]
+        self._diffs = np.zeros((16, len(self.last)))
 
     def __len__(self):
-        return len(self.snapshots)
+        return self.count
 
     def append(self, values: np.ndarray):
-        m = len(self.snapshots)
-        if m >= self._diffs.shape[0]:
-            grown = np.zeros((2 * self._diffs.shape[0], self._diffs.shape[1]))
-            grown[:m] = self._diffs[:m]
-            self._diffs = grown
-        self._diffs[m] = values - self.snapshots[-1]
-        self.snapshots.append(values)
+        if self.count == self._diffs.shape[0]:
+            self._diffs = _grown(self._diffs)
+        self._diffs[self.count] = values - self.last
+        self.last = values
+        self.count += 1
 
     def diff_array(self) -> np.ndarray:
         """(n, nx) view whose row m holds u^m - u^(m-1); row 0 is zero."""
-        return self._diffs[: len(self.snapshots)]
+        return self._diffs[: self.count]
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def step(
     n = len(history)
     if n < 1:
         raise StepFailureError("history must contain the initial field")
-    u_prev = history.snapshots[-1]
+    u_prev = history.last
     if u_prev.shape != (op.dim,):
         raise DomainError(f"dimension mismatch: field {u_prev.shape}, operator {op.dim}")
     if cho is None:
@@ -352,7 +355,7 @@ def run(
             field_times.append(t)
 
     adaptive_trigger = 10.0 * (1.0 + lam1)
-    history = HistoryBuffer(snapshots=[u0], dt=dt)
+    history = HistoryBuffer(last=u0, dt=dt)
     blowup = None
     inconclusive = None
 
@@ -421,24 +424,21 @@ def _run_adaptive(config, operator, history, record):
     eye = np.eye(config.n)
     dt_floor = config.effective_dt_floor()
 
-    n_committed = len(history)
-    step_times = [history.dt * k for k in range(n_committed)]
+    step_times = _grown(history.dt * np.arange(len(history), dtype=float))
     cur_dt = history.dt
-    t_last = step_times[-1]
+    t_last = float(step_times[len(history) - 1])
     cho_cache = {}
     max_steps = 200_000
 
     while t_last < config.t_end - 1e-12 * config.t_end:
-        if len(history) > max_steps:
+        n_committed = len(history)
+        if n_committed > max_steps:
             return None, "step budget exhausted in adaptive regime"
-        u_last = history.snapshots[-1]
+        u_last = history.last
         t_new = min(t_last + cur_dt, config.t_end)
         dt_eff = t_new - t_last
         w_new = dt_eff ** (-alpha) / g2
-        t_arr = np.asarray(step_times)
-        left = (t_new - t_arr[:-1]) ** (1.0 - alpha)
-        right = (t_new - t_arr[1:]) ** (1.0 - alpha)
-        w_hist = (left - right) / (g2 * np.diff(t_arr))
+        w_hist = _nonuniform_history_weights(alpha, step_times[:n_committed], t_new)
         hist = w_hist @ history.diff_array()[1:]
         key = round(math.log2(dt_eff), 6)
         if key not in cho_cache:
@@ -455,7 +455,9 @@ def _run_adaptive(config, operator, history, record):
                     "without crossing the blow-up threshold"
                 )
             continue
-        step_times.append(t_new)
+        if n_committed == len(step_times):
+            step_times = _grown(step_times)
+        step_times[n_committed] = t_new
         history.append(u_new)
         t_last = t_new
         record(t_new, u_new)

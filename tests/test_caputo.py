@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrd.caputo import l1_weights, solve_linear_fode, solve_logistic_fode
+from fracrd.caputo import (
+    _nonuniform_history_weights,
+    caputo_convolution,
+    l1_weights,
+    solve_linear_fode,
+    solve_logistic_fode,
+)
 from fracrd.errors import ConvergenceError, DomainError
 from fracrd.special import MLParams, ml_eval
 
@@ -48,6 +54,60 @@ class TestWeights:
             l1_weights(0.5, -0.1, 4)
         with pytest.raises(DomainError):
             l1_weights(0.5, 0.1, 0)
+
+
+class TestMemorySum:
+    N = 400
+
+    @staticmethod
+    def _loop_sum(b, diffs, n):
+        total = np.zeros(diffs.shape[1:])
+        for j in range(1, n):
+            total = total + b[j] * diffs[n - j]
+        return total
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("width", [None, 7])
+    def test_matches_loop_reference(self, alpha, width):
+        w = l1_weights(alpha, 0.05, self.N)
+        shape = (self.N + 1,) if width is None else (self.N + 1, width)
+        diffs = np.random.default_rng(17).uniform(-1.0, 1.0, size=shape)
+        for n in (1, 2, 3, self.N // 2, self.N):
+            got = caputo_convolution(w, diffs, n)
+            ref = self._loop_sum(w.b, diffs, n)
+            assert np.shape(got) == ref.shape
+            # relative to the sum of |terms|, so sign cancellation cannot hide an error
+            magnitude = self._loop_sum(w.b, np.abs(diffs), n)
+            assert np.all(np.abs(got - ref) <= 1e-13 * magnitude)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    def test_reversed_slice_identity(self, alpha):
+        w = l1_weights(alpha, 0.05, self.N)
+        assert w.b_rev.flags.c_contiguous and not w.b_rev.flags.writeable
+        for n in range(2, self.N + 1):
+            assert np.array_equal(w.b_rev[self.N - n : self.N - 1], w.b[n - 1 : 0 : -1])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.999, 1.0])
+    @pytest.mark.parametrize("dt", [0.1, 0.37])
+    def test_nonuniform_weights_on_uniform_mesh(self, alpha, dt):
+        w = l1_weights(alpha, dt, self.N)
+        for n in range(2, self.N + 1):
+            got = _nonuniform_history_weights(alpha, dt * np.arange(n), n * dt)
+            ref = w.scale * w.b_rev[self.N - n : self.N - 1]
+            if alpha == 1.0:
+                assert np.all(got == 0.0) and np.all(ref == 0.0)
+            else:
+                # b_j is a difference of two powers ~ j^(1-alpha), so both forms
+                # lose about j/(1-alpha) ulps to cancellation
+                rtol = 4.0 * np.finfo(float).eps * self.N / (1.0 - alpha)
+                np.testing.assert_allclose(got, ref, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_step_index_beyond_weights(self, alpha):
+        w = l1_weights(alpha, 0.1, 4)
+        with pytest.raises(DomainError, match="step index 5"):
+            caputo_convolution(w, np.zeros((8, 3)), 5)
+        assert np.shape(caputo_convolution(w, np.zeros((8, 3)), 4)) == (3,)
 
 
 class TestLinearFode:

@@ -42,19 +42,32 @@ class TestConfig:
             assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
 
 
+class TestHistoryBuffer:
+    def test_increments_survive_growth(self):
+        fields = np.random.default_rng(3).uniform(0.0, 1.0, size=(41, 5))
+        history = HistoryBuffer(last=fields[0], dt=0.1)
+        for u in fields[1:]:
+            history.append(u)
+        assert len(history) == 41
+        assert np.array_equal(history.last, fields[-1])
+        diffs = history.diff_array()
+        assert np.all(diffs[0] == 0.0)
+        assert np.array_equal(diffs[1:], fields[1:] - fields[:-1])
+
+
 class TestStep:
     def test_single_node_hand_oracle(self):
         # alpha=1, dt=0.1, A=[2], u0=0.5: (10+2+1) u1 = 10*0.5 + 0.25
         op = OperatorMatrix(dim=1, entries=np.array([[2.0]]), s=0.5, c_ns=1.0)
         weights = l1_weights(1.0, 0.1, 5)
-        history = HistoryBuffer(snapshots=[np.array([0.5])], dt=0.1)
+        history = HistoryBuffer(last=np.array([0.5]), dt=0.1)
         u1 = step(history, op, weights)
         assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
 
     def test_zero_field_is_fixed_point(self):
         op = OperatorMatrix(dim=2, entries=np.eye(2), s=0.5, c_ns=1.0)
         weights = l1_weights(0.5, 0.1, 10)
-        history = HistoryBuffer(snapshots=[np.zeros(2)], dt=0.1)
+        history = HistoryBuffer(last=np.zeros(2), dt=0.1)
         for _ in range(5):
             u = step(history, op, weights)
             assert np.all(u == 0.0)
@@ -63,7 +76,7 @@ class TestStep:
     def test_overflow_signal(self):
         op = OperatorMatrix(dim=1, entries=np.array([[0.0]]), s=0.5, c_ns=1.0)
         weights = l1_weights(1.0, 0.5, 3)
-        history = HistoryBuffer(snapshots=[np.array([10.0])], dt=0.5)
+        history = HistoryBuffer(last=np.array([10.0]), dt=0.5)
         with pytest.raises(StepOverflow):
             step(history, op, weights, blow_threshold=5.0)
 
