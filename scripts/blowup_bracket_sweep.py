@@ -19,7 +19,7 @@ from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fracrd.harness import _scaled_blowup_config  # noqa: E402
+from fracrd.harness import scaled_blowup_config  # noqa: E402
 from fracrd.solver import blowup_bracket, detect_blowup  # noqa: E402
 
 
@@ -28,7 +28,7 @@ def sweep(params):
     for alpha in params["alphas"]:
         for factor in params["h0_factors"]:
             t0 = time.time()
-            cfg, lam1, h0 = _scaled_blowup_config(params, alpha, factor)
+            cfg, lam1, h0 = scaled_blowup_config(params, alpha, factor)
             br = blowup_bracket(h0, alpha, lam1)
             finding = detect_blowup(cfg)
             if finding.status != "blowup":

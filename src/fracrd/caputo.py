@@ -141,7 +141,7 @@ def _nonuniform_history_weights(alpha: float, times: np.ndarray, t_new: float) -
     """L1 weights of the committed intervals, seen from t_new (exclusive)."""
     g2 = math.gamma(2.0 - alpha)
     powers = (t_new - times) ** (1.0 - alpha)
-    return (powers[:-1] - powers[1:]) / (g2 * np.diff(times))
+    return (powers[:-1] - powers[1:]) / (g2 * (times[1:] - times[:-1]))
 
 
 def _grown(buf: np.ndarray) -> np.ndarray:

@@ -501,8 +501,14 @@ def _run_decay(campaign) -> tuple:
     return frag, traces
 
 
-def _scaled_blowup_config(p, alpha, factor):
-    """Config whose initial mass h0 = factor*(1 + lambda1), via a peaked bump."""
+def scaled_blowup_config(p, alpha, factor):
+    """Blow-up run whose initial mass is h0 = factor*(1 + lambda1).
+
+    ``p`` holds a blowup campaign's ``domain``, ``s``, ``n``, ``dt`` and
+    ``width``.  The data are a Gaussian bump of that width, scaled to the
+    target mass; t_end is 1.5 times the upper end of the blow-up window.
+    Returns ``(config, lambda1, h0)``.
+    """
     from .solver import _get_operator
 
     a, b = p["domain"]
@@ -556,7 +562,7 @@ def _run_blowup(campaign) -> tuple:
     for alpha in p["alphas"]:
         for factor in p["h0_factors"]:
             t0 = time.perf_counter()
-            cfg, lam1, h0 = _scaled_blowup_config(p, alpha, factor)
+            cfg, lam1, h0 = scaled_blowup_config(p, alpha, factor)
             bracket = blowup_bracket(h0, alpha, lam1)
             finding = detect_blowup(cfg)
             tag = f"alpha:{alpha:g};h0:{h0:.15g}"

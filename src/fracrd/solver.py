@@ -24,15 +24,32 @@ lambda1 the run carries the two-sided blow-up window
 
 and blow-up is declared when max u crosses the configured threshold, with the
 step size halved adaptively once max u exceeds 10*(1 + lambda1).
+
+Step kernel.  At the grid sizes the campaigns use (n = 128, 256) a step is a
+few tens of kflop, so the kernel does its arithmetic and little else:
+
+* one solve per step: a single LAPACK ``potrs`` call on a Cholesky factor
+  computed once per step size (one for the uniform mesh, one for the current
+  level of the adaptive regime, whose step only ever halves), followed by one
+  finiteness check of the solution; a failure raises StepFailureError;
+* one history object, ``HistoryBuffer``, holding the last field, the
+  increments and the step times: the uniform regime reads its memory sum
+  through the contiguous weights ``b_rev`` (one gemv), the adaptive regime
+  through weights from the step times;
+* one ``max u`` per step, shared by the blow-up test, the adaptive trigger
+  and the monitors, which are written into a preallocated array.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .caputo import (
     L1Weights,
@@ -163,11 +180,13 @@ class SimConfig:
 
 @dataclass
 class HistoryBuffer:
-    """Fields u^0 ... u^(n-1) on a uniform mesh of step dt, as increments.
+    """Committed fields u^0 ... u^(n-1) of one run, as increments, with their times.
 
-    Only the last field is kept; the successive differences are maintained
-    incrementally in a preallocated array that doubles when full, so the
-    memory convolution costs one matrix-vector product per step.
+    Only the last field is kept.  The increments and the step times live in
+    preallocated arrays that double when full, so each memory sum is one
+    matrix-vector product: with the uniform weights ``b_rev`` while the mesh
+    is uniform, with weights from the step times once it is not.  A field
+    appended without a time lies on the uniform mesh of step ``dt``.
     """
 
     last: np.ndarray
@@ -176,20 +195,67 @@ class HistoryBuffer:
 
     def __post_init__(self):
         self._diffs = np.zeros((16, len(self.last)))
+        self._times = np.zeros(16)
 
     def __len__(self):
         return self.count
 
-    def append(self, values: np.ndarray):
-        if self.count == self._diffs.shape[0]:
-            self._diffs = _grown(self._diffs)
-        self._diffs[self.count] = values - self.last
+    def append(self, values: np.ndarray, t: float | None = None):
+        n = self.count
+        if n == len(self._times):
+            self._diffs, self._times = _grown(self._diffs), _grown(self._times)
+        self._diffs[n] = values - self.last
+        self._times[n] = n * self.dt if t is None else t
         self.last = values
-        self.count += 1
+        self.count = n + 1
 
     def diff_array(self) -> np.ndarray:
         """(n, nx) view whose row m holds u^m - u^(m-1); row 0 is zero."""
         return self._diffs[: self.count]
+
+    def times(self) -> np.ndarray:
+        """View of the step times t_0 = 0, ..., t_(n-1)."""
+        return self._times[: self.count]
+
+    def uniform_memory(self, weights: L1Weights) -> np.ndarray:
+        """History part of the uniform L1 sum at step n = len(self)."""
+        return caputo_convolution(weights, self.diff_array(), self.count)
+
+    def memory(self, alpha: float, t_new: float) -> np.ndarray:
+        """History part of the L1 sum at t_new, weighted by the actual step times."""
+        n = self.count
+        w_hist = _nonuniform_history_weights(alpha, self._times[:n], t_new)
+        return w_hist @ self._diffs[1:n]
+
+
+class _Monitors:
+    """E, H, min u and max u at the recorded times, in an array that doubles when full.
+
+    The reductions are numpy's pairwise sums, so the recorded values do not
+    depend on the BLAS build.
+    """
+
+    def __init__(self, h: float, e1: np.ndarray, record_fields: bool, capacity: int):
+        self._h = h
+        self._e1 = e1
+        self._rows = np.empty((capacity, 5))
+        self.count = 0
+        self.fields = [] if record_fields else None
+        self.field_times = [] if record_fields else None
+
+    def record(self, t: float, u: np.ndarray, u_max: float):
+        if self.count == len(self._rows):
+            self._rows = _grown(self._rows)
+        h = self._h
+        self._rows[self.count] = (t, h * (u * u).sum(), h * (u * self._e1).sum(), u.min(), u_max)
+        self.count += 1
+        if self.fields is not None:
+            self.fields.append(u.copy())
+            self.field_times.append(t)
+
+    def columns(self) -> np.ndarray:
+        """(5, count) array of times, E, H, min u and max u; each row contiguous."""
+        return self._rows[: self.count].T.copy()
 
 
 @dataclass(frozen=True)
@@ -252,49 +318,91 @@ class StepOverflow(StepFailureError):
         super().__init__("field exceeded the blow-up threshold")
 
 
+def system_factor(shift: float, a_mat: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of shift*I + A, the matrix of one implicit step.
+
+    Raises StepFailureError when the matrix is not positive definite.
+    """
+    try:
+        c, _ = cho_factor(shift * np.eye(len(a_mat)) + a_mat, check_finite=False)
+    except LinAlgError as exc:
+        raise StepFailureError(
+            f"step matrix {shift:.6g}*I + A is not positive definite: {exc}"
+        ) from None
+    return c
+
+
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with an upper Cholesky factor by one LAPACK potrs call.
+
+    The one finiteness check is on the solution: it is non-finite when the
+    right-hand side is, and when the factor is singular or not finite.
+    Either raises StepFailureError naming the cause, as does a potrs
+    argument error.
+    """
+    u, info = dpotrs(factor, rhs)
+    if info != 0:
+        raise StepFailureError(f"LAPACK potrs rejected argument {-info}")
+    if not np.isfinite(u).all():
+        cause = (
+            "the right-hand side is not finite"
+            if not np.isfinite(rhs).all()
+            else "the Cholesky factor is singular or not finite"
+        )
+        raise StepFailureError(f"linear solve gave a non-finite field: {cause}")
+    return u
+
+
 def step(
     history: HistoryBuffer,
     op: OperatorMatrix,
     weights: L1Weights,
-    cho=None,
+    cho: np.ndarray,
     blow_threshold: float | None = None,
 ) -> np.ndarray:
     """Advance one uniform L1 step of the coupled scheme.
 
-    ``history`` holds u^0..u^(n-1); returns u^n.  Raises StepOverflow when the
-    new field reaches ``blow_threshold``.  Pass a precomputed Cholesky factor
-    of (scale+1)*I + A to amortize the solve across steps.
+    ``history`` holds u^0..u^(n-1); returns u^n.  ``cho`` is the factor
+    ``system_factor(weights.scale + 1, op.entries)``, shared by every
+    uniform step.  Raises StepOverflow when the new field reaches
+    ``blow_threshold`` and StepFailureError when the solve fails.
     """
-    n = len(history)
-    if n < 1:
-        raise StepFailureError("history must contain the initial field")
     u_prev = history.last
     if u_prev.shape != (op.dim,):
         raise DomainError(f"dimension mismatch: field {u_prev.shape}, operator {op.dim}")
-    if cho is None:
-        m = (weights.scale + 1.0) * np.eye(op.dim) + op.entries
-        cho = cho_factor(m)
-    hist = caputo_convolution(weights, history.diff_array(), n)
+    hist = history.uniform_memory(weights)
     rhs = weights.scale * (u_prev - hist) + u_prev * u_prev
-    u_new = cho_solve(cho, rhs)
-    if blow_threshold is not None and np.max(u_new) >= blow_threshold:
+    u_new = _solve(cho, rhs)
+    if blow_threshold is not None and u_new.max() >= blow_threshold:
         raise StepOverflow(u_new)
     return u_new
 
 
 # --- full runs -----------------------------------------------------------------
 
-_operator_cache: dict = {}
+# Operators and eigenpairs by (a, b, n, s), least recently used first.  A few
+# entries cover every campaign's working set; one n = 4096 entry is 134 MB.
+_OPERATOR_CACHE_SIZE = 4
+_operator_cache: OrderedDict = OrderedDict()
+_operator_lock = threading.Lock()
 
 
 def _get_operator(config: SimConfig) -> tuple[OperatorMatrix, EigenPair]:
     key = (config.a, config.b, config.n, config.s)
-    if key not in _operator_cache:
-        grid = config.grid
-        op = assemble_regional(grid, config.s)
-        pair = principal_eigenpair(op, grid)
-        _operator_cache[key] = (op, pair)
-    return _operator_cache[key]
+    with _operator_lock:
+        entry = _operator_cache.get(key)
+        if entry is not None:
+            _operator_cache.move_to_end(key)
+            return entry
+    grid = config.grid
+    op = assemble_regional(grid, config.s)
+    entry = (op, principal_eigenpair(op, grid))
+    with _operator_lock:
+        entry = _operator_cache.setdefault(key, entry)  # a concurrent miss may have won
+        _operator_cache.move_to_end(key)
+        while len(_operator_cache) > _OPERATOR_CACHE_SIZE:
+            _operator_cache.popitem(last=False)
+    return entry
 
 
 def run(
@@ -316,9 +424,6 @@ def run(
         operator, eigenpair = _get_operator(config)
     lam1 = eigenpair.lambda1
     e1 = eigenpair.e1.values
-    h = grid.h
-    a_mat = operator.entries
-    eye = np.eye(config.n)
 
     if u0_override is not None:
         u0 = np.asarray(u0_override, dtype=float)
@@ -329,76 +434,51 @@ def run(
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial data must be finite")
 
-    h0 = float(h * np.sum(u0 * e1))
+    h0 = float(grid.h * np.sum(u0 * e1))
     n_steps = config.n_steps
     dt = config.effective_dt
     stride = max(1, n_steps // 2000)
     weights = l1_weights(config.alpha, dt, n_steps)
-    cho_uniform = cho_factor((weights.scale + 1.0) * eye + a_mat)
+    factor = system_factor(weights.scale + 1.0, operator.entries)
 
-    times = [0.0]
-    energy = [float(h * np.sum(u0 * u0))]
-    h_func = [h0]
-    umin = [float(np.min(u0))]
-    umax = [float(np.max(u0))]
-    fields = [u0.copy()] if record_fields else None
-    field_times = [0.0] if record_fields else None
-
-    def record(t, u):
-        times.append(t)
-        energy.append(float(h * np.sum(u * u)))
-        h_func.append(float(h * np.sum(u * e1)))
-        umin.append(float(np.min(u)))
-        umax.append(float(np.max(u)))
-        if record_fields:
-            fields.append(u.copy())
-            field_times.append(t)
-
+    monitors = _Monitors(grid.h, e1, record_fields, n_steps // stride + 2)
+    monitors.record(0.0, u0, float(u0.max()))
     adaptive_trigger = 10.0 * (1.0 + lam1)
+    blow_threshold = config.blow_threshold
     history = HistoryBuffer(last=u0, dt=dt)
     blowup = None
     inconclusive = None
 
-    step_idx = 0
-    switched = False
-    while step_idx < n_steps:
-        step_idx += 1
-        try:
-            u_new = step(
-                history, operator, weights, cho=cho_uniform, blow_threshold=config.blow_threshold
-            )
-        except StepOverflow as overflow:
-            t_star = step_idx * dt
-            record(t_star, overflow.values)
-            blowup = BlowupEvent(
-                t_star_numeric=t_star, terminal_max=float(np.max(overflow.values))
-            )
+    for step_idx in range(1, n_steps + 1):
+        u_new = step(history, operator, weights, factor)
+        u_max = float(u_new.max())
+        t_now = step_idx * dt
+        if u_max >= blow_threshold:
+            monitors.record(t_now, u_new, u_max)
+            blowup = BlowupEvent(t_star_numeric=t_now, terminal_max=u_max)
             break
         history.append(u_new)
-        t_now = step_idx * dt
         if step_idx % stride == 0 or step_idx == n_steps:
-            record(t_now, u_new)
-        if np.max(u_new) > adaptive_trigger:
-            switched = True
+            monitors.record(t_now, u_new, u_max)
+        if u_max > adaptive_trigger:
+            blowup, inconclusive = _run_adaptive(config, operator, history, monitors, u_max)
             break
-
-    if switched:
-        blowup, inconclusive = _run_adaptive(config, operator, history, record)
 
     bracket = blowup_bracket(h0, config.alpha, lam1) if h0 > 0 else None
     if bracket is not None and not bracket.admissible:
         bracket = None
 
+    times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = None
     if blowup is None and inconclusive is None:
-        decay_slope = _maybe_decay_slope(np.asarray(times), np.asarray(energy), config)
+        decay_slope = _maybe_decay_slope(times, energy, config)
 
     return SimulationResult(
-        times=np.asarray(times),
-        energy=np.asarray(energy),
-        h_functional=np.asarray(h_func),
-        umin=np.asarray(umin),
-        umax=np.asarray(umax),
+        times=times,
+        energy=energy,
+        h_functional=h_func,
+        umin=umin,
+        umax=umax,
         blowup=blowup,
         bracket=bracket,
         decay_slope=decay_slope,
@@ -406,47 +486,44 @@ def run(
         h0=h0,
         config=config,
         inconclusive=inconclusive,
-        fields=fields,
-        field_times=field_times,
+        fields=monitors.fields,
+        field_times=monitors.field_times,
     )
 
 
-def _run_adaptive(config, operator, history, record):
+def _run_adaptive(config, operator, history, monitors, max_last):
     """Adaptive continuation once the field is in the blow-up regime.
 
     The memory term is evaluated with L1 weights computed from the actual
     (piecewise-uniform) step times; each committed step re-records, and the
-    step is halved when max u grows by more than 50% in one step.
+    step is halved when max u grows by more than 50% in one step.  The step
+    only ever shrinks, so one Cholesky factor, of the current step size, is
+    kept.  ``max_last`` is max u of the last committed field.
     """
     alpha = config.alpha
     g2 = math.gamma(2.0 - alpha)
     a_mat = operator.entries
-    eye = np.eye(config.n)
     dt_floor = config.effective_dt_floor()
-
-    step_times = _grown(history.dt * np.arange(len(history), dtype=float))
+    t_end = config.t_end
     cur_dt = history.dt
-    t_last = float(step_times[len(history) - 1])
-    cho_cache = {}
+    t_last = float(history.times()[-1])
+    factor_key, factor = None, None
     max_steps = 200_000
 
-    while t_last < config.t_end - 1e-12 * config.t_end:
-        n_committed = len(history)
-        if n_committed > max_steps:
+    while t_last < t_end - 1e-12 * t_end:
+        if len(history) > max_steps:
             return None, "step budget exhausted in adaptive regime"
         u_last = history.last
-        t_new = min(t_last + cur_dt, config.t_end)
+        t_new = min(t_last + cur_dt, t_end)
         dt_eff = t_new - t_last
         w_new = dt_eff ** (-alpha) / g2
-        w_hist = _nonuniform_history_weights(alpha, step_times[:n_committed], t_new)
-        hist = w_hist @ history.diff_array()[1:]
+        hist = history.memory(alpha, t_new)
         key = round(math.log2(dt_eff), 6)
-        if key not in cho_cache:
-            cho_cache[key] = cho_factor((w_new + 1.0) * eye + a_mat)
+        if key != factor_key:
+            factor_key, factor = key, system_factor(w_new + 1.0, a_mat)
         rhs = w_new * u_last - hist + u_last * u_last
-        u_new = cho_solve(cho_cache[key], rhs)
-        max_last = float(np.max(u_last))
-        max_new = float(np.max(u_new))
+        u_new = _solve(factor, rhs)
+        max_new = float(u_new.max())
         if (max_new - max_last) > 0.5 * max(max_last, 1.0):
             cur_dt *= 0.5
             if cur_dt < dt_floor:
@@ -455,12 +532,9 @@ def _run_adaptive(config, operator, history, record):
                     "without crossing the blow-up threshold"
                 )
             continue
-        if n_committed == len(step_times):
-            step_times = _grown(step_times)
-        step_times[n_committed] = t_new
-        history.append(u_new)
-        t_last = t_new
-        record(t_new, u_new)
+        history.append(u_new, t_new)
+        t_last, max_last = t_new, max_new
+        monitors.record(t_new, u_new, max_new)
         if max_new >= config.blow_threshold:
             return BlowupEvent(t_star_numeric=t_new, terminal_max=max_new), None
     return None, None

@@ -12,13 +12,15 @@ nats = x**(1/alpha), x = -z, between three regimes,
   catastrophically; the integrand is positive, so no precision is lost, and
 * the algebraic large-argument expansion
       E_alpha(-x) ~ sum_{k>=1} (-1)^(k+1) x^(-k) / Gamma(1 - alpha*k)
-  summed adaptively to its optimal truncation for nats >= ``_ASYM_MIN_NATS``,
-  where its floor exp(-nats) is negligible at double precision.
+  summed adaptively to its optimal truncation for nats >= ``_asym_min_nats``
+  (36, rising towards 46 as alpha -> 1), where its floor exp(-nats) is
+  negligible at double precision.
 
 Measured against ``fracrd.mlref`` (25 digits): the quadrature is accurate to
-7e-15 relative for alpha in [0.25, 1 - 1e-10]; over all three regimes the
-worst relative error is 8e-12 for alpha in [0.25, 0.999] and z in [-50, 5]
-(at the 36-nat seam, alpha = 0.999, where the expansion's floor
+7e-15 relative for alpha in [0.25, 1 - 1e-10], and to 6e-16 out to 46 nats
+for alpha in [0.999, 1 - 1e-7]; over all three regimes the worst relative
+error is 8e-12 for alpha in [0.25, 0.999] and z in [-50, 5], and 2e-11 for
+alpha up to 1 - 1e-7 (just above the upper seam, where the expansion's floor
 exp(-nats) is largest relative to E_alpha).  On the extended negative range
 (z down to ``_Z_MIN``) the asymptotic branch only gains accuracy as |z|
 grows.  Nothing here holds mutable state, so concurrent callers are safe.
@@ -45,6 +47,8 @@ _Z_MIN = -1.0e12
 # Branch thresholds on the cancellation exponent x**(1/alpha), x = -z.
 _F64_MAX_NATS = 3.0
 _ASYM_MIN_NATS = 36.0
+# The quadrature is verified against mlref up to this many nats.
+_ASYM_MAX_NATS = 46.0
 
 # Series truncation: stop once the current term is below this fraction of the
 # partial sum (and the tail is provably geometric).
@@ -208,6 +212,19 @@ def _rgamma(x: float) -> float:
     return math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
 
 
+def _asym_min_nats(alpha: float) -> float:
+    """Seam between the quadrature and the large-argument expansion.
+
+    The expansion drops a term of about exp(-nats), which relative to
+    E_alpha(-x) ~ (1-alpha)/x is about nats*exp(-nats)/(1-alpha): 8e-12 at
+    alpha = 0.999 and 36 nats.  Closer to alpha = 1 the seam moves up by
+    log(1e-3/(1-alpha)) nats, which holds that error near 8e-12, until it
+    reaches ``_ASYM_MAX_NATS`` near alpha = 1 - 4.5e-8.  For alpha <= 0.999 it
+    stays at ``_ASYM_MIN_NATS``.
+    """
+    return min(_ASYM_MAX_NATS, _ASYM_MIN_NATS + max(0.0, math.log(1e-3 / (1.0 - alpha))))
+
+
 def ml_eval(params: MLParams) -> float:
     """Evaluate E_alpha(z) for the validated parameter box.
 
@@ -228,7 +245,7 @@ def ml_eval(params: MLParams) -> float:
     nats = (-z) ** (1.0 / alpha)
     if nats <= _F64_MAX_NATS:
         return _series_f64(alpha, z)
-    if nats >= _ASYM_MIN_NATS:
+    if nats >= _asym_min_nats(alpha):
         return _asymptotic(alpha, z)
     return _spectral(alpha, -z, nats)
 

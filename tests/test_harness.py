@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,3 +229,16 @@ class TestCli:
         code = cli.main(["run", str(cfg), "--campaign", "nope", "--out", str(tmp_path / "o")])
         capsys.readouterr()
         assert code == 2
+
+
+class TestScripts:
+    def test_blowup_bracket_sweep_runs(self, capsys, monkeypatch):
+        # The script reaches the harness only through its public entry point.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parents[1] / "scripts" / "blowup_bracket_sweep.py"
+        spec = importlib.util.spec_from_file_location("blowup_bracket_sweep", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.sweep({"alphas": [1.0], "s": 0.4, "domain": (0.0, 2.0), "n": 16, "dt": 2e-3,
+                      "h0_factors": [1.6], "width": 0.12})
+        assert "contained=True" in capsys.readouterr().out

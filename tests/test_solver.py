@@ -1,21 +1,30 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from fracrd import solver
 from fracrd.caputo import l1_weights, solve_logistic_fode
-from fracrd.errors import ConvergenceError, DomainError
+from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, OperatorMatrix
 from fracrd.solver import (
     HistoryBuffer,
     SimConfig,
     StepOverflow,
     _get_operator,
+    _Monitors,
+    _run_adaptive,
+    _solve,
     blowup_bracket,
     decay_rate_fit,
     detect_blowup,
     initial_field,
     run,
     step,
+    system_factor,
 )
 from fracrd.special import MLParams, ml_eval
 
@@ -61,15 +70,16 @@ class TestStep:
         op = OperatorMatrix(dim=1, entries=np.array([[2.0]]), s=0.5, c_ns=1.0)
         weights = l1_weights(1.0, 0.1, 5)
         history = HistoryBuffer(last=np.array([0.5]), dt=0.1)
-        u1 = step(history, op, weights)
+        u1 = step(history, op, weights, system_factor(weights.scale + 1.0, op.entries))
         assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
 
     def test_zero_field_is_fixed_point(self):
         op = OperatorMatrix(dim=2, entries=np.eye(2), s=0.5, c_ns=1.0)
         weights = l1_weights(0.5, 0.1, 10)
         history = HistoryBuffer(last=np.zeros(2), dt=0.1)
+        factor = system_factor(weights.scale + 1.0, op.entries)
         for _ in range(5):
-            u = step(history, op, weights)
+            u = step(history, op, weights, factor)
             assert np.all(u == 0.0)
             history.append(u)
 
@@ -78,7 +88,8 @@ class TestStep:
         weights = l1_weights(1.0, 0.5, 3)
         history = HistoryBuffer(last=np.array([10.0]), dt=0.5)
         with pytest.raises(StepOverflow):
-            step(history, op, weights, blow_threshold=5.0)
+            step(history, op, weights, system_factor(weights.scale + 1.0, op.entries),
+                 blow_threshold=5.0)
 
     def test_matches_rk4_reference_at_alpha_one(self):
         # Classical limit: the semi-discrete system du/dt = -Au - u + u^2
@@ -104,6 +115,100 @@ class TestStep:
             u = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         rel = np.linalg.norm(result.fields[-1] - u) / np.linalg.norm(u)
         assert rel <= 1e-3
+
+
+class TestSolve:
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_matches_cho_solve_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for shift in (0.5, 3.0, 1e4):
+            g = rng.standard_normal((n, n))
+            a = g @ g.T
+            rhs = rng.standard_normal(n)
+            expected = cho_solve(cho_factor(shift * np.eye(n) + a), rhs)
+            assert np.array_equal(_solve(system_factor(shift, a), rhs), expected)
+
+    def test_nan_history_raises_step_failure(self):
+        op = OperatorMatrix(dim=3, entries=np.eye(3), s=0.5, c_ns=1.0)
+        weights = l1_weights(0.5, 0.1, 10)
+        history = HistoryBuffer(last=np.array([0.5, np.nan, 0.5]), dt=0.1)
+        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
+            step(history, op, weights, system_factor(weights.scale + 1.0, op.entries))
+
+    def test_singular_factor_raises_step_failure(self):
+        op = OperatorMatrix(dim=3, entries=np.eye(3), s=0.5, c_ns=1.0)
+        weights = l1_weights(0.5, 0.1, 10)
+        history = HistoryBuffer(last=np.full(3, 0.5), dt=0.1)
+        factor = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(StepFailureError, match="factor is singular"):
+            step(history, op, weights, factor)
+
+    def test_non_spd_matrix_raises_step_failure(self):
+        with pytest.raises(StepFailureError, match="not positive definite"):
+            system_factor(1.0, -5.0 * np.eye(4))
+        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=4, dt=0.1, t_end=1.0)
+        _, pair = _get_operator(cfg)
+        bad = OperatorMatrix(dim=4, entries=-1e3 * np.eye(4), s=0.5, c_ns=1.0)
+        with pytest.raises(StepFailureError, match="not positive definite"):
+            run(cfg, operator=bad, eigenpair=pair)
+
+    @staticmethod
+    def _adaptive_inputs(last, entries):
+        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=3, dt=0.1, t_end=1.0)
+        op = OperatorMatrix(dim=3, entries=entries, s=0.5, c_ns=1.0)
+        history = HistoryBuffer(last=np.full(3, 0.5), dt=cfg.effective_dt)
+        history.append(last)
+        monitors = _Monitors(cfg.grid.h, np.ones(3), False, 4)
+        return cfg, op, history, monitors
+
+    def test_adaptive_nan_history_raises_step_failure(self):
+        cfg, op, history, monitors = self._adaptive_inputs(np.array([0.5, np.nan, 0.5]), np.eye(3))
+        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
+            _run_adaptive(cfg, op, history, monitors, 0.5)
+
+    def test_adaptive_non_spd_matrix_raises_step_failure(self):
+        cfg, op, history, monitors = self._adaptive_inputs(np.full(3, 0.6), -1e3 * np.eye(3))
+        with pytest.raises(StepFailureError, match="not positive definite"):
+            _run_adaptive(cfg, op, history, monitors, 0.6)
+
+
+class TestOperatorCache:
+    @staticmethod
+    def _config(s):
+        return SimConfig(alpha=0.5, s=s, a=0.0, b=1.0, n=8, dt=0.1, t_end=1.0)
+
+    def test_hit_returns_same_objects(self):
+        cfg = self._config(0.31)
+        op, pair = _get_operator(cfg)
+        again = _get_operator(cfg)
+        assert again[0] is op and again[1] is pair
+
+    def test_evicts_least_recently_used(self):
+        size = solver._OPERATOR_CACHE_SIZE
+        configs = [self._config(0.1 + 0.01 * k) for k in range(size + 1)]
+        first = [_get_operator(cfg) for cfg in configs[:size]]
+        assert _get_operator(configs[0])[0] is first[0][0]  # now most recently used
+        _get_operator(configs[size])
+        assert len(solver._operator_cache) == size
+        assert _get_operator(configs[0])[0] is first[0][0]
+        assert _get_operator(configs[1])[0] is not first[1][0]  # evicted, rebuilt
+
+    def test_threads_share_a_bounded_cache(self):
+        # More threads than cores and a short switch interval, so a lookup and
+        # an eviction interleave; an unlocked cache fails here most runs.
+        configs = [self._config(0.2 + 0.01 * k) for k in range(solver._OPERATOR_CACHE_SIZE + 2)]
+        serial = [_get_operator(cfg)[1].lambda1 for cfg in configs]
+        requests = [configs[k % len(configs)] for k in range(1000)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_get_operator, cfg) for cfg in requests]
+                results = [f.result(timeout=120)[1].lambda1 for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [serial[k % len(configs)] for k in range(1000)]
+        assert len(solver._operator_cache) <= solver._OPERATOR_CACHE_SIZE
 
 
 class TestRun:

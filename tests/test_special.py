@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracrd
+from fracrd import special
 from fracrd.errors import DomainError, UnsupportedParameterError
 from fracrd.harness import load_oracle_table
 from fracrd.special import (
@@ -83,11 +84,14 @@ class TestMLEval:
 
     def test_accuracy_across_branch_seams(self):
         # The evaluator switches representations on the cancellation exponent
-        # (-z)**(1/alpha) at 3 and 36 nats; accuracy must hold on both sides.
+        # (-z)**(1/alpha) at 3 and 36 nats, the upper seam rising for alpha
+        # above 0.999; accuracy must hold on both sides of every seam.
         from fracrd import mlref
 
-        for alpha in (0.3, 0.5, 0.9, 0.99):
-            for nats in (3.0, 36.0):
+        for alpha in (0.5, 0.8, 0.999):
+            assert special._asym_min_nats(alpha) == 36.0
+        for alpha in (0.3, 0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999999):
+            for nats in sorted({3.0, 36.0, special._asym_min_nats(alpha)}):
                 for factor in (0.99, 1.01):
                     z = -((nats * factor) ** alpha)
                     ref = float(mlref.ml_reference(alpha, z, digits=25))
