@@ -15,7 +15,6 @@ from .fraclap import (
     Field,
     Grid1D,
     OperatorMatrix,
-    apply_operator,
     assemble_regional,
     assemble_regional_untruncated,
     principal_eigenpair,
@@ -44,7 +43,6 @@ __all__ = [
     "EigenPair",
     "assemble_regional",
     "assemble_regional_untruncated",
-    "apply_operator",
     "principal_eigenpair",
     "SimConfig",
     "SimulationResult",

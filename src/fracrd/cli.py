@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``run <config> [--out DIR] [--workers N] [--campaign NAME]`` or
+* ``run <config> [--out DIR] [--campaign NAME]`` or
   ``run --all`` for the built-in suite; exit status is nonzero when any
   check fails.
 * ``ml-eval --alpha A --z Z``: print E_alpha(z) with 15 significant digits.
@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import FracRDError
 from .fraclap import Grid1D, assemble_regional, dump_eigenpair, dump_matrix, principal_eigenpair
 from .harness import default_campaigns, parse_config, run_campaigns, write_outputs
-from .special import MLParams, ml_eval, write_envelope_calibration
+from .special import MLParams, ml_eval
 
 
 def _default_out() -> str:
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
         if not campaigns:
             print(f"error: no campaign named '{args.campaign}'", file=sys.stderr)
             return 2
-    report, traces = run_campaigns(campaigns, workers=args.workers)
+    report, traces = run_campaigns(campaigns)
     paths = write_outputs(report, traces, args.out)
     sys.stdout.write(report.text())
     print(f"wrote {len(paths)} file(s) to {args.out}")
@@ -51,13 +51,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ml_eval(args) -> int:
-    if args.regen_envelope_table:
-        write_envelope_calibration(args.regen_envelope_table)
-        print(f"wrote {args.regen_envelope_table}")
-        return 0
-    if args.alpha is None or args.z is None:
-        print("error: --alpha and --z are required", file=sys.stderr)
-        return 2
     value = ml_eval(MLParams(alpha=args.alpha, z=args.z))
     print(f"{value:.15g}")
     return 0
@@ -91,14 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", nargs="?", help="campaign configuration file (INI)")
     p_run.add_argument("--all", action="store_true", help="run the built-in default suite")
     p_run.add_argument("--out", default=_default_out(), help="output directory")
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent campaigns")
     p_run.add_argument("--campaign", help="run only the named campaign")
     p_run.set_defaults(func=_cmd_run)
 
     p_ml = sub.add_parser("ml-eval", help="evaluate the Mittag-Leffler function")
-    p_ml.add_argument("--alpha", type=float)
-    p_ml.add_argument("--z", type=float)
-    p_ml.add_argument("--regen-envelope-table", help=argparse.SUPPRESS)
+    p_ml.add_argument("--alpha", type=float, required=True)
+    p_ml.add_argument("--z", type=float, required=True)
     p_ml.set_defaults(func=_cmd_ml_eval)
 
     p_eig = sub.add_parser("eig", help="principal eigenpair of the discrete operator")

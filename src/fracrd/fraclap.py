@@ -266,12 +266,6 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
     return OperatorMatrix(dim=n, entries=entries, s=s, c_ns=c)
 
 
-def apply_operator(op: OperatorMatrix, f: Field) -> Field:
-    if f.values.shape != (op.dim,):
-        raise DomainError(f"dimension mismatch: field {f.values.shape}, operator {op.dim}")
-    return Field(grid=f.grid, values=op.entries @ f.values)
-
-
 def principal_eigenpair(
     op: OperatorMatrix,
     grid: Grid1D,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -47,6 +46,7 @@ from .fraclap import (
     principal_eigenpair,
 )
 from .solver import (
+    PROFILES,
     SimConfig,
     blowup_bracket,
     detect_blowup,
@@ -130,86 +130,62 @@ def _record(campaign, name, params, measured, expected, tol, passed, t0):
 
 # --- configuration ------------------------------------------------------------
 
+# One table says what every campaign kind accepts:
+# {kind: {key: (value type, default, bounds)}}.  A default of None marks a
+# required key.  Value types: "float", "int", "floats" (comma-separated
+# list), "domain" ("a, b" with a < b), "bool" (configparser's boolean words)
+# and "profile" (a name in solver.PROFILES).  Every number, including each
+# list entry and domain endpoint, must lie in its key's bounds, an interval
+# such as "(0, 1]"; an open end at inf rejects infinite values.
+CAMPAIGN_SCHEMA = {
+    "invariant_region": {
+        "alphas": ("floats", None, "(0, 1]"),
+        "s_values": ("floats", None, "(0, 1)"),
+        "domain": ("domain", (0.0, 1.0), "(-inf, inf)"),
+        "n": ("int", 128, "[2, 4096]"),
+        "dt": ("float", 0.1, "(0, inf)"),
+        "t_end": ("float", 50.0, "(0, inf)"),
+        "bound_tol": ("float", 1e-8, "(0, inf)"),
+        "comparison_pairs": ("int", 20, "[0, inf)"),
+    },
+    "decay": {
+        "alpha": ("float", None, "(0, 1]"),
+        "s": ("float", None, "(0, 1)"),
+        "domain": ("domain", (0.0, 1.0), "(-inf, inf)"),
+        "n": ("int", 128, "[2, 4096]"),
+        "dt": ("float", 0.5, "(0, inf)"),
+        "t_end": ("float", 1000.0, "(0, inf)"),
+        "profile": ("profile", "parabola", None),
+        "amplitude": ("float", 0.9, "[0, 1]"),
+        # Below 2, the slope interval -alpha*(2 +- band) excludes growth.
+        "slope_band": ("float", 0.15, "(0, 2)"),
+        "envelope_slack": ("float", 1.05, "[1, inf)"),
+        "l1_check": ("bool", True, None),
+    },
+    "blowup": {
+        "alphas": ("floats", None, "(0, 1]"),
+        "s": ("float", None, "(0, 1)"),
+        "domain": ("domain", (0.0, 2.0), "(-inf, inf)"),
+        "n": ("int", 128, "[2, 4096]"),
+        "dt": ("float", 2e-3, "(0, inf)"),
+        "h0_factors": ("floats", (1.2, 1.6), "[1, inf)"),
+        "width": ("float", 0.2, "(0, inf)"),
+        "logistic_check": ("bool", True, None),
+        "stability_tol": ("float", 0.05, "(0, inf)"),
+    },
+    "ml_table": {
+        "tol": ("float", 1e-10, "(0, inf)"),
+    },
+    "eigen_convergence": {
+        "s_values": ("floats", (0.3, 0.5, 0.7), "(0, 1)"),
+        "cauchy_s": ("float", 0.9, "(0, 1)"),
+        "domain": ("domain", (0.0, 1.0), "(-inf, inf)"),
+        "oracle_n": ("int", 64, "[2, 4096]"),
+        "probes": ("int", 100, "[1, inf)"),
+    },
+}
 
-def _parse_float(section, options, key, *, required=False, default=None, lo=None, hi=None,
-                 lo_open=False, hi_open=False):
-    if key not in options:
-        if required:
-            raise ConfigError("required key is missing", key=key, section=section)
-        return default
-    raw = options[key]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse '{raw}' as a number", key=key, section=section)
-    _check_range(section, key, value, lo, hi, lo_open, hi_open)
-    return value
-
-
-def _check_range(section, key, value, lo, hi, lo_open, hi_open):
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        raise ConfigError(
-            f"value {value:g} violates lower bound {'(' if lo_open else '['}{lo:g}",
-            key=key,
-            section=section,
-        )
-    if hi is not None and (value >= hi if hi_open else value > hi):
-        raise ConfigError(
-            f"value {value:g} violates upper bound {hi:g}{')' if hi_open else ']'}",
-            key=key,
-            section=section,
-        )
-
-
-def _parse_float_list(section, options, key, *, required=False, default=None,
-                      lo=None, hi=None, lo_open=False, hi_open=False):
-    if key not in options:
-        if required:
-            raise ConfigError("required key is missing", key=key, section=section)
-        return list(default) if default is not None else None
-    values = []
-    for chunk in options[key].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            v = float(chunk)
-        except ValueError:
-            raise ConfigError(f"cannot parse '{chunk}' as a number", key=key, section=section)
-        _check_range(section, key, v, lo, hi, lo_open, hi_open)
-        values.append(v)
-    if not values:
-        raise ConfigError("list key is empty", key=key, section=section)
-    return values
-
-
-def _parse_int(section, options, key, *, default=None, lo=None, hi=None):
-    if key not in options:
-        return default
-    try:
-        value = int(options[key])
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse '{options[key]}' as an integer", key=key, section=section
-        )
-    _check_range(section, key, value, lo, hi, False, False)
-    return value
-
-
-def _parse_domain(section, options, key="domain", default=(0.0, 1.0)):
-    if key not in options:
-        return default
-    parts = options[key].split(",")
-    if len(parts) != 2:
-        raise ConfigError("domain must be 'a,b'", key=key, section=section)
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError("domain endpoints must be numbers", key=key, section=section)
-    if not a < b:
-        raise ConfigError(f"domain endpoints must satisfy a < b, got {a}, {b}",
-                          key=key, section=section)
-    return (a, b)
+CAMPAIGN_KINDS = tuple(CAMPAIGN_SCHEMA)
 
 
 def parse_config(path) -> list:
@@ -227,90 +203,81 @@ def parse_config(path) -> list:
         options = dict(cp[section])
         if "kind" not in options:
             raise ConfigError("required key is missing", key="kind", section=section)
-        kind = options["kind"].strip()
+        kind = options.pop("kind").strip()
         if kind not in CAMPAIGN_KINDS:
             raise ConfigError(
                 f"unknown kind '{kind}' (choose from {CAMPAIGN_KINDS})",
                 key="kind",
                 section=section,
             )
-        params = _validate_params(section, kind, options)
-        campaigns.append(Campaign(name=section, kind=kind, params=params))
+        campaigns.append(Campaign(name=section, kind=kind,
+                                  params=_campaign_params(section, kind, options)))
     if not campaigns:
         raise ConfigError(f"no campaign sections found in {path}")
     return campaigns
 
 
-def _validate_params(section, kind, options) -> dict:
-    p = {}
-    if kind == "ml_table":
-        p["tol"] = _parse_float(section, options, "tol", default=1e-10, lo=0, lo_open=True)
-    elif kind == "eigen_convergence":
-        p["s_values"] = _parse_float_list(
-            section, options, "s_values", default=(0.3, 0.5, 0.7), lo=0, hi=1,
-            lo_open=True, hi_open=True,
-        )
-        p["cauchy_s"] = _parse_float(
-            section, options, "cauchy_s", default=0.9, lo=0, hi=1, lo_open=True, hi_open=True
-        )
-        p["domain"] = _parse_domain(section, options)
-        p["oracle_n"] = _parse_int(section, options, "oracle_n", default=64, lo=2, hi=4096)
-        p["probes"] = _parse_int(section, options, "probes", default=100, lo=1)
-    elif kind == "decay":
-        p["alpha"] = _parse_float(
-            section, options, "alpha", required=True, lo=0, hi=1, lo_open=True
-        )
-        p["s"] = _parse_float(
-            section, options, "s", required=True, lo=0, hi=1, lo_open=True, hi_open=True
-        )
-        p["domain"] = _parse_domain(section, options)
-        p["n"] = _parse_int(section, options, "n", default=128, lo=2, hi=4096)
-        p["dt"] = _parse_float(section, options, "dt", default=0.5, lo=0, lo_open=True)
-        p["t_end"] = _parse_float(section, options, "t_end", default=1000.0, lo=0, lo_open=True)
-        p["profile"] = options.get("profile", "parabola").strip()
-        p["amplitude"] = _parse_float(section, options, "amplitude", default=0.9, lo=0, hi=1)
-        # Below 2, the slope interval -alpha*(2 +- band) excludes growth.
-        p["slope_band"] = _parse_float(
-            section, options, "slope_band", default=0.15, lo=0, hi=2, lo_open=True, hi_open=True
-        )
-        p["envelope_slack"] = _parse_float(
-            section, options, "envelope_slack", default=1.05, lo=1
-        )
-        p["l1_check"] = options.get("l1_check", "true").strip().lower() != "false"
-    elif kind == "blowup":
-        p["alphas"] = _parse_float_list(
-            section, options, "alphas", required=True, lo=0, hi=1, lo_open=True
-        )
-        p["s"] = _parse_float(
-            section, options, "s", required=True, lo=0, hi=1, lo_open=True, hi_open=True
-        )
-        p["domain"] = _parse_domain(section, options, default=(0.0, 2.0))
-        p["n"] = _parse_int(section, options, "n", default=128, lo=2, hi=4096)
-        p["dt"] = _parse_float(section, options, "dt", default=2e-3, lo=0, lo_open=True)
-        p["h0_factors"] = _parse_float_list(
-            section, options, "h0_factors", default=(1.2, 1.6), lo=1
-        )
-        p["width"] = _parse_float(section, options, "width", default=0.2, lo=0, lo_open=True)
-        p["logistic_check"] = options.get("logistic_check", "true").strip().lower() != "false"
-        p["stability_tol"] = _parse_float(
-            section, options, "stability_tol", default=0.05, lo=0, lo_open=True
-        )
-    elif kind == "invariant_region":
-        p["alphas"] = _parse_float_list(
-            section, options, "alphas", required=True, lo=0, hi=1, lo_open=True
-        )
-        p["s_values"] = _parse_float_list(
-            section, options, "s_values", required=True, lo=0, hi=1, lo_open=True, hi_open=True
-        )
-        p["domain"] = _parse_domain(section, options)
-        p["n"] = _parse_int(section, options, "n", default=128, lo=2, hi=4096)
-        p["dt"] = _parse_float(section, options, "dt", default=0.1, lo=0, lo_open=True)
-        p["t_end"] = _parse_float(section, options, "t_end", default=50.0, lo=0, lo_open=True)
-        p["bound_tol"] = _parse_float(
-            section, options, "bound_tol", default=1e-8, lo=0, lo_open=True
-        )
-        p["comparison_pairs"] = _parse_int(section, options, "comparison_pairs", default=20, lo=0)
-    return p
+def _campaign_params(section, kind, options) -> dict:
+    """Typed params of one campaign from its raw options and the schema."""
+    schema = CAMPAIGN_SCHEMA[kind]
+    for key in options:
+        if key not in schema:
+            raise ConfigError(f"unknown key for kind '{kind}' (choose from {sorted(schema)})",
+                              key=key, section=section)
+    params = {}
+    for key, (value_type, default, bounds) in schema.items():
+        if key in options:
+            params[key] = _parse_value(section, key, value_type, bounds, options[key].strip())
+        elif default is None:
+            raise ConfigError("required key is missing", key=key, section=section)
+        else:
+            params[key] = list(default) if value_type == "floats" else default
+    return params
+
+
+def _parse_value(section, key, value_type, bounds, raw):
+    """One raw option as its schema type, checked against its bounds."""
+
+    def error(message):
+        return ConfigError(message, key=key, section=section)
+
+    if value_type == "bool":
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise error(f"cannot parse '{raw}' as a boolean (true/false, yes/no, on/off, 1/0)")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if value_type == "profile":
+        if raw not in PROFILES:
+            raise error(f"unknown profile '{raw}' (choose from {sorted(PROFILES)})")
+        return raw
+    if value_type in ("floats", "domain"):
+        chunks = [chunk.strip() for chunk in raw.split(",") if chunk.strip()]
+    else:
+        chunks = [raw]
+    if value_type == "domain" and len(chunks) != 2:
+        raise error("domain must be 'a,b'")
+    if not chunks:
+        raise error("list key is empty")
+    number = int if value_type == "int" else float
+    values = []
+    for chunk in chunks:
+        try:
+            value = number(chunk)
+        except ValueError:
+            raise error(f"cannot parse '{chunk}' as {'an integer' if number is int else 'a number'}")
+        # Written so that NaN violates the lower bound.
+        lo_text, hi_text = (part.strip() for part in bounds.split(","))
+        lo, hi = float(lo_text[1:]), float(hi_text[:-1])
+        if not (value > lo if lo_text[0] == "(" else value >= lo):
+            raise error(f"value {value:g} violates lower bound {lo_text}")
+        if not (value < hi if hi_text[-1] == ")" else value <= hi):
+            raise error(f"value {value:g} violates upper bound {hi_text}")
+        values.append(value)
+    if value_type == "domain":
+        a, b = values
+        if not a < b:
+            raise error(f"domain endpoints must satisfy a < b, got {a}, {b}")
+        return (a, b)
+    return values if value_type == "floats" else values[0]
 
 
 # --- oracle table ---------------------------------------------------------------
@@ -333,7 +300,7 @@ def load_oracle_table() -> list:
 
 
 def _run_ml_table(campaign) -> tuple:
-    tol = campaign.params.get("tol", 1e-10)
+    tol = campaign.params["tol"]
     name = campaign.name
 
     def compute_fragment():
@@ -701,17 +668,12 @@ def run_campaign(campaign: Campaign) -> tuple:
         return [rec], {}
 
 
-def run_campaigns(campaigns, workers: int = 1) -> tuple:
-    """Run campaigns (optionally concurrently) and merge deterministically."""
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_campaign, campaigns))
-    else:
-        results = [run_campaign(c) for c in campaigns]
+def run_campaigns(campaigns) -> tuple:
+    """Run campaigns in order and merge their records and traces."""
     report = Report()
     traces = {}
-    for frag, tr in results:
+    for campaign in campaigns:
+        frag, tr = run_campaign(campaign)
         report.records.extend(frag)
         traces.update(tr)
     return report, traces
@@ -745,73 +707,20 @@ def write_outputs(report: Report, traces: dict, out_dir) -> list:
 
 
 def default_campaigns() -> list:
-    """The built-in suite; mirrors the acceptance checks one-to-one."""
-    return [
-        Campaign(name="ml", kind="ml_table", params={"tol": 1e-10}),
-        Campaign(
-            name="eigen",
-            kind="eigen_convergence",
-            params={
-                "s_values": [0.3, 0.5, 0.7],
-                "cauchy_s": 0.9,
-                "domain": (0.0, 1.0),
-                "oracle_n": 64,
-                "probes": 100,
-            },
-        ),
-        Campaign(
-            name="decay-a05",
-            kind="decay",
-            params=_decay_defaults(0.5),
-        ),
-        Campaign(
-            name="decay-a08",
-            kind="decay",
-            params=_decay_defaults(0.8),
-        ),
-        Campaign(
-            name="blowup",
-            kind="blowup",
-            params={
-                "alphas": [0.6, 0.8, 1.0],
-                "s": 0.4,
-                "domain": (0.0, 2.0),
-                "n": 128,
-                "dt": 2e-3,
-                "h0_factors": [1.2, 1.6],
-                "width": 0.2,
-                "logistic_check": True,
-                "stability_tol": 0.05,
-            },
-        ),
-        Campaign(
-            name="invariant",
-            kind="invariant_region",
-            params={
-                "alphas": [0.5, 0.8, 1.0],
-                "s_values": [0.4, 0.7],
-                "domain": (0.0, 1.0),
-                "n": 128,
-                "dt": 0.1,
-                "t_end": 50.0,
-                "bound_tol": 1e-8,
-                "comparison_pairs": 20,
-            },
-        ),
-    ]
+    """The built-in suite; mirrors the acceptance checks one-to-one.
 
-
-def _decay_defaults(alpha):
-    return {
-        "alpha": alpha,
-        "s": 0.4,
-        "domain": (0.0, 1.0),
-        "n": 128,
-        "dt": 0.5,
-        "t_end": 1000.0,
-        "profile": "parabola",
-        "amplitude": 0.9,
-        "slope_band": 0.15,
-        "envelope_slack": 1.05,
-        "l1_check": True,
+    Each campaign sets only its kind's required keys; every other key takes
+    its schema default.
+    """
+    suite = {
+        "ml": ("ml_table", {}),
+        "eigen": ("eigen_convergence", {}),
+        "decay-a05": ("decay", {"alpha": "0.5", "s": "0.4"}),
+        "decay-a08": ("decay", {"alpha": "0.8", "s": "0.4"}),
+        "blowup": ("blowup", {"alphas": "0.6, 0.8, 1.0", "s": "0.4"}),
+        "invariant": ("invariant_region", {"alphas": "0.5, 0.8, 1.0", "s_values": "0.4, 0.7"}),
     }
+    return [
+        Campaign(name=name, kind=kind, params=_campaign_params(name, kind, options))
+        for name, (kind, options) in suite.items()
+    ]

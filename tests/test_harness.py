@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from fracrd import cli
 from fracrd.errors import ConfigError
 from fracrd.harness import (
+    CAMPAIGN_SCHEMA,
     Campaign,
     Report,
     default_campaigns,
@@ -16,6 +18,8 @@ from fracrd.harness import (
     run_campaigns,
     write_outputs,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_DECAY = """
 [decay-small]
@@ -80,6 +84,44 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("yes", True), ("true", True), ("On", True),
+        ("0", False), ("no", False), ("false", False), ("OFF", False),
+    ])
+    def test_bool_words(self, tmp_path, word, value):
+        text = MINIMAL_DECAY.replace("l1_check = false", f"l1_check = {word}")
+        assert parse_config(_write(tmp_path, text))[0].params["l1_check"] is value
+
+    def test_bad_bool_rejected(self, tmp_path):
+        bad = "[b]\nkind = blowup\nalphas = 1.0\ns = 0.4\nlogistic_check = maybe\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.key == "logistic_check"
+        assert err.value.section == "b"
+
+    def test_unknown_key_rejected(self, tmp_path):
+        bad = MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_bnd = 1e-9")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.key == "slope_bnd"
+        assert err.value.section == "decay-small"
+
+    def test_unknown_profile_rejected(self, tmp_path):
+        bad = MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nprofile = nope")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.key == "profile"
+        assert err.value.section == "decay-small"
+
+    @pytest.mark.parametrize("line,key", [
+        ("t_end = nan", "t_end"), ("t_end = inf", "t_end"), ("t_end = 100\ndomain = 0, inf", "domain"),
+    ])
+    def test_non_finite_rejected(self, tmp_path, line, key):
+        bad = MINIMAL_DECAY.replace("t_end = 100", line)
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.key == key
+
     def test_default_suite_covers_all_kinds(self):
         kinds = {c.kind for c in default_campaigns()}
         assert kinds == {
@@ -89,6 +131,40 @@ class TestParseConfig:
             "blowup",
             "invariant_region",
         }
+
+
+class TestConfigDocs:
+    def test_example_config_parses(self):
+        campaigns = parse_config(ROOT / "configs" / "example.ini")
+        assert [(c.name, c.kind) for c in campaigns] == [
+            ("ml-accuracy", "ml_table"),
+            ("operator-checks", "eigen_convergence"),
+            ("decay-quick", "decay"),
+            ("bounds-quick", "invariant_region"),
+            ("blowup-quick", "blowup"),
+        ]
+
+    def test_readme_lists_every_key_with_default(self):
+        # Each kind's README entry names every key, with its default written
+        # as the INI line that sets it.
+        readme = (ROOT / "README.md").read_text()
+
+        def ini(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, (list, tuple)):
+                return ", ".join(ini(v) for v in value)
+            if isinstance(value, float):
+                return f"{value:g}".replace("e-0", "e-")
+            return str(value)
+
+        for kind, keys in CAMPAIGN_SCHEMA.items():
+            match = re.search(rf"^\* `{kind}` - (.*?)(?=^\* |^$)", readme, re.M | re.S)
+            assert match, f"README has no entry for {kind}"
+            entry = " ".join(match.group(1).split())
+            for key, (_, default, _) in keys.items():
+                expected = f"`{key}`" if default is None else f"`{key} = {ini(default)}`"
+                assert expected in entry, f"{kind}: README lacks {expected}"
 
 
 class TestReportAndOutputs:
@@ -144,25 +220,6 @@ class TestReportAndOutputs:
         assert len(frag) == 1
         assert not frag[0].passed
         assert frag[0].name == "campaign_error"
-
-    def test_deterministic_across_workers(self):
-        mini = [
-            Campaign(name="ml", kind="ml_table", params={"tol": 1e-10}),
-            Campaign(
-                name="eig",
-                kind="eigen_convergence",
-                params={
-                    "s_values": [0.5],
-                    "cauchy_s": 0.9,
-                    "domain": (0.0, 1.0),
-                    "oracle_n": 32,
-                    "probes": 10,
-                },
-            ),
-        ]
-        seq, _ = run_campaigns(mini, workers=1)
-        par, _ = run_campaigns(mini, workers=2)
-        assert seq.canonical_text() == par.canonical_text()
 
 
 class TestCli:

@@ -4,9 +4,7 @@ from scipy.linalg import eigh
 
 from fracrd.errors import DomainError
 from fracrd.fraclap import (
-    Field,
     Grid1D,
-    apply_operator,
     assemble_regional,
     assemble_regional_untruncated,
     dump_eigenpair,
@@ -88,32 +86,10 @@ class TestAssembly:
 
 
 class TestApply:
-    def test_zero_field(self, op64):
-        grid, op = op64
-        out = apply_operator(op, Field(grid=grid, values=np.zeros(64)))
-        assert np.all(out.values == 0.0)
-
-    def test_linearity(self, op64):
-        grid, op = op64
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal(64)
-        g = rng.standard_normal(64)
-        left = apply_operator(op, Field(grid=grid, values=f + g)).values
-        right = (
-            apply_operator(op, Field(grid=grid, values=f)).values
-            + apply_operator(op, Field(grid=grid, values=g)).values
-        )
-        assert np.allclose(left, right, rtol=0, atol=1e-10 * np.max(np.abs(left)))
-
-    def test_dimension_mismatch(self, op64):
-        _, op = op64
-        with pytest.raises(DomainError):
-            apply_operator(op, Field(grid=Grid1D(0.0, 1.0, 32), values=np.zeros(32)))
-
     def test_eigenpair_is_fixed_direction(self, op64):
         grid, op = op64
         pair = principal_eigenpair(op, grid)
-        out = apply_operator(op, pair.e1).values
+        out = op.entries @ pair.e1.values
         assert np.allclose(out, pair.lambda1 * pair.e1.values, rtol=0,
                            atol=2e-10 * pair.lambda1 * np.max(pair.e1.values))
 
