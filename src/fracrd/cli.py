@@ -7,7 +7,7 @@ Subcommands:
   check fails.
 * ``ml-eval --alpha A --z Z``: print E_alpha(z) with 15 significant digits.
 * ``eig --s S --n N --domain a,b``: print lambda1 and write the eigenvector
-  CSV (plus an optional matrix triplet dump).
+  CSV.
 
 The output directory defaults to the FRACRD_OUT environment variable, then
 ./fracrd_out.
@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 
 from .errors import FracRDError
-from .fraclap import Grid1D, assemble_regional, dump_eigenpair, dump_matrix, principal_eigenpair
-from .harness import default_campaigns, parse_config, run_campaigns, write_outputs
+from .fraclap import Grid1D, assemble_regional, dump_eigenpair, principal_eigenpair
+from .harness import _parse_value, default_campaigns, parse_config, run_campaigns, write_outputs
 from .special import MLParams, ml_eval
 
 
@@ -57,8 +57,8 @@ def _cmd_ml_eval(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    a_str, b_str = args.domain.split(",")
-    grid = Grid1D(float(a_str), float(b_str), args.n)
+    a, b = _parse_value(None, "domain", "domain", "(-inf, inf)", args.domain)
+    grid = Grid1D(a, b, args.n)
     op = assemble_regional(grid, args.s)
     pair = principal_eigenpair(op, grid)
     print(f"{pair.lambda1:.15g}")
@@ -67,9 +67,6 @@ def _cmd_eig(args) -> int:
     csv_path = out_dir / f"e1_s{args.s:g}_n{args.n}.csv"
     dump_eigenpair(pair, csv_path)
     print(f"wrote {csv_path}")
-    if args.dump_matrix:
-        dump_matrix(op, args.dump_matrix)
-        print(f"wrote {args.dump_matrix}")
     return 0
 
 
@@ -97,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--n", type=int, required=True)
     p_eig.add_argument("--domain", default="0,1", help="interval endpoints 'a,b'")
     p_eig.add_argument("--out", help="output directory for the eigenvector CSV")
-    p_eig.add_argument("--dump-matrix", help="write the operator as 'i j value' triplets")
     p_eig.set_defaults(func=_cmd_eig)
     return parser
 

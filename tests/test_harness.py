@@ -241,6 +241,14 @@ class TestCli:
         assert csv.exists()
         assert csv.read_text().splitlines()[0] == "x,e1"
 
+    @pytest.mark.parametrize("domain", ["0", "0,abc", "1,0", "0,inf"])
+    def test_eig_bad_domain_exit_two(self, tmp_path, capsys, domain):
+        code = cli.main(
+            ["eig", "--s", "0.5", "--n", "32", "--domain", domain, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "key 'domain'" in capsys.readouterr().err
+
     def test_run_config_exit_zero_and_outputs(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 0.5"))
         out_dir = tmp_path / "out"
