@@ -17,12 +17,17 @@ whose cell-pair integrals are fourth differences of |k|^(3-2s) (a quadratic
 log form at s = 1/2), and the difference between the full-line and the
 Omega-restricted energy is a weighted mass term with the explicit weight
 omega(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s), integrable against products
-of interior hats.  Dividing the stiffness matrix by h (lumped mass) yields a
-nodal operator matrix.  The variational origin makes the matrix symmetric
-positive semidefinite with nonpositive off-diagonal entries and nonnegative
-row sums, and its eigenvalues converge at the energy (squared) rate, which
-the pointwise collocation alternative does not achieve for the boundary-
-singular eigenfunctions of this operator.
+of interior hats.  That mass is tridiagonal and is subtracted in place from
+the Toeplitz full-line matrix as two diagonals.  Its cell integrals need
+powers at the n + 1 knots k*h only; they come from libm (Python ``**`` and
+``math.log``), since numpy's ``power`` and ``log`` differ from it in the last
+bit on some inputs and the matrix is reproducible bit for bit.  Dividing the
+stiffness matrix by h (lumped mass) yields a nodal operator matrix.  The
+variational origin makes the matrix symmetric positive semidefinite with
+nonpositive off-diagonal entries and nonnegative row sums, and its
+eigenvalues converge at the energy (squared) rate, which the pointwise
+collocation alternative does not achieve for the boundary-singular
+eigenfunctions of this operator.
 
 ``assemble_regional_untruncated`` keeps a cell-collocation construction on a
 cell-centred grid tiling all of (a, b): midpoint values against exact
@@ -34,14 +39,15 @@ near the singularity, hence the closed-form cell integrals
     int_cell |x_i - xi|^(-1-2s) dxi
         = ((d - h/2)^(-2s) - (d + h/2)^(-2s)) / (2s),   d = |i-j| h.
 
-Both variants use the normalization
+Both variants pass a tiled symmetry check and use the normalization
 C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under which the s -> 1
 limit is the classical Dirichlet Laplacian.
 
 ``principal_eigenpair`` is one inverse-iteration loop on the Cholesky factor
 of the assembled matrix, stopped by a backward-error bound on the residual,
-16 * eps * ||A||_1.  Dense ``eigh`` serves only as the independent oracle
-(tests, the eigen_convergence campaign, the benchmark).
+16 * eps * ||A||_1; A is checked finite once, and each iteration is one
+LAPACK ``potrs`` solve.  Dense ``eigh`` serves only as the independent
+oracle (tests, the eigen_convergence campaign, the benchmark).
 """
 
 from __future__ import annotations
@@ -50,13 +56,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, toeplitz
+from scipy.linalg.lapack import dpotrs
 
 from .errors import AssemblyError, ConvergenceError, DomainError
 
 _MAX_NODES = 4096  # dense storage; the kernel has global support
 _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
 _MAX_ITERATIONS = 100  # the suite and the tests meet the bound in 9 to 17
+_SYMMETRY_TILE = 64  # edge of the symmetry check's tiles; a tile pair is 64 kB
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,16 @@ def _cell_kernel_integrals(h: float, offsets: np.ndarray, s: float) -> np.ndarra
 
 
 def _check_symmetry(entries: np.ndarray) -> None:
-    skew = np.max(np.abs(entries - entries.T))
-    scale = np.max(np.abs(entries))
+    """Raise AssemblyError unless max|A - A^T| <= 1e-12 * max|A|, comparing
+    tiles A[I, J] with A[J, I]^T for I <= J; max|A| comes from the same tiles."""
+    n, t = len(entries), _SYMMETRY_TILE
+    skews, scales = [], []
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = entries[i : i + t, j : j + t], entries[j : j + t, i : i + t]
+            skews.append(np.max(np.abs(upper - lower.T)))
+            scales.append(max(np.max(np.abs(upper)), np.max(np.abs(lower))))
+    skew, scale = np.max(skews), np.max(scales)
     if skew > 1e-12 * scale:
         raise AssemblyError(f"assembled matrix asymmetric: {skew:g} vs scale {scale:g}")
 
@@ -172,57 +188,36 @@ def _fullspace_energy_toeplitz(n: int, h: float, s: float) -> np.ndarray:
     return toeplitz(-(h ** (1.0 - 2.0 * s)) * fourth)
 
 
-def _boundary_weight_mass(n: int, h: float, s: float) -> np.ndarray:
-    """Tridiagonal mass matrix of the hats against the boundary weight
-    omega(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s); this is the difference
+def _boundary_weight_mass(n: int, h: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal mass matrix of the hats
+    against omega(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s), the difference
     between the full-line and the Omega-restricted energies."""
+    i = np.arange(1.0, n + 1.0)
+    knots = [k * h for k in range(1, n + 2)]
 
-    def mono(p, t0, t1):
-        # integral of t^(p-2s) on [t0, t1]; p - 2s = -1 only at s = 1/2, p = 0
+    def mono(p):
+        # integral of t^(p-2s) over each cell [kh, (k+1)h], k = 1..n;
+        # p - 2s = -1 only at s = 1/2, p = 0
         e = p - 2.0 * s + 1.0
         if abs(e) < 1e-13:
-            return math.log(t1 / t0)
-        return (t1**e - t0**e) / e
+            return np.array([math.log(t1 / t0) for t0, t1 in zip(knots, knots[1:])])
+        t = np.array([x**e for x in knots])
+        return (t[1:] - t[:-1]) / e
 
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    for i in range(1, n + 1):
-        # rising flank of hat i: phi = (t - (i-1)h)/h = A + B t on [(i-1)h, ih]
-        t0, t1 = (i - 1) * h, i * h
-        a1, b1 = -(i - 1.0), 1.0 / h
-        if i == 1:
-            # A = 0: only the t^2 monomial, integrable at t = 0 for s < 1
-            val = (b1 * b1) * t1 ** (3.0 - 2.0 * s) / (3.0 - 2.0 * s)
-        else:
-            val = (
-                a1 * a1 * mono(0, t0, t1)
-                + 2.0 * a1 * b1 * mono(1, t0, t1)
-                + b1 * b1 * mono(2, t0, t1)
-            )
-        # falling flank: phi = (i+1) - t/h on [ih, (i+1)h]
-        t0, t1 = i * h, (i + 1) * h
-        a2, b2 = i + 1.0, -1.0 / h
-        val += (
-            a2 * a2 * mono(0, t0, t1)
-            + 2.0 * a2 * b2 * mono(1, t0, t1)
-            + b2 * b2 * mono(2, t0, t1)
-        )
-        diag[i - 1] = val
-        if i < n:
-            # overlap of hats i, i+1 on [ih, (i+1)h]: second hat is t/h - i
-            t0, t1 = i * h, (i + 1) * h
-            off[i - 1] = (
-                a2 * (-float(i)) * mono(0, t0, t1)
-                + (a2 / h + b2 * (-float(i))) * mono(1, t0, t1)
-                + (b2 / h) * mono(2, t0, t1)
-            )
-    mass = np.zeros((n, n))
-    mass[np.diag_indices(n)] = diag + diag[::-1]
-    idx = np.arange(n - 1)
-    off_sym = off + off[::-1]
-    mass[idx, idx + 1] = off_sym
-    mass[idx + 1, idx] = off_sym
-    return mass / (2.0 * s)
+    m0, m1, m2 = mono(0), mono(1), mono(2)
+    # rising flank of hat i: phi = A + B t on [(i-1)h, ih], A = -(i-1), B = 1/h;
+    # for i = 1, A = 0 and only the t^2 monomial remains, integrable at t = 0
+    a1, b1 = -(i[1:] - 1.0), 1.0 / h
+    rise = np.empty(n)
+    rise[0] = (b1 * b1) * h ** (3.0 - 2.0 * s) / (3.0 - 2.0 * s)
+    rise[1:] = a1 * a1 * m0[:-1] + 2.0 * a1 * b1 * m1[:-1] + b1 * b1 * m2[:-1]
+    # falling flank: phi = (i+1) - t/h on [ih, (i+1)h]
+    a2, b2 = i + 1.0, -1.0 / h
+    diag = rise + (a2 * a2 * m0 + 2.0 * a2 * b2 * m1 + b2 * b2 * m2)
+    # overlap of hats i, i+1 on [ih, (i+1)h]: second hat is t/h - i
+    a2, j = a2[:-1], -i[:-1]
+    off = a2 * j * m0[:-1] + (a2 / h + b2 * j) * m1[:-1] + (b2 / h) * m2[:-1]
+    return (diag + diag[::-1]) / (2.0 * s), (off + off[::-1]) / (2.0 * s)
 
 
 def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
@@ -234,7 +229,10 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
     n, h = grid.n, grid.h
     c = normalizing_constant(s)
     entries = _fullspace_energy_toeplitz(n, h, s)
-    entries -= _boundary_weight_mass(n, h, s)
+    diag, off = _boundary_weight_mass(n, h, s)
+    entries.flat[:: n + 1] -= diag
+    entries.flat[1 :: n + 1] -= off
+    entries.flat[n :: n + 1] -= off
     entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
     _check_symmetry(entries)
     return OperatorMatrix(dim=n, entries=entries, s=s, c_ns=c)
@@ -259,18 +257,14 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
     kernel = _cell_kernel_integrals(h, np.arange(1, n, dtype=float), s)
     entries = toeplitz(np.concatenate(([0.0], -kernel)))
     csum = np.concatenate(([0.0], np.cumsum(kernel)))
-    entries[np.diag_indices(n)] = csum[np.arange(n)] + csum[n - 1 - np.arange(n)]
-
     # Singular-cell curvature correction as a second difference with
     # reflected ends (no exterior coupling), so constants stay in the kernel.
-    g = (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    gh2 = g / (h * h)
+    gh2 = (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / (h * h)
     diag_corr = np.full(n, 2.0 * gh2)
     diag_corr[0] = diag_corr[-1] = gh2
-    entries[np.diag_indices(n)] += diag_corr
-    off = np.arange(n - 1)
-    entries[off, off + 1] -= gh2
-    entries[off + 1, off] -= gh2
+    entries.flat[:: n + 1] = csum + csum[::-1] + diag_corr
+    entries.flat[1 :: n + 1] -= gh2
+    entries.flat[n :: n + 1] -= gh2
 
     entries *= c
     _check_symmetry(entries)
@@ -292,19 +286,23 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     eigenvector is sign-fixed (largest-magnitude entry positive), checked
     positive, and rescaled to h * sum(e1) = 1.
 
-    Raises ConvergenceError when A is not positive definite, when the
-    bound is not met within 100 iterations, or when the limit is not a
-    positive eigenpair.
+    Raises DomainError when grid and matrix differ in size; ConvergenceError
+    when A is not finite or not positive definite, when the bound is not met
+    within 100 iterations, or when the limit is not a positive eigenpair.
     """
+    if grid.n != op.dim:
+        raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
     a = op.entries
+    if not np.isfinite(a).all():
+        raise ConvergenceError("operator matrix has non-finite entries")
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * np.linalg.norm(a, 1)
     try:
-        factor = cho_factor(a)
+        factor, lower = cho_factor(a, check_finite=False)
     except np.linalg.LinAlgError:
         raise ConvergenceError("operator matrix is not positive definite") from None
     w = np.full(op.dim, 1.0 / math.sqrt(op.dim))
     for _ in range(_MAX_ITERATIONS):
-        w = cho_solve(factor, w)
+        w, _ = dpotrs(factor, w, lower=lower)
         w /= np.linalg.norm(w)
         aw = a @ w
         lam = float(w @ aw)

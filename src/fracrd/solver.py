@@ -323,8 +323,10 @@ def system_factor(shift: float, a_mat: np.ndarray) -> np.ndarray:
 
     Raises StepFailureError when the matrix is not positive definite.
     """
+    m = a_mat.copy()
+    m.flat[:: len(m) + 1] += shift
     try:
-        c, _ = cho_factor(shift * np.eye(len(a_mat)) + a_mat, check_finite=False)
+        c, _ = cho_factor(m, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise StepFailureError(
             f"step matrix {shift:.6g}*I + A is not positive definite: {exc}"

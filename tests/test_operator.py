@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from fracrd.errors import ConvergenceError, DomainError
+from fracrd.errors import AssemblyError, ConvergenceError, DomainError
 from fracrd.fraclap import (
     Grid1D,
     OperatorMatrix,
+    _boundary_weight_mass,
+    _check_symmetry,
     assemble_regional,
     assemble_regional_untruncated,
     dump_eigenpair,
@@ -18,6 +20,46 @@ from fracrd.fraclap import (
 def backward_error_bound(op):
     """The eigen residual contract: 16 * eps * ||A||_1."""
     return 16.0 * np.finfo(float).eps * np.linalg.norm(op.entries, 1)
+
+
+def reference_boundary_mass(n, h, s):
+    """Scalar cell-by-cell boundary mass: the diagonals of the tridiagonal
+    matrix, the oracle for the vectorised ``_boundary_weight_mass``."""
+
+    def mono(p, t0, t1):
+        e = p - 2.0 * s + 1.0
+        if abs(e) < 1e-13:
+            return math.log(t1 / t0)
+        return (t1**e - t0**e) / e
+
+    diag = np.zeros(n)
+    off = np.zeros(n - 1)
+    for i in range(1, n + 1):
+        t0, t1 = (i - 1) * h, i * h
+        a1, b1 = -(i - 1.0), 1.0 / h
+        if i == 1:
+            val = (b1 * b1) * t1 ** (3.0 - 2.0 * s) / (3.0 - 2.0 * s)
+        else:
+            val = (
+                a1 * a1 * mono(0, t0, t1)
+                + 2.0 * a1 * b1 * mono(1, t0, t1)
+                + b1 * b1 * mono(2, t0, t1)
+            )
+        t0, t1 = i * h, (i + 1) * h
+        a2, b2 = i + 1.0, -1.0 / h
+        val += (
+            a2 * a2 * mono(0, t0, t1)
+            + 2.0 * a2 * b2 * mono(1, t0, t1)
+            + b2 * b2 * mono(2, t0, t1)
+        )
+        diag[i - 1] = val
+        if i < n:
+            off[i - 1] = (
+                a2 * (-float(i)) * mono(0, t0, t1)
+                + (a2 / h + b2 * (-float(i))) * mono(1, t0, t1)
+                + (b2 / h) * mono(2, t0, t1)
+            )
+    return (diag + diag[::-1]) / (2.0 * s), (off + off[::-1]) / (2.0 * s)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +89,32 @@ class TestAssembly:
         _, op = op64
         a = op.entries
         assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_exactly_symmetric(self, n):
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
+        assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 1000])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_boundary_mass_matches_scalar_reference(self, n, s):
+        # Bit for bit: the vectorised diagonals take their powers from libm
+        # and keep the scalar loop's operation order; s = 1/2 is the log branch.
+        h = 1.0 / (n + 1)
+        diag, off = _boundary_weight_mass(n, h, s)
+        ref_diag, ref_off = reference_boundary_mass(n, h, s)
+        assert diag.tobytes() == ref_diag.tobytes()
+        assert off.tobytes() == ref_off.tobytes()
+
+    @pytest.mark.parametrize("i,j", [(5, 100), (129, 3), (128, 129)])
+    def test_symmetry_check_finds_perturbation(self, i, j):
+        # n = 130 leaves a ragged last tile; (5, 100) sits in an off-diagonal
+        # tile, (129, 3) in the ragged row, (128, 129) in the ragged corner.
+        a = assemble_regional(Grid1D(0.0, 1.0, 130), 0.5).entries.copy()
+        _check_symmetry(a)
+        a[i, j] += 1e-10 * np.max(np.abs(a))
+        with pytest.raises(AssemblyError, match="asymmetric"):
+            _check_symmetry(a)
 
     def test_positive_semidefinite_probes(self, op64):
         _, op = op64
@@ -147,6 +215,19 @@ class TestEigenpair:
         op = OperatorMatrix(dim=n, entries=-np.eye(n), s=0.5, c_ns=1.0)
         with pytest.raises(ConvergenceError, match="not positive definite"):
             principal_eigenpair(op, grid)
+
+    def test_non_finite_entries_are_named(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        a = assemble_regional(grid, 0.5).entries.copy()
+        a[3, 5] = np.nan
+        op = OperatorMatrix(dim=8, entries=a, s=0.5, c_ns=1.0)
+        with pytest.raises(ConvergenceError, match="non-finite entries"):
+            principal_eigenpair(op, grid)
+
+    def test_grid_size_mismatch_is_named(self):
+        op = assemble_regional(Grid1D(0.0, 1.0, 8), 0.5)
+        with pytest.raises(DomainError, match="n=9 .* dim=8"):
+            principal_eigenpair(op, Grid1D(0.0, 1.0, 9))
 
     def test_discrete_poincare(self, op64):
         grid, op = op64
