@@ -549,9 +549,9 @@ def _run_blowup(campaign) -> tuple:
             )
 
             t0 = time.perf_counter()
-            refined_dt = detect_blowup(replace(cfg, dt=cfg.dt * 0.5))
-            cfg_fine = replace(cfg, n=2 * cfg.n)
-            refined_n = detect_blowup(cfg_fine)
+            # dt / sqrt(2) starts a mesh family disjoint from containment's halvings
+            refined_dt = detect_blowup(replace(cfg, dt=cfg.dt * 2.0**-0.5))
+            refined_n = detect_blowup(replace(cfg, n=2 * cfg.n))
             drift = 0.0
             ok = True
             for other in (refined_dt, refined_n):
