@@ -215,8 +215,8 @@ def _boundary_weight_mass(n: int, h: float, s: float) -> tuple[np.ndarray, np.nd
     a2, b2 = i + 1.0, -1.0 / h
     diag = rise + (a2 * a2 * m0 + 2.0 * a2 * b2 * m1 + b2 * b2 * m2)
     # overlap of hats i, i+1 on [ih, (i+1)h]: second hat is t/h - i
-    a2, j = a2[:-1], -i[:-1]
-    off = a2 * j * m0[:-1] + (a2 / h + b2 * j) * m1[:-1] + (b2 / h) * m2[:-1]
+    a, c = a2[:-1], -i[:-1]
+    off = a * c * m0[:-1] + (a / h + b2 * c) * m1[:-1] + (b2 / h) * m2[:-1]
     return (diag + diag[::-1]) / (2.0 * s), (off + off[::-1]) / (2.0 * s)
 
 
@@ -297,12 +297,12 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
         raise ConvergenceError("operator matrix has non-finite entries")
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * np.linalg.norm(a, 1)
     try:
-        factor, lower = cho_factor(a, check_finite=False)
+        factor = cho_factor(a, check_finite=False)[0]
     except np.linalg.LinAlgError:
         raise ConvergenceError("operator matrix is not positive definite") from None
     w = np.full(op.dim, 1.0 / math.sqrt(op.dim))
     for _ in range(_MAX_ITERATIONS):
-        w, _ = dpotrs(factor, w, lower=lower)
+        w = dpotrs(factor, w)[0]  # its info is nonzero only for an illegal argument
         w /= np.linalg.norm(w)
         aw = a @ w
         lam = float(w @ aw)

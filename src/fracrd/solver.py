@@ -326,7 +326,7 @@ def system_factor(shift: float, a_mat: np.ndarray) -> np.ndarray:
     m = a_mat.copy()
     m.flat[:: len(m) + 1] += shift
     try:
-        c, _ = cho_factor(m, overwrite_a=True, check_finite=False)
+        c, _ = cho_factor(m, check_finite=False)
     except LinAlgError as exc:
         raise StepFailureError(
             f"step matrix {shift:.6g}*I + A is not positive definite: {exc}"
