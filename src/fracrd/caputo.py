@@ -20,15 +20,20 @@ the actual step times,
 
 which coincides with the b_j form whenever the mesh is uniform.
 
-Layout.  The uniform history sum multiplies the coefficients b_{n-1}, ..., b_1
-into the stored increments.  Read straight from b they form a reversed,
-negative-stride view, which numpy does not pass to BLAS: the product then runs
-in numpy's generic loop, some 15x slower over 4000 steps of 128 unknowns.  The
-weights therefore also carry ``b_rev``, a contiguous reversed copy of b, from
-which the same coefficients are the forward slice b_rev[N-n : N-1] and the sum
-is a single BLAS matrix-vector product.  The step-refined solvers keep their
-step times and increments in preallocated arrays that double when full, so a
-step does no O(n) list-to-array conversion.
+Layout.  One class, ``L1History``, owns the committed history of every L1
+run here and in ``solver``: the last value (a float or a field), the
+increments y^m - y^(m-1) and the step times, the latter two in arrays that
+double when full, so a step does no O(n) list-to-array conversion.  The
+uniform history sum multiplies the coefficients b_{n-1}, ..., b_1 into the
+increments.  Read straight from b they form a reversed, negative-stride view,
+which numpy does not pass to BLAS: the product then runs in numpy's generic
+loop, some 15x slower over 4000 steps of 128 unknowns.  The weights therefore
+also carry ``b_rev``, a contiguous reversed copy of b, from which the same
+coefficients are the forward slice b_rev[N-n : N-1] and the sum is a single
+BLAS matrix-vector product.  ``L1History.memory`` forms the step-time
+weights w_m instead, for meshes that are not uniform.
+
+A run counts as blown up once its value reaches ``BLOW_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StepFailureError
+
+BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
+_MAX_LOGISTIC_STEPS = 500_000  # committed steps of one solve_logistic_fode call
 
 
 @dataclass(frozen=True)
@@ -124,15 +132,15 @@ def solve_linear_fode(
     dt = t_end / n_steps
     w = l1_weights(alpha, dt, n_steps)
     y = np.empty(n_steps + 1)
-    diffs = np.zeros(n_steps + 1)
     y[0] = y0
+    history = L1History(y[0])
     coef = w.scale + rate  # b0 = 1
     if coef <= 0:
         raise StepFailureError("non-positive implicit coefficient")
     for n in range(1, n_steps + 1):
-        hist = caputo_convolution(w, diffs, n)
+        hist = caputo_convolution(w, history.increments, n)
         y[n] = w.scale * (y[n - 1] - hist) / coef
-        diffs[n] = y[n] - y[n - 1]
+        history.append(y[n], n * dt)
     times = dt * np.arange(n_steps + 1)
     return ScalarTrace(times=times, values=y)
 
@@ -151,14 +159,55 @@ def _grown(buf: np.ndarray) -> np.ndarray:
     return out
 
 
+class L1History:
+    """Committed values y^0 ... y^(n-1) of one L1 run, as increments, with their times.
+
+    Only the last value is kept; it is a float or a field.  The increments
+    and the step times live in arrays that double when full, so each memory
+    sum is one matrix-vector product: ``caputo_convolution`` over
+    ``increments`` while the mesh is uniform, ``memory`` once it is not.
+    """
+
+    def __init__(self, y0):
+        self.last = y0
+        self.count = 1
+        self._incs = np.zeros((16,) + np.shape(y0))
+        self._times = np.zeros(16)
+
+    def __len__(self):
+        return self.count
+
+    @property
+    def increments(self) -> np.ndarray:
+        """View whose row m holds y^m - y^(m-1); row 0 is zero."""
+        return self._incs[: self.count]
+
+    @property
+    def times(self) -> np.ndarray:
+        """View of the step times t_0 = 0, ..., t_(n-1)."""
+        return self._times[: self.count]
+
+    def append(self, value, t: float) -> None:
+        n = self.count
+        if n == len(self._times):
+            self._incs, self._times = _grown(self._incs), _grown(self._times)
+        self._incs[n] = value - self.last
+        self._times[n] = t
+        self.last = value
+        self.count = n + 1
+
+    def memory(self, alpha: float, t_new: float):
+        """History part of the L1 sum at t_new, weighted by the actual step times."""
+        n = self.count
+        return _nonuniform_history_weights(alpha, self._times[:n], t_new) @ self._incs[1:n]
+
+
 def solve_logistic_fode(
     alpha: float,
     y0: float,
     dt: float,
     t_end: float,
-    blow_threshold: float = 1e8,
     dt_floor: float | None = None,
-    max_steps: int = 500_000,
 ) -> tuple[ScalarTrace, float | None]:
     """Semi-implicit L1 solution of D^alpha y = y*(y+1) with blow-up capture.
 
@@ -168,31 +217,29 @@ def solve_logistic_fode(
     increment exceeds 1/2, or monotonicity would break; near blow-up this
     resolves the threshold crossing to a fraction of the local growth time.
 
-    Returns the computed trace and the first time y >= blow_threshold, or
+    Returns the computed trace and the first time y >= BLOW_THRESHOLD, or
     None when t_end is reached first.
     """
     if y0 < 0:
         raise DomainError(f"y0 must be >= 0, got {y0}")
+    if y0 >= BLOW_THRESHOLD:
+        raise DomainError(f"y0 must be below the blow-up threshold {BLOW_THRESHOLD:g}, got {y0}")
     if not 0 < dt <= t_end:
         raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    if blow_threshold <= max(y0, 1.0):
-        raise DomainError("blow_threshold must exceed y0 and 1")
     if dt_floor is None:
         dt_floor = 1e-14 * t_end
     g2 = math.gamma(2.0 - alpha)
 
-    # Committed step m holds times[m], values[m] and incs[m] = y^m - y^(m-1).
-    times = np.zeros(1024)
-    values = np.zeros(1024)
-    incs = np.zeros(1024)
-    values[0] = y0
-    count = 1
+    history = L1History(y0)
+    values = [y0]
+    # t_last stays a Python float, never read back from history.times, so the
+    # step's power is libm's: numpy's ** can differ from it in the last bit.
     t_last, y_last = 0.0, y0
     cur_dt = dt
     blow_time = None
     eps_end = 1e-12 * t_end
     while t_last < t_end - eps_end:
-        if count > max_steps:
+        if len(history) > _MAX_LOGISTIC_STEPS:
             raise ConvergenceError("step budget exhausted before t_end or blow-up")
         t_new = min(t_last + cur_dt, t_end)
         step = t_new - t_last
@@ -202,25 +249,20 @@ def solve_logistic_fode(
             cur_dt *= 0.5
             _check_floor(cur_dt, dt_floor)
             continue
-        hist = 0.0
-        if count > 1:
-            w_hist = _nonuniform_history_weights(alpha, times[:count], t_new)
-            hist = float(w_hist @ incs[1:count])
+        hist = float(history.memory(alpha, t_new))
         y_new = (w_new * y_last - hist + y_last * y_last) / coef
         increment_ok = (y_new - y_last) <= 0.5 * max(y_last, 1e-12)
         if y_new < y_last or not increment_ok:
             cur_dt *= 0.5
             _check_floor(cur_dt, dt_floor)
             continue
-        if count == len(times):
-            times, values, incs = _grown(times), _grown(values), _grown(incs)
-        times[count], values[count], incs[count] = t_new, y_new, y_new - y_last
-        count += 1
+        history.append(y_new, t_new)
+        values.append(y_new)
         t_last, y_last = t_new, y_new
-        if y_new >= blow_threshold:
+        if y_new >= BLOW_THRESHOLD:
             blow_time = t_new
             break
-    trace = ScalarTrace(times=times[:count].copy(), values=values[:count].copy())
+    trace = ScalarTrace(times=history.times.copy(), values=np.array(values, dtype=float))
     return trace, blow_time
 
 

@@ -144,8 +144,9 @@ def _cell_kernel_integrals(h: float, offsets: np.ndarray, s: float) -> np.ndarra
 
 
 def _check_symmetry(entries: np.ndarray) -> None:
-    """Raise AssemblyError unless max|A - A^T| <= 1e-12 * max|A|, comparing
-    tiles A[I, J] with A[J, I]^T for I <= J; max|A| comes from the same tiles."""
+    """Raise AssemblyError unless A is finite and max|A - A^T| <= 1e-12 * max|A|,
+    comparing tiles A[I, J] with A[J, I]^T for I <= J; max|A| comes from the
+    same tiles.  A NaN or infinite entry makes the skew or the scale non-finite."""
     n, t = len(entries), _SYMMETRY_TILE
     skews, scales = [], []
     for i in range(0, n, t):
@@ -154,6 +155,11 @@ def _check_symmetry(entries: np.ndarray) -> None:
             skews.append(np.max(np.abs(upper - lower.T)))
             scales.append(max(np.max(np.abs(upper)), np.max(np.abs(lower))))
     skew, scale = np.max(skews), np.max(scales)
+    if not math.isfinite(skew + scale):
+        raise AssemblyError(
+            "assembled matrix has non-finite entries: the cell width is outside "
+            "the range its kernel powers can represent in double precision"
+        )
     if skew > 1e-12 * scale:
         raise AssemblyError(f"assembled matrix asymmetric: {skew:g} vs scale {scale:g}")
 
@@ -229,7 +235,12 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
     n, h = grid.n, grid.h
     c = normalizing_constant(s)
     entries = _fullspace_energy_toeplitz(n, h, s)
-    diag, off = _boundary_weight_mass(n, h, s)
+    try:
+        diag, off = _boundary_weight_mass(n, h, s)
+    except OverflowError:
+        raise AssemblyError(
+            f"cell width h = {h:g} overflows the boundary-mass knot powers at s = {s:g}"
+        ) from None
     entries.flat[:: n + 1] -= diag
     entries.flat[1 :: n + 1] -= off
     entries.flat[n :: n + 1] -= off

@@ -55,8 +55,6 @@ from .solver import (
 )
 from .special import MLParams, ml_eval
 
-CAMPAIGN_KINDS = ("invariant_region", "decay", "blowup", "ml_table", "eigen_convergence")
-
 _PROBE_SEED = 20240601  # fixed so repeated campaigns are bit-identical
 
 
@@ -536,7 +534,8 @@ def _run_blowup(campaign) -> tuple:
             if finding.status != "blowup":
                 frag.append(
                     _record(name, f"containment_a{alpha:g}_f{factor:g}", tag, math.nan,
-                            f"in[{bracket.lower:.15g},{bracket.upper:.15g}]",
+                            f"in[{bracket.lower:.15g},{bracket.upper:.15g}];"
+                            f"finding:{finding.status}",
                             0.0, False, t0)
                 )
                 continue
@@ -552,17 +551,19 @@ def _run_blowup(campaign) -> tuple:
             # dt / sqrt(2) starts a mesh family disjoint from containment's halvings
             refined_dt = detect_blowup(replace(cfg, dt=cfg.dt * 2.0**-0.5))
             refined_n = detect_blowup(replace(cfg, n=2 * cfg.n))
+            tol = p["stability_tol"]
+            expected = f"<={tol:g}"
             drift = 0.0
             ok = True
-            for other in (refined_dt, refined_n):
+            for arm, other in (("dt", refined_dt), ("n", refined_n)):
                 if other.status != "blowup":
+                    expected += f";{arm}:{other.status}"
                     ok = False
                     continue
                 drift = max(drift, abs(other.t_star - t_star) / t_star)
-            tol = p["stability_tol"]
             frag.append(
                 _record(name, f"stability_a{alpha:g}_f{factor:g}", tag, drift,
-                        f"<={tol:g}", tol, ok and drift <= tol, t0)
+                        expected, tol, ok and drift <= tol, t0)
             )
     return frag, traces
 

@@ -22,7 +22,7 @@ lambda1 the run carries the two-sided blow-up window
 
     (Gamma(alpha+1) / (4*(H0 + 1/2)))^(1/alpha) <= T* <= (Gamma(alpha+1)/H0)^(1/alpha)
 
-and blow-up is declared when max u crosses the configured threshold, with the
+and blow-up is declared when max u crosses ``caputo.BLOW_THRESHOLD``, with the
 step size halved adaptively once max u exceeds 10*(1 + lambda1).
 
 Step kernel.  At the grid sizes the campaigns use (n = 128, 256) a step is a
@@ -32,10 +32,11 @@ few tens of kflop, so the kernel does its arithmetic and little else:
   computed once per step size (one for the uniform mesh, one for the current
   level of the adaptive regime, whose step only ever halves), followed by one
   finiteness check of the solution; a failure raises StepFailureError;
-* one history object, ``HistoryBuffer``, holding the last field, the
+* one history object, ``caputo.L1History``, holding the last field, the
   increments and the step times: the uniform regime reads its memory sum
-  through the contiguous weights ``b_rev`` (one gemv), the adaptive regime
-  through weights from the step times;
+  through ``caputo_convolution`` and the contiguous weights ``b_rev`` (one
+  gemv), the adaptive regime through ``L1History.memory``, whose weights
+  come from the step times;
 * one ``max u`` per step, shared by the blow-up test, the adaptive trigger
   and the monitors, which are written into a preallocated array.
 """
@@ -51,13 +52,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .caputo import (
-    L1Weights,
-    _grown,
-    _nonuniform_history_weights,
-    caputo_convolution,
-    l1_weights,
-)
+from .caputo import BLOW_THRESHOLD, L1History, L1Weights, _grown, caputo_convolution, l1_weights
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -141,7 +136,6 @@ class SimConfig:
     t_end: float
     profile: str = "parabola"
     profile_params: dict = field(default_factory=dict)
-    blow_threshold: float = 1e8
     dt_floor: float | None = None
 
     def __post_init__(self):
@@ -155,8 +149,6 @@ class SimConfig:
             raise DomainError(f"need 0 < dt <= t_end, got dt={self.dt}")
         if self.n_steps < 1:
             raise DomainError("configuration yields zero time steps")
-        if self.blow_threshold <= 1:
-            raise DomainError("blow_threshold must exceed 1")
         if self.profile not in PROFILES:
             raise DomainError(f"unknown profile '{self.profile}'")
         Grid1D(self.a, self.b, self.n)  # validates the grid spec
@@ -176,56 +168,6 @@ class SimConfig:
 
     def effective_dt_floor(self) -> float:
         return self.dt_floor if self.dt_floor is not None else 1e-14 * self.t_end
-
-
-@dataclass
-class HistoryBuffer:
-    """Committed fields u^0 ... u^(n-1) of one run, as increments, with their times.
-
-    Only the last field is kept.  The increments and the step times live in
-    preallocated arrays that double when full, so each memory sum is one
-    matrix-vector product: with the uniform weights ``b_rev`` while the mesh
-    is uniform, with weights from the step times once it is not.  A field
-    appended without a time lies on the uniform mesh of step ``dt``.
-    """
-
-    last: np.ndarray
-    dt: float
-    count: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        self._diffs = np.zeros((16, len(self.last)))
-        self._times = np.zeros(16)
-
-    def __len__(self):
-        return self.count
-
-    def append(self, values: np.ndarray, t: float | None = None):
-        n = self.count
-        if n == len(self._times):
-            self._diffs, self._times = _grown(self._diffs), _grown(self._times)
-        self._diffs[n] = values - self.last
-        self._times[n] = n * self.dt if t is None else t
-        self.last = values
-        self.count = n + 1
-
-    def diff_array(self) -> np.ndarray:
-        """(n, nx) view whose row m holds u^m - u^(m-1); row 0 is zero."""
-        return self._diffs[: self.count]
-
-    def times(self) -> np.ndarray:
-        """View of the step times t_0 = 0, ..., t_(n-1)."""
-        return self._times[: self.count]
-
-    def uniform_memory(self, weights: L1Weights) -> np.ndarray:
-        """History part of the uniform L1 sum at step n = len(self)."""
-        return caputo_convolution(weights, self.diff_array(), self.count)
-
-    def memory(self, alpha: float, t_new: float) -> np.ndarray:
-        """History part of the L1 sum at t_new, weighted by the actual step times."""
-        n = self.count
-        w_hist = _nonuniform_history_weights(alpha, self._times[:n], t_new)
-        return w_hist @ self._diffs[1:n]
 
 
 class _Monitors:
@@ -310,14 +252,6 @@ class BlowupFinding:
 # --- stepping ----------------------------------------------------------------
 
 
-class StepOverflow(StepFailureError):
-    """A step produced values at or above the blow-up threshold."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        super().__init__("field exceeded the blow-up threshold")
-
-
 def system_factor(shift: float, a_mat: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of shift*I + A, the matrix of one implicit step.
 
@@ -355,29 +289,17 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def step(
-    history: HistoryBuffer,
-    op: OperatorMatrix,
-    weights: L1Weights,
-    cho: np.ndarray,
-    blow_threshold: float | None = None,
-) -> np.ndarray:
+def step(history: L1History, weights: L1Weights, cho: np.ndarray) -> np.ndarray:
     """Advance one uniform L1 step of the coupled scheme.
 
     ``history`` holds u^0..u^(n-1); returns u^n.  ``cho`` is the factor
-    ``system_factor(weights.scale + 1, op.entries)``, shared by every
-    uniform step.  Raises StepOverflow when the new field reaches
-    ``blow_threshold`` and StepFailureError when the solve fails.
+    ``system_factor(weights.scale + 1, A)`` of the operator matrix A, shared
+    by every uniform step.  Raises StepFailureError when the solve fails.
     """
     u_prev = history.last
-    if u_prev.shape != (op.dim,):
-        raise DomainError(f"dimension mismatch: field {u_prev.shape}, operator {op.dim}")
-    hist = history.uniform_memory(weights)
+    hist = caputo_convolution(weights, history.increments, len(history))
     rhs = weights.scale * (u_prev - hist) + u_prev * u_prev
-    u_new = _solve(cho, rhs)
-    if blow_threshold is not None and u_new.max() >= blow_threshold:
-        raise StepOverflow(u_new)
-    return u_new
+    return _solve(cho, rhs)
 
 
 # --- full runs -----------------------------------------------------------------
@@ -411,8 +333,6 @@ def run(
     config: SimConfig,
     u0_override: np.ndarray | None = None,
     record_fields: bool = False,
-    operator: OperatorMatrix | None = None,
-    eigenpair: EigenPair | None = None,
 ) -> SimulationResult:
     """Advance the scheme to t_end or blow-up and collect the monitors.
 
@@ -422,8 +342,7 @@ def run(
     and the step is halved whenever the relative growth of max u exceeds 1/2.
     """
     grid = config.grid
-    if operator is None or eigenpair is None:
-        operator, eigenpair = _get_operator(config)
+    operator, eigenpair = _get_operator(config)
     lam1 = eigenpair.lambda1
     e1 = eigenpair.e1.values
 
@@ -446,20 +365,19 @@ def run(
     monitors = _Monitors(grid.h, e1, record_fields, n_steps // stride + 2)
     monitors.record(0.0, u0, float(u0.max()))
     adaptive_trigger = 10.0 * (1.0 + lam1)
-    blow_threshold = config.blow_threshold
-    history = HistoryBuffer(last=u0, dt=dt)
+    history = L1History(u0)
     blowup = None
     inconclusive = None
 
     for step_idx in range(1, n_steps + 1):
-        u_new = step(history, operator, weights, factor)
+        u_new = step(history, weights, factor)
         u_max = float(u_new.max())
         t_now = step_idx * dt
-        if u_max >= blow_threshold:
+        if u_max >= BLOW_THRESHOLD:
             monitors.record(t_now, u_new, u_max)
             blowup = BlowupEvent(t_star_numeric=t_now, terminal_max=u_max)
             break
-        history.append(u_new)
+        history.append(u_new, t_now)
         if step_idx % stride == 0 or step_idx == n_steps:
             monitors.record(t_now, u_new, u_max)
         if u_max > adaptive_trigger:
@@ -507,8 +425,8 @@ def _run_adaptive(config, operator, history, monitors, max_last):
     a_mat = operator.entries
     dt_floor = config.effective_dt_floor()
     t_end = config.t_end
-    cur_dt = history.dt
-    t_last = float(history.times()[-1])
+    cur_dt = config.effective_dt
+    t_last = float(history.times[-1])
     factor_key, factor = None, None
     max_steps = 200_000
 
@@ -537,7 +455,7 @@ def _run_adaptive(config, operator, history, monitors, max_last):
         history.append(u_new, t_new)
         t_last, max_last = t_new, max_new
         monitors.record(t_new, u_new, max_new)
-        if max_new >= config.blow_threshold:
+        if max_new >= BLOW_THRESHOLD:
             return BlowupEvent(t_star_numeric=t_new, terminal_max=max_new), None
     return None, None
 
@@ -559,6 +477,9 @@ def _maybe_decay_slope(times, energy, config):
 
 # --- analysis operations -------------------------------------------------------
 
+_REL_CHANGE = 0.01  # detect_blowup: accepted relative move of t_star under one halving
+_MAX_REFINEMENTS = 12  # detect_blowup: dt halvings before giving up
+
 
 def blowup_bracket(h0: float, alpha: float, lambda1: float) -> BlowupBracket:
     """Two-sided blow-up time estimate from the weighted mass h0 = H(0)."""
@@ -572,22 +493,17 @@ def blowup_bracket(h0: float, alpha: float, lambda1: float) -> BlowupBracket:
     return BlowupBracket(h0=h0, lower=lower, upper=upper, admissible=h0 >= 1.0 + lambda1)
 
 
-def detect_blowup(
-    config: SimConfig,
-    rel_change: float = 0.01,
-    max_refinements: int = 12,
-    u0_override: np.ndarray | None = None,
-) -> BlowupFinding:
+def detect_blowup(config: SimConfig) -> BlowupFinding:
     """Run with successively halved dt until the crossing time stabilizes.
 
-    The reported t_star moves by less than ``rel_change`` under one further
-    halving.  A bounded run reports 'none' immediately; a dt-floor collapse
+    The reported t_star moves by less than 1% under one further halving,
+    within 12 halvings.  A bounded run reports 'none' immediately; a dt-floor collapse
     reports 'inconclusive' rather than silently dropping the event.
     """
     estimates = []
     cfg = config
-    for _ in range(max_refinements + 1):
-        result = run(cfg, u0_override=u0_override)
+    for _ in range(_MAX_REFINEMENTS + 1):
+        result = run(cfg)
         if result.inconclusive is not None:
             return BlowupFinding(status="inconclusive", t_star=None, estimates=tuple(estimates))
         if result.blowup is None:
@@ -595,11 +511,11 @@ def detect_blowup(
         estimates.append(result.blowup.t_star_numeric)
         if len(estimates) >= 2:
             prev, cur = estimates[-2], estimates[-1]
-            if abs(cur - prev) < rel_change * abs(cur):
+            if abs(cur - prev) < _REL_CHANGE * abs(cur):
                 return BlowupFinding(status="blowup", t_star=cur, estimates=tuple(estimates))
         cfg = replace(cfg, dt=cfg.dt * 0.5)
     raise ConvergenceError(
-        f"blow-up time did not stabilize within {max_refinements} dt halvings: {estimates}"
+        f"blow-up time did not stabilize within {_MAX_REFINEMENTS} dt halvings: {estimates}"
     )
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrd.caputo import (
+    BLOW_THRESHOLD,
+    L1History,
     _nonuniform_history_weights,
     caputo_convolution,
     l1_weights,
@@ -110,6 +112,34 @@ class TestMemorySum:
         assert np.shape(caputo_convolution(w, np.zeros((8, 3)), 4)) == (3,)
 
 
+class TestL1History:
+    @pytest.mark.parametrize("width", [None, 5], ids=["scalar", "field"])
+    def test_increments_survive_growth(self, width):
+        shape = (41,) if width is None else (41, width)
+        values = np.random.default_rng(3).uniform(0.0, 1.0, size=shape)
+        history = L1History(values[0])
+        for m, y in enumerate(values[1:], start=1):
+            history.append(y, 0.1 * m)
+        assert len(history) == 41
+        assert np.array_equal(history.last, values[-1])
+        assert np.all(history.increments[0] == 0.0)
+        assert np.array_equal(history.increments[1:], values[1:] - values[:-1])
+        assert np.array_equal(history.times, 0.1 * np.arange(41))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+    def test_memory_matches_uniform_sum_on_uniform_mesh(self, alpha):
+        n, dt = 40, 0.1
+        w = l1_weights(alpha, dt, n)
+        fields = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, 3))
+        history = L1History(fields[0])
+        for m in range(1, n):
+            history.append(fields[m], m * dt)
+        got = history.memory(alpha, n * dt)
+        ref = w.scale * caputo_convolution(w, history.increments, n)
+        magnitude = w.scale * caputo_convolution(w, np.abs(history.increments), n)
+        assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
+
+
 class TestLinearFode:
     def test_zero_rate_preserves_initial_value(self):
         trace = solve_linear_fode(0.5, 0.0, 3.0, 0.1, 1.0)
@@ -183,5 +213,5 @@ class TestLogisticFode:
     def test_validation(self):
         with pytest.raises(DomainError):
             solve_logistic_fode(0.5, -1.0, 0.01, 1.0)
-        with pytest.raises(DomainError):
-            solve_logistic_fode(0.5, 1.0, 0.01, 1.0, blow_threshold=0.5)
+        with pytest.raises(DomainError, match="blow-up threshold"):
+            solve_logistic_fode(0.5, BLOW_THRESHOLD, 0.01, 1.0)

@@ -1,12 +1,10 @@
-import importlib.util
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracrd import cli
+from fracrd import cli, harness
 from fracrd.errors import ConfigError
 from fracrd.harness import (
     CAMPAIGN_SCHEMA,
@@ -18,6 +16,7 @@ from fracrd.harness import (
     run_campaigns,
     write_outputs,
 )
+from fracrd.solver import BlowupFinding
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -249,6 +248,14 @@ class TestCli:
         assert code == 2
         assert "key 'domain'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", ["0,1e300", "0,1e-300"])
+    def test_eig_extreme_domain_exit_two(self, tmp_path, capsys, domain):
+        code = cli.main(
+            ["eig", "--s", "0.9", "--n", "8", "--domain", domain, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "cell width" in capsys.readouterr().err
+
     def test_run_config_exit_zero_and_outputs(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 0.5"))
         out_dir = tmp_path / "out"
@@ -296,14 +303,28 @@ class TestCli:
         assert code == 2
 
 
-class TestScripts:
-    def test_blowup_bracket_sweep_runs(self, capsys, monkeypatch):
-        # The script reaches the harness only through its public entry point.
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        path = Path(__file__).resolve().parents[1] / "scripts" / "blowup_bracket_sweep.py"
-        spec = importlib.util.spec_from_file_location("blowup_bracket_sweep", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.sweep({"alphas": [1.0], "s": 0.4, "domain": (0.0, 2.0), "n": 16, "dt": 2e-3,
-                      "h0_factors": [1.6], "width": 0.12})
-        assert "contained=True" in capsys.readouterr().out
+class TestBlowupRecords:
+    @staticmethod
+    def _campaign(alpha):
+        params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["blowup"].items()}
+        params.update(alphas=(alpha,), s=0.4, n=8, h0_factors=(1.2,), logistic_check=False)
+        return Campaign(name="bu", kind="blowup", params=params)
+
+    def test_containment_names_inconclusive_finding(self):
+        # at alpha = 0.5 the step reaches the floor before max u reaches 1e8
+        frag, _ = run_campaign(self._campaign(0.5))
+        (record,) = frag
+        assert record.name == "containment_a0.5_f1.2" and not record.passed
+        assert record.expected.endswith(";finding:inconclusive")
+
+    def test_stability_names_each_non_blowup_arm(self, monkeypatch):
+        findings = iter([
+            BlowupFinding(status="blowup", t_star=0.1, estimates=(0.1, 0.1)),
+            BlowupFinding(status="inconclusive", t_star=None, estimates=()),
+            BlowupFinding(status="none", t_star=None, estimates=()),
+        ])
+        monkeypatch.setattr(harness, "detect_blowup", lambda cfg: next(findings))
+        frag, _ = run_campaign(self._campaign(1.0))
+        stability = frag[-1]
+        assert stability.name == "stability_a1_f1.2" and not stability.passed
+        assert stability.expected == "<=0.05;dt:inconclusive;n:none"

@@ -116,6 +116,18 @@ class TestAssembly:
         with pytest.raises(AssemblyError, match="asymmetric"):
             _check_symmetry(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_symmetry_check_rejects_non_finite(self, bad):
+        a = assemble_regional(Grid1D(0.0, 1.0, 130), 0.5).entries.copy()
+        a[5, 100] = bad
+        with pytest.raises(AssemblyError, match="non-finite"):
+            _check_symmetry(a)
+
+    @pytest.mark.parametrize("width,cause", [(1e-300, "non-finite entries"), (1e300, "overflows")])
+    def test_extreme_domain_is_named(self, width, cause):
+        with pytest.raises(AssemblyError, match=cause):
+            assemble_regional(Grid1D(0.0, width, 8), 0.9)
+
     def test_positive_semidefinite_probes(self, op64):
         _, op = op64
         rng = np.random.default_rng(20240601)

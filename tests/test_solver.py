@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from fracrd import solver
-from fracrd.caputo import l1_weights, solve_logistic_fode
+from fracrd.caputo import BLOW_THRESHOLD, L1History, l1_weights, solve_logistic_fode
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, OperatorMatrix
 from fracrd.solver import (
-    HistoryBuffer,
     SimConfig,
-    StepOverflow,
     _get_operator,
     _Monitors,
     _run_adaptive,
@@ -51,45 +49,24 @@ class TestConfig:
             assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
 
 
-class TestHistoryBuffer:
-    def test_increments_survive_growth(self):
-        fields = np.random.default_rng(3).uniform(0.0, 1.0, size=(41, 5))
-        history = HistoryBuffer(last=fields[0], dt=0.1)
-        for u in fields[1:]:
-            history.append(u)
-        assert len(history) == 41
-        assert np.array_equal(history.last, fields[-1])
-        diffs = history.diff_array()
-        assert np.all(diffs[0] == 0.0)
-        assert np.array_equal(diffs[1:], fields[1:] - fields[:-1])
-
-
 class TestStep:
     def test_single_node_hand_oracle(self):
         # alpha=1, dt=0.1, A=[2], u0=0.5: (10+2+1) u1 = 10*0.5 + 0.25
         op = OperatorMatrix(dim=1, entries=np.array([[2.0]]), s=0.5, c_ns=1.0)
         weights = l1_weights(1.0, 0.1, 5)
-        history = HistoryBuffer(last=np.array([0.5]), dt=0.1)
-        u1 = step(history, op, weights, system_factor(weights.scale + 1.0, op.entries))
+        history = L1History(np.array([0.5]))
+        u1 = step(history, weights, system_factor(weights.scale + 1.0, op.entries))
         assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
 
     def test_zero_field_is_fixed_point(self):
         op = OperatorMatrix(dim=2, entries=np.eye(2), s=0.5, c_ns=1.0)
         weights = l1_weights(0.5, 0.1, 10)
-        history = HistoryBuffer(last=np.zeros(2), dt=0.1)
+        history = L1History(np.zeros(2))
         factor = system_factor(weights.scale + 1.0, op.entries)
-        for _ in range(5):
-            u = step(history, op, weights, factor)
+        for k in range(1, 6):
+            u = step(history, weights, factor)
             assert np.all(u == 0.0)
-            history.append(u)
-
-    def test_overflow_signal(self):
-        op = OperatorMatrix(dim=1, entries=np.array([[0.0]]), s=0.5, c_ns=1.0)
-        weights = l1_weights(1.0, 0.5, 3)
-        history = HistoryBuffer(last=np.array([10.0]), dt=0.5)
-        with pytest.raises(StepOverflow):
-            step(history, op, weights, system_factor(weights.scale + 1.0, op.entries),
-                 blow_threshold=5.0)
+            history.append(u, 0.1 * k)
 
     def test_matches_rk4_reference_at_alpha_one(self):
         # Classical limit: the semi-discrete system du/dt = -Au - u + u^2
@@ -131,33 +108,27 @@ class TestSolve:
     def test_nan_history_raises_step_failure(self):
         op = OperatorMatrix(dim=3, entries=np.eye(3), s=0.5, c_ns=1.0)
         weights = l1_weights(0.5, 0.1, 10)
-        history = HistoryBuffer(last=np.array([0.5, np.nan, 0.5]), dt=0.1)
+        history = L1History(np.array([0.5, np.nan, 0.5]))
         with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            step(history, op, weights, system_factor(weights.scale + 1.0, op.entries))
+            step(history, weights, system_factor(weights.scale + 1.0, op.entries))
 
     def test_singular_factor_raises_step_failure(self):
-        op = OperatorMatrix(dim=3, entries=np.eye(3), s=0.5, c_ns=1.0)
         weights = l1_weights(0.5, 0.1, 10)
-        history = HistoryBuffer(last=np.full(3, 0.5), dt=0.1)
+        history = L1History(np.full(3, 0.5))
         factor = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(StepFailureError, match="factor is singular"):
-            step(history, op, weights, factor)
+            step(history, weights, factor)
 
     def test_non_spd_matrix_raises_step_failure(self):
         with pytest.raises(StepFailureError, match="not positive definite"):
             system_factor(1.0, -5.0 * np.eye(4))
-        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=4, dt=0.1, t_end=1.0)
-        _, pair = _get_operator(cfg)
-        bad = OperatorMatrix(dim=4, entries=-1e3 * np.eye(4), s=0.5, c_ns=1.0)
-        with pytest.raises(StepFailureError, match="not positive definite"):
-            run(cfg, operator=bad, eigenpair=pair)
 
     @staticmethod
     def _adaptive_inputs(last, entries):
         cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=3, dt=0.1, t_end=1.0)
         op = OperatorMatrix(dim=3, entries=entries, s=0.5, c_ns=1.0)
-        history = HistoryBuffer(last=np.full(3, 0.5), dt=cfg.effective_dt)
-        history.append(last)
+        history = L1History(np.full(3, 0.5))
+        history.append(last, cfg.effective_dt)
         monitors = _Monitors(cfg.grid.h, np.ones(3), False, 4)
         return cfg, op, history, monitors
 
@@ -311,7 +282,7 @@ class TestBlowupRuns:
                         profile="gauss", profile_params={"amplitude": 30.0, "width": 0.2})
         r = run(hot)
         assert r.blowup is not None
-        assert r.blowup.terminal_max >= hot.blow_threshold
+        assert r.blowup.terminal_max >= BLOW_THRESHOLD
         assert r.bracket is not None and r.bracket.admissible
         assert r.bracket.lower < r.bracket.upper
 
