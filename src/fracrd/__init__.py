@@ -29,7 +29,7 @@ from .solver import (
     detect_blowup,
     run,
 )
-from .special import gamma_fn, ml_decay_envelope, ml_eval
+from .special import ml_eval
 
 __all__ = [
     "L1Weights",
@@ -52,9 +52,7 @@ __all__ = [
     "decay_rate_fit",
     "detect_blowup",
     "run",
-    "gamma_fn",
     "ml_eval",
-    "ml_decay_envelope",
 ]
 
 __version__ = "0.1.0"

@@ -33,7 +33,8 @@ coefficients are the forward slice b_rev[N-n : N-1] and the sum is a single
 BLAS matrix-vector product.  ``L1History.memory`` forms the step-time
 weights w_m instead, for meshes that are not uniform.
 
-A run counts as blown up once its value reaches ``BLOW_THRESHOLD``.
+A run counts as blown up once its value reaches ``BLOW_THRESHOLD``, and ends
+unresolved once its adaptive step falls below ``DT_FLOOR_REL * t_end``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StepFailureError
 
 BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
+DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
 _MAX_LOGISTIC_STEPS = 500_000  # committed steps of one solve_logistic_fode call
 
 
@@ -207,7 +209,6 @@ def solve_logistic_fode(
     y0: float,
     dt: float,
     t_end: float,
-    dt_floor: float | None = None,
 ) -> tuple[ScalarTrace, float | None]:
     """Semi-implicit L1 solution of D^alpha y = y*(y+1) with blow-up capture.
 
@@ -218,7 +219,8 @@ def solve_logistic_fode(
     resolves the threshold crossing to a fraction of the local growth time.
 
     Returns the computed trace and the first time y >= BLOW_THRESHOLD, or
-    None when t_end is reached first.
+    None when t_end is reached first.  Raises ConvergenceError when the step
+    falls below ``DT_FLOOR_REL * t_end`` before either.
     """
     if y0 < 0:
         raise DomainError(f"y0 must be >= 0, got {y0}")
@@ -226,8 +228,7 @@ def solve_logistic_fode(
         raise DomainError(f"y0 must be below the blow-up threshold {BLOW_THRESHOLD:g}, got {y0}")
     if not 0 < dt <= t_end:
         raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    if dt_floor is None:
-        dt_floor = 1e-14 * t_end
+    floor = DT_FLOOR_REL * t_end
     g2 = math.gamma(2.0 - alpha)
 
     history = L1History(y0)
@@ -247,14 +248,14 @@ def solve_logistic_fode(
         coef = w_new - 1.0
         if coef <= 0:
             cur_dt *= 0.5
-            _check_floor(cur_dt, dt_floor)
+            _check_floor(cur_dt, floor)
             continue
         hist = float(history.memory(alpha, t_new))
         y_new = (w_new * y_last - hist + y_last * y_last) / coef
         increment_ok = (y_new - y_last) <= 0.5 * max(y_last, 1e-12)
         if y_new < y_last or not increment_ok:
             cur_dt *= 0.5
-            _check_floor(cur_dt, dt_floor)
+            _check_floor(cur_dt, floor)
             continue
         history.append(y_new, t_new)
         values.append(y_new)
@@ -266,8 +267,8 @@ def solve_logistic_fode(
     return trace, blow_time
 
 
-def _check_floor(cur_dt: float, dt_floor: float) -> None:
-    if cur_dt < dt_floor:
+def _check_floor(cur_dt: float, floor: float) -> None:
+    if cur_dt < floor:
         raise ConvergenceError(
-            f"step size collapsed below floor {dt_floor:g} without crossing the threshold"
+            f"step size collapsed below floor {floor:g} without crossing the threshold"
         )

@@ -234,18 +234,22 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         raise DomainError(f"n={grid.n} exceeds the supported dense range {_MAX_NODES}")
     n, h = grid.n, grid.h
     c = normalizing_constant(s)
-    entries = _fullspace_energy_toeplitz(n, h, s)
-    try:
-        diag, off = _boundary_weight_mass(n, h, s)
-    except OverflowError:
-        raise AssemblyError(
-            f"cell width h = {h:g} overflows the boundary-mass knot powers at s = {s:g}"
-        ) from None
-    entries.flat[:: n + 1] -= diag
-    entries.flat[1 :: n + 1] -= off
-    entries.flat[n :: n + 1] -= off
-    entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
-    _check_symmetry(entries)
+    # On extreme domains the powers of h leave the double range; the NaN or
+    # infinite entries that result are reported by _check_symmetry as an
+    # AssemblyError, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        entries = _fullspace_energy_toeplitz(n, h, s)
+        try:
+            diag, off = _boundary_weight_mass(n, h, s)
+        except OverflowError:
+            raise AssemblyError(
+                f"cell width h = {h:g} overflows the boundary-mass knot powers at s = {s:g}"
+            ) from None
+        entries.flat[:: n + 1] -= diag
+        entries.flat[1 :: n + 1] -= off
+        entries.flat[n :: n + 1] -= off
+        entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
+        _check_symmetry(entries)
     return OperatorMatrix(dim=n, entries=entries, s=s, c_ns=c)
 
 

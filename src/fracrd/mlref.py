@@ -3,9 +3,8 @@ function.
 
 This module is the slow, high-precision side of the dual-route check for
 ``fracrd.special.ml_eval``.  It is used to generate the frozen oracle table
-shipped with the package, to calibrate the decay-envelope constants, and by
-the test suite.  It is intentionally independent of the fast evaluator: the
-routes here are
+shipped with the package and by the test suite.  It is intentionally
+independent of the fast evaluator: the routes here are
 
 * direct power-series summation in mpmath with an explicit geometric tail
   bound, at a working precision chosen from the worst intermediate term, and

@@ -52,7 +52,15 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .caputo import BLOW_THRESHOLD, L1History, L1Weights, _grown, caputo_convolution, l1_weights
+from .caputo import (
+    BLOW_THRESHOLD,
+    DT_FLOOR_REL,
+    L1History,
+    L1Weights,
+    _grown,
+    caputo_convolution,
+    l1_weights,
+)
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -136,7 +144,6 @@ class SimConfig:
     t_end: float
     profile: str = "parabola"
     profile_params: dict = field(default_factory=dict)
-    dt_floor: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -165,9 +172,6 @@ class SimConfig:
     @property
     def grid(self) -> Grid1D:
         return Grid1D(self.a, self.b, self.n)
-
-    def effective_dt_floor(self) -> float:
-        return self.dt_floor if self.dt_floor is not None else 1e-14 * self.t_end
 
 
 class _Monitors:
@@ -423,7 +427,7 @@ def _run_adaptive(config, operator, history, monitors, max_last):
     alpha = config.alpha
     g2 = math.gamma(2.0 - alpha)
     a_mat = operator.entries
-    dt_floor = config.effective_dt_floor()
+    floor = DT_FLOOR_REL * config.t_end
     t_end = config.t_end
     cur_dt = config.effective_dt
     t_last = float(history.times[-1])
@@ -446,9 +450,9 @@ def _run_adaptive(config, operator, history, monitors, max_last):
         max_new = float(u_new.max())
         if (max_new - max_last) > 0.5 * max(max_last, 1.0):
             cur_dt *= 0.5
-            if cur_dt < dt_floor:
+            if cur_dt < floor:
                 return None, (
-                    f"step size collapsed below floor {dt_floor:g} "
+                    f"step size collapsed below floor {floor:g} "
                     "without crossing the blow-up threshold"
                 )
             continue

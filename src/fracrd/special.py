@@ -1,4 +1,4 @@
-"""Gamma and one-parameter Mittag-Leffler evaluation.
+"""One-parameter Mittag-Leffler evaluation.
 
 ``ml_eval`` is the workhorse: it evaluates E_alpha(z) = sum_m z^m/Gamma(alpha*m+1)
 in double precision by switching on the cancellation exponent
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -40,8 +39,9 @@ from .errors import DomainError, UnsupportedParameterError
 _ALPHA_MIN = 0.25
 _Z_MAX = 5.0
 # The solver evaluates decay envelopes at z = -lambda1 * t^alpha, far below
-# the calibrated box; the asymptotic branch handles this with accuracy that
-# improves as z -> -inf, so the supported range extends accordingly.
+# z = -50, where the mlref comparison ends; the asymptotic branch handles this
+# with accuracy that improves as z -> -inf, so the supported range extends
+# accordingly.
 _Z_MIN = -1.0e12
 
 # Branch thresholds on the cancellation exponent x**(1/alpha), x = -z.
@@ -53,8 +53,6 @@ _ASYM_MAX_NATS = 46.0
 # Series truncation: stop once the current term is below this fraction of the
 # partial sum (and the tail is provably geometric).
 _SERIES_RTOL = 1e-16
-
-_ENVELOPE_RESOURCE = "ml_envelope_calibration.txt"
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,6 @@ class MLParams:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         if not math.isfinite(self.z):
             raise DomainError(f"z must be finite, got {self.z}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Raises DomainError for x <= 0; non-positive arguments are never needed
-    by the solvers and refusing them catches sign bugs early.
-    """
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def _tail_ratio_bound(alpha: float, x: float, m: int) -> float:
@@ -249,71 +236,3 @@ def ml_eval(params: MLParams) -> float:
         return _asymptotic(alpha, z)
     return _spectral(alpha, -z, nats)
 
-
-# --- decay envelope -------------------------------------------------------
-
-_envelope_table: list[tuple[float, float]] | None = None
-
-
-def _load_envelope_table() -> list[tuple[float, float]]:
-    global _envelope_table
-    if _envelope_table is None:
-        text = (
-            resources.files("fracrd").joinpath("data").joinpath(_ENVELOPE_RESOURCE).read_text()
-        )
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a_str, c_str = line.split(",")
-            rows.append((float(a_str), float(c_str)))
-        rows.sort()
-        _envelope_table = rows
-    return _envelope_table
-
-
-def envelope_constant(alpha: float) -> float:
-    """Calibrated constant C_alpha such that E_alpha(-z) <= C_alpha/(1+z)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"envelope requires alpha in (0, 1), got {alpha}")
-    table = _load_envelope_table()
-    lo = None
-    hi = None
-    for a, c in table:
-        if a <= alpha:
-            lo = c
-        if a >= alpha and hi is None:
-            hi = c
-    candidates = [c for c in (lo, hi) if c is not None]
-    return max(candidates)
-
-
-def ml_decay_envelope(alpha: float, z: float) -> float:
-    """Upper envelope C_alpha / (1 + z) dominating E_alpha(-z) for z >= 0."""
-    if z < 0:
-        raise DomainError(f"envelope requires z >= 0, got {z}")
-    return envelope_constant(alpha) / (1.0 + z)
-
-
-def write_envelope_calibration(path, alphas=None, z_grid=None, safety: float = 1e-9) -> None:
-    """Recalibrate C_alpha against the extended-precision reference and write
-    the plain-text table (one ``alpha, C_alpha`` pair per line).
-
-    Maintenance entry point (hidden CLI flag / scripts); not needed at
-    runtime since the calibrated table ships with the package.
-    """
-    from . import mlref
-
-    if alphas is None:
-        alphas = [round(0.05 * k, 2) for k in range(1, 20)] + [0.99]
-    if z_grid is None:
-        # Covers the validated box [0, 50] with log spacing toward 0.
-        z_grid = [0.0] + [10.0 ** (-3 + (3 + math.log10(50.0)) * j / 47) for j in range(48)]
-    lines = ["# alpha, C_alpha  (calibrated so C/(1+z) dominates E_alpha(-z))"]
-    for a in alphas:
-        peak = max((1.0 + z) * float(mlref.ml_reference(a, -z, digits=20)) for z in z_grid)
-        c = peak * (1.0 + safety)
-        lines.append(f"{a:.6g}, {c:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -206,9 +206,10 @@ class TestLogisticFode:
         assert blow is None
         assert trace.times[-1] == pytest.approx(0.05, rel=1e-9)
 
-    def test_dt_floor_collapse_reported(self):
-        with pytest.raises(ConvergenceError):
-            solve_logistic_fode(1.0, 50.0, 0.5, 1.0, dt_floor=0.4)
+    def test_floor_collapse_reported(self):
+        # at alpha 0.5 the threshold lies below the step floor DT_FLOOR_REL * t_end
+        with pytest.raises(ConvergenceError, match="floor 2e-14"):
+            solve_logistic_fode(0.5, 1.0, 0.01, 2.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

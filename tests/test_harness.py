@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +258,23 @@ class TestCli:
         )
         assert code == 2
         assert "cell width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["0,1e300", "0,1e-300"])
+    def test_eig_extreme_domain_stderr_is_one_line(self, tmp_path, domain):
+        # a fresh interpreter with default warning filters: numpy warnings
+        # must not precede the typed error
+        argv = ["eig", "--s", "0.9", "--n", "8", "--domain", domain, "--out", str(tmp_path)]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracrd.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
     def test_run_config_exit_zero_and_outputs(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_band = 0.5"))

@@ -290,15 +290,17 @@ class TestBlowupRuns:
                          profile="sine", profile_params={"amplitude": 0.5})
         assert run(cold).bracket is None
 
-    def test_dt_floor_collapse_is_inconclusive_not_silent(self):
-        # a floor just below the initial step forbids the halving the blow-up
-        # regime needs, so the run must say so rather than report "no event"
-        cfg = SimConfig(alpha=1.0, s=0.4, a=0.0, b=2.0, n=32, dt=2e-3, t_end=1.0,
-                        profile="gauss", profile_params={"amplitude": 30.0, "width": 0.2},
-                        dt_floor=1.5e-3)
+    def test_floor_collapse_is_inconclusive_not_silent(self):
+        # at alpha 0.5 the adaptive step reaches the floor DT_FLOOR_REL * t_end
+        # before max u reaches the threshold, so the run must say so rather
+        # than report "no event"
+        from fracrd.harness import scaled_blowup_config
+
+        p = {"domain": (0.0, 2.0), "s": 0.4, "n": 32, "dt": 2e-3, "width": 0.2}
+        cfg, _, _ = scaled_blowup_config(p, 0.5, 1.2)
         r = run(cfg)
         assert r.blowup is None
-        assert r.inconclusive is not None
+        assert "collapsed below floor" in r.inconclusive
         finding = detect_blowup(cfg)
         assert finding.status == "inconclusive"
         assert finding.t_star is None

@@ -13,34 +13,29 @@ import fracrd
 from fracrd import special
 from fracrd.errors import DomainError, UnsupportedParameterError
 from fracrd.harness import load_oracle_table
-from fracrd.special import (
-    MLParams,
-    envelope_constant,
-    gamma_fn,
-    ml_decay_envelope,
-    ml_eval,
-)
+from fracrd.special import MLParams, ml_eval
 
 
 class TestGamma:
+    # special._rgamma, the 1/Gamma(x) of the large-argument expansion, whose
+    # arguments 1 - alpha*k run through the negative axis.
     def test_integer_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(2.0) == 1.0
+        assert special._rgamma(1.0) == 1.0
+        assert special._rgamma(2.0) == 1.0
 
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert special._rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
     def test_against_mpmath_on_range(self):
         import mpmath as mp
 
-        for x in [0.1, 0.37, 1.5, 7.2, 23.0, 49.5]:
-            ref = float(mp.gamma(x))
-            assert abs(gamma_fn(x) - ref) <= 1e-13 * abs(ref)
+        for x in [0.1, 0.37, 1.5, 7.2, 23.0, 49.5, -0.5, -1.3, -7.7, -23.5]:
+            ref = float(mp.rgamma(x))
+            assert abs(special._rgamma(x) - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(DomainError):
-            gamma_fn(bad)
+    @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0])
+    def test_zero_at_poles(self, pole):
+        assert special._rgamma(pole) == 0.0
 
 
 class TestMLParams:
@@ -158,47 +153,40 @@ class TestMLEval:
         assert ml_eval(MLParams(alpha=alpha, z=-z)) > 0.0
 
 
-class TestDecayEnvelope:
-    def test_constant_at_least_one(self):
-        for alpha in (0.3, 0.5, 0.8, 0.95):
-            assert envelope_constant(alpha) >= 1.0
 
-    def test_envelope_at_zero_dominates_one(self):
-        assert ml_decay_envelope(0.5, 0.0) >= 1.0
+class TestDecayEnvelope:
+    # Simon, Electron. J. Probab. 19 (2014): for z >= 0 and 0 < alpha < 1,
+    #   1/(1 + Gamma(1-alpha) z) <= E_alpha(-z) <= 1/(1 + z/Gamma(1+alpha)).
+    # The upper bound is the proven decay envelope; both bounds are an oracle
+    # that needs no extended precision.
+    @staticmethod
+    def bounds(alpha, z):
+        lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * z)
+        return lower, 1.0 / (1.0 + z / math.gamma(1.0 + alpha))
+
+    def test_domination(self):
+        # Spans all three branches; 4 eps allows for the rounding of the bounds.
+        tol = 4.0 * np.finfo(float).eps
+        zs = np.concatenate(([0.0], np.geomspace(1e-8, 1e6, 1201)))
+        for alpha in np.linspace(0.25, 0.999, 11):
+            alpha = float(alpha)
+            for z in zs:
+                lower, upper = self.bounds(alpha, float(z))
+                val = ml_eval(MLParams(alpha=alpha, z=-float(z)))
+                assert lower * (1.0 - tol) <= val <= upper * (1.0 + tol), (alpha, z)
+
+    def test_constant_at_least_one(self):
+        # C_alpha = 1 is the least constant with E_alpha(-z) <= C_alpha/(1+z):
+        # (1+z) E_alpha(-z) is 1 at z = 0 and below 1 after.
+        zs = np.geomspace(1e-6, 1e4, 200)
+        for alpha in (0.3, 0.5, 0.8, 0.95):
+            assert ml_eval(MLParams(alpha=alpha, z=0.0)) == 1.0
+            assert max((1.0 + z) * ml_eval(MLParams(alpha=alpha, z=-z)) for z in zs) < 1.0
 
     def test_envelope_at_nine(self):
-        # E_{1/2}(-9) = e^81 erfc(9) must sit below C/10
-        c_alpha = envelope_constant(0.5)
-        env = ml_decay_envelope(0.5, 9.0)
-        assert env == pytest.approx(c_alpha / 10.0, rel=1e-15)
+        # E_{1/2}(-9) = e^81 erfc(9) must sit between the bounds
         exact = math.exp(81.0) * math.erfc(9.0)
-        assert ml_eval(MLParams(alpha=0.5, z=-9.0)) == pytest.approx(exact, rel=1e-10)
-        assert ml_eval(MLParams(alpha=0.5, z=-9.0)) <= env
-
-    def test_envelope_alpha_08(self):
-        assert ml_eval(MLParams(alpha=0.8, z=-1.0)) <= ml_decay_envelope(0.8, 1.0)
-
-    @settings(max_examples=80, deadline=None)
-    @given(alpha=st.floats(0.25, 0.99), z=st.floats(0.0, 50.0))
-    def test_domination(self, alpha, z):
-        assert ml_eval(MLParams(alpha=alpha, z=-z)) <= ml_decay_envelope(alpha, z)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ml_decay_envelope(1.0, 1.0)
-        with pytest.raises(DomainError):
-            ml_decay_envelope(0.5, -1.0)
-
-
-def test_envelope_calibration_regeneration(tmp_path):
-    from fracrd.special import write_envelope_calibration
-
-    path = tmp_path / "calib.txt"
-    write_envelope_calibration(path, alphas=[0.5], z_grid=[0.0, 1.0, 10.0])
-    rows = [
-        line for line in path.read_text().splitlines() if line and not line.startswith("#")
-    ]
-    assert len(rows) == 1
-    alpha, c = (float(tok) for tok in rows[0].split(","))
-    assert alpha == 0.5
-    assert c >= 1.0
+        val = ml_eval(MLParams(alpha=0.5, z=-9.0))
+        assert val == pytest.approx(exact, rel=1e-10)
+        lower, upper = self.bounds(0.5, 9.0)
+        assert lower <= val <= upper
