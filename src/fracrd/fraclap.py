@@ -114,8 +114,6 @@ class OperatorMatrix:
 
     dim: int
     entries: np.ndarray
-    s: float
-    c_ns: float
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         entries.flat[n :: n + 1] -= off
         entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
         _check_symmetry(entries)
-    return OperatorMatrix(dim=n, entries=entries, s=s, c_ns=c)
+    return OperatorMatrix(dim=n, entries=entries)
 
 
 def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> OperatorMatrix:
@@ -283,7 +281,7 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
 
     entries *= c
     _check_symmetry(entries)
-    return OperatorMatrix(dim=n, entries=entries, s=s, c_ns=c)
+    return OperatorMatrix(dim=n, entries=entries)
 
 
 def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
@@ -302,15 +300,18 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     positive, and rescaled to h * sum(e1) = 1.
 
     Raises DomainError when grid and matrix differ in size; ConvergenceError
-    when A is not finite or not positive definite, when the bound is not met
-    within 100 iterations, or when the limit is not a positive eigenpair.
+    when A is not finite or not positive definite, when an iterate's norm
+    underflows to 0 or overflows (the scale of A is too far from 1), when the
+    bound is not met within 100 iterations, or when the limit is not a
+    positive eigenpair.
     """
     if grid.n != op.dim:
         raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
     a = op.entries
     if not np.isfinite(a).all():
         raise ConvergenceError("operator matrix has non-finite entries")
-    bound = _RESIDUAL_FACTOR * np.finfo(float).eps * np.linalg.norm(a, 1)
+    a_norm = np.linalg.norm(a, 1)
+    bound = _RESIDUAL_FACTOR * np.finfo(float).eps * a_norm
     try:
         factor = cho_factor(a, check_finite=False)[0]
     except np.linalg.LinAlgError:
@@ -318,7 +319,14 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     w = np.full(op.dim, 1.0 / math.sqrt(op.dim))
     for _ in range(_MAX_ITERATIONS):
         w = dpotrs(factor, w)[0]  # its info is nonzero only for an illegal argument
-        w /= np.linalg.norm(w)
+        with np.errstate(over="ignore"):  # an infinite norm is reported below
+            norm = np.linalg.norm(w)
+        if not 0.0 < norm < math.inf:
+            raise ConvergenceError(
+                f"inverse iterate's norm {'underflowed to 0' if norm == 0 else 'overflowed'} "
+                f"at operator scale ||A||_1 = {a_norm:g} on the domain ({grid.a:g}, {grid.b:g})"
+            )
+        w /= norm
         aw = a @ w
         lam = float(w @ aw)
         residual = float(np.linalg.norm(aw - lam * w))

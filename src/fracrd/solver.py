@@ -43,9 +43,8 @@ few tens of kflop, so the kernel does its arithmetic and little else:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -308,29 +307,19 @@ def step(history: L1History, weights: L1Weights, cho: np.ndarray) -> np.ndarray:
 
 # --- full runs -----------------------------------------------------------------
 
-# Operators and eigenpairs by (a, b, n, s), least recently used first.  A few
-# entries cover every campaign's working set; one n = 4096 entry is 134 MB.
-_OPERATOR_CACHE_SIZE = 4
-_operator_cache: OrderedDict = OrderedDict()
-_operator_lock = threading.Lock()
+# A few entries cover every campaign's working set; one n = 4096 entry is
+# 134 MB.  Keyed on the grid and s, since a SimConfig's profile_params dict
+# is not hashable; concurrent misses on one key may each build it.
+@functools.lru_cache(maxsize=4)
+def _operator(a: float, b: float, n: int, s: float) -> tuple[OperatorMatrix, EigenPair]:
+    grid = Grid1D(a, b, n)
+    op = assemble_regional(grid, s)
+    return op, principal_eigenpair(op, grid)
 
 
 def _get_operator(config: SimConfig) -> tuple[OperatorMatrix, EigenPair]:
-    key = (config.a, config.b, config.n, config.s)
-    with _operator_lock:
-        entry = _operator_cache.get(key)
-        if entry is not None:
-            _operator_cache.move_to_end(key)
-            return entry
-    grid = config.grid
-    op = assemble_regional(grid, config.s)
-    entry = (op, principal_eigenpair(op, grid))
-    with _operator_lock:
-        entry = _operator_cache.setdefault(key, entry)  # a concurrent miss may have won
-        _operator_cache.move_to_end(key)
-        while len(_operator_cache) > _OPERATOR_CACHE_SIZE:
-            _operator_cache.popitem(last=False)
-    return entry
+    """The cached operator matrix and principal eigenpair of a run's grid and s."""
+    return _operator(config.a, config.b, config.n, config.s)
 
 
 def run(

@@ -181,7 +181,7 @@ def test_criterion_8_comparison_principle(invariant_result):
 
 def test_criterion_9_determinism():
     mini = [
-        Campaign(name="ml", kind="ml_table", params={"tol": 1e-10}),
+        Campaign(name="ml", kind="ml_table", params={}),
         Campaign(
             name="inv",
             kind="invariant_region",
@@ -192,7 +192,6 @@ def test_criterion_9_determinism():
                 "n": 32,
                 "dt": 0.1,
                 "t_end": 2.0,
-                "bound_tol": 1e-8,
                 "comparison_pairs": 4,
             },
         ),

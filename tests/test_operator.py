@@ -224,7 +224,7 @@ class TestEigenpair:
     @pytest.mark.parametrize("n", [8, 600])
     def test_not_positive_definite_is_named(self, n):
         grid = Grid1D(0.0, 1.0, n)
-        op = OperatorMatrix(dim=n, entries=-np.eye(n), s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=n, entries=-np.eye(n))
         with pytest.raises(ConvergenceError, match="not positive definite"):
             principal_eigenpair(op, grid)
 
@@ -232,7 +232,7 @@ class TestEigenpair:
         grid = Grid1D(0.0, 1.0, 8)
         a = assemble_regional(grid, 0.5).entries.copy()
         a[3, 5] = np.nan
-        op = OperatorMatrix(dim=8, entries=a, s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=8, entries=a)
         with pytest.raises(ConvergenceError, match="non-finite entries"):
             principal_eigenpair(op, grid)
 

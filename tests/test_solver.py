@@ -52,14 +52,14 @@ class TestConfig:
 class TestStep:
     def test_single_node_hand_oracle(self):
         # alpha=1, dt=0.1, A=[2], u0=0.5: (10+2+1) u1 = 10*0.5 + 0.25
-        op = OperatorMatrix(dim=1, entries=np.array([[2.0]]), s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=1, entries=np.array([[2.0]]))
         weights = l1_weights(1.0, 0.1, 5)
         history = L1History(np.array([0.5]))
         u1 = step(history, weights, system_factor(weights.scale + 1.0, op.entries))
         assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
 
     def test_zero_field_is_fixed_point(self):
-        op = OperatorMatrix(dim=2, entries=np.eye(2), s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=2, entries=np.eye(2))
         weights = l1_weights(0.5, 0.1, 10)
         history = L1History(np.zeros(2))
         factor = system_factor(weights.scale + 1.0, op.entries)
@@ -106,7 +106,7 @@ class TestSolve:
             assert np.array_equal(_solve(system_factor(shift, a), rhs), expected)
 
     def test_nan_history_raises_step_failure(self):
-        op = OperatorMatrix(dim=3, entries=np.eye(3), s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=3, entries=np.eye(3))
         weights = l1_weights(0.5, 0.1, 10)
         history = L1History(np.array([0.5, np.nan, 0.5]))
         with pytest.raises(StepFailureError, match="right-hand side is not finite"):
@@ -126,7 +126,7 @@ class TestSolve:
     @staticmethod
     def _adaptive_inputs(last, entries):
         cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=3, dt=0.1, t_end=1.0)
-        op = OperatorMatrix(dim=3, entries=entries, s=0.5, c_ns=1.0)
+        op = OperatorMatrix(dim=3, entries=entries)
         history = L1History(np.full(3, 0.5))
         history.append(last, cfg.effective_dt)
         monitors = _Monitors(cfg.grid.h, np.ones(3), False, 4)
@@ -155,19 +155,20 @@ class TestOperatorCache:
         assert again[0] is op and again[1] is pair
 
     def test_evicts_least_recently_used(self):
-        size = solver._OPERATOR_CACHE_SIZE
+        size = solver._operator.cache_info().maxsize
         configs = [self._config(0.1 + 0.01 * k) for k in range(size + 1)]
         first = [_get_operator(cfg) for cfg in configs[:size]]
         assert _get_operator(configs[0])[0] is first[0][0]  # now most recently used
         _get_operator(configs[size])
-        assert len(solver._operator_cache) == size
+        assert solver._operator.cache_info().currsize == size
         assert _get_operator(configs[0])[0] is first[0][0]
         assert _get_operator(configs[1])[0] is not first[1][0]  # evicted, rebuilt
 
     def test_threads_share_a_bounded_cache(self):
         # More threads than cores and a short switch interval, so a lookup and
-        # an eviction interleave; an unlocked cache fails here most runs.
-        configs = [self._config(0.2 + 0.01 * k) for k in range(solver._OPERATOR_CACHE_SIZE + 2)]
+        # an eviction interleave.
+        size = solver._operator.cache_info().maxsize
+        configs = [self._config(0.2 + 0.01 * k) for k in range(size + 2)]
         serial = [_get_operator(cfg)[1].lambda1 for cfg in configs]
         requests = [configs[k % len(configs)] for k in range(1000)]
         old = sys.getswitchinterval()
@@ -179,7 +180,7 @@ class TestOperatorCache:
         finally:
             sys.setswitchinterval(old)
         assert results == [serial[k % len(configs)] for k in range(1000)]
-        assert len(solver._operator_cache) <= solver._OPERATOR_CACHE_SIZE
+        assert solver._operator.cache_info().currsize <= size
 
 
 class TestRun:
