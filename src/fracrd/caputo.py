@@ -11,27 +11,36 @@ solved with it: the linear decay equation D^alpha y = -rate*y (implicit) and
 the quadratic growth equation D^alpha y = y*(y+1) (linear part implicit,
 square explicit) whose solutions reach infinity in finite time for y0 > 0.
 
-The blow-up solver refines its own step as the solution grows; its memory sum
-then lives on a piecewise-uniform mesh, so it evaluates the L1 weights from
-the actual step times,
+The blow-up solvers refine their own step as the solution grows; the memory
+sum then lives on a piecewise-uniform mesh, so it evaluates the L1 weights
+from the actual step times,
 
     w_m = ((t_n - t_{m-1})^(1-alpha) - (t_n - t_m)^(1-alpha))
           / (Gamma(2-alpha) * (t_m - t_{m-1})),
 
-which coincides with the b_j form whenever the mesh is uniform.
+which coincides with scale * b_j whenever the mesh is uniform.  Both forms
+are differences of two nearby powers; ``_power_step`` evaluates them as
+d^(1-alpha) * expm1((1-alpha) * log1p(tau/d)), which keeps every weight
+accurate to a few ulps however old its interval is.
 
-Layout.  One class, ``L1History``, owns the committed history of every L1
-run here and in ``solver``: the last value (a float or a field), the
-increments y^m - y^(m-1) and the step times, the latter two in arrays that
-double when full, so a step does no O(n) list-to-array conversion.  The
-uniform history sum multiplies the coefficients b_{n-1}, ..., b_1 into the
-increments.  Read straight from b they form a reversed, negative-stride view,
-which numpy does not pass to BLAS: the product then runs in numpy's generic
-loop, some 15x slower over 4000 steps of 128 unknowns.  The weights therefore
-also carry ``b_rev``, a contiguous reversed copy of b, from which the same
-coefficients are the forward slice b_rev[N-n : N-1] and the sum is a single
-BLAS matrix-vector product.  ``L1History.memory`` forms the step-time
-weights w_m instead, for meshes that are not uniform.
+History.  One class, ``L1History``, owns the committed history of every L1
+run here and in ``solver``, and ``L1History.memory(t_new)`` is the only
+memory sum.  It does not keep the increments of a uniform mesh.  On
+x in [1, N], in units of the uniform step dt, the kernel x^(-alpha) is a sum
+of Q decaying exponentials (sum-of-exponentials, SOE; Jiang, Zhang, Zhang &
+Zhang, Commun. Comput. Phys. 21 (2017) 650): a Gauss-Jacobi rule on
+s in [0, 1/N] plus Gauss-Legendre panels in log s up to s = 30, about
+8*log(30N) + 6 modes, within 3e-13 of the kernel for every alpha.  The
+uniform intervals then sit in Q state vectors, each one the increments
+weighted by exp(-s_q * age), and an interval at least one uniform step old
+weighs scale * c_q * exp(-s_q * age) with c_q = (1-alpha) w_q (1-exp(-s_q))/s_q.
+The newest intervals stay exact, with step-time weights, and enter the state
+in blocks of ``_FOLD`` by one matrix product, so a uniform step costs one
+matrix-vector product over Q + ``_FOLD`` rows whatever its index.  The first
+interval off the uniform mesh (an adaptive halving, a short last step)
+freezes the state; from then on every interval stays exact, and the frozen
+state only decays with the time since the freeze.  Alpha = 1 keeps no
+memory at all.
 
 A run counts as blown up once its value reaches ``BLOW_THRESHOLD``, and ends
 unresolved once its adaptive step falls below ``DT_FLOOR_REL * t_end``.
@@ -39,16 +48,25 @@ unresolved once its adaptive step falls below ``DT_FLOOR_REL * t_end``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, StepFailureError
 
 BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
 DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
 _MAX_LOGISTIC_STEPS = 500_000  # committed steps of one solve_logistic_fode call
+
+# Sum-of-exponentials kernel (see the module docstring).
+_SOE_JACOBI = 6  # Gauss-Jacobi nodes on s in [0, 1/N]
+_SOE_PANEL = 8  # Gauss-Legendre nodes per panel of width 1 in log s
+_SOE_S_MAX = 30.0  # panels end past s = 30: exp(-30) ~ 1e-13 one step after entry
+_FOLD = 32  # uniform intervals that enter the SOE state at once
+_UNIFORM_RTOL = 1e-9  # a step within this relative distance of dt is a uniform step
 
 
 @dataclass(frozen=True)
@@ -57,19 +75,12 @@ class L1Weights:
 
     b[0] = 1 for every alpha; b is strictly decreasing and positive for
     alpha in (0,1) and degenerates to [1, 0, 0, ...] at alpha = 1.
-    ``b_rev`` is a read-only contiguous copy of b reversed, derived from b.
     """
 
     alpha: float
     dt: float
     b: np.ndarray
     scale: float
-    b_rev: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        b_rev = self.b[::-1].copy()  # contiguous: b[n-1:0:-1] == b_rev[N-n:N-1]
-        b_rev.flags.writeable = False
-        object.__setattr__(self, "b_rev", b_rev)
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,11 @@ class ScalarTrace:
             raise DomainError("trace values must be finite")
 
 
+def _power_step(d, tau, alpha: float):
+    """(d + tau)^(1-alpha) - d^(1-alpha) for d > 0, without cancellation."""
+    return d ** (1.0 - alpha) * np.expm1((1.0 - alpha) * np.log1p(tau / d))
+
+
 def l1_weights(alpha: float, dt: float, n_steps: int) -> L1Weights:
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -95,26 +111,164 @@ def l1_weights(alpha: float, dt: float, n_steps: int) -> L1Weights:
         raise DomainError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    powers = np.arange(n_steps + 1, dtype=float) ** (1.0 - alpha)
-    powers[0] = 0.0  # 0^(1-alpha), continued to 0 at alpha = 1
-    b = np.diff(powers)
+    b = np.empty(n_steps)
+    b[0] = 1.0
+    b[1:] = _power_step(np.arange(1.0, n_steps), 1.0, alpha)
     scale = dt ** (-alpha) / math.gamma(2.0 - alpha)
     return L1Weights(alpha=alpha, dt=dt, b=b, scale=scale)
 
 
-def caputo_convolution(weights: L1Weights, diffs: np.ndarray, n: int):
-    """History part sum_{j=1}^{n-1} b_j * diffs[n-j] at step n.
+def _nonuniform_history_weights(alpha: float, times: np.ndarray, t_new: float) -> np.ndarray:
+    """L1 weights of the intervals between ``times``, seen from t_new > times[-1]."""
+    tau = np.diff(times)
+    return _power_step(t_new - times[1:], tau, alpha) / (math.gamma(2.0 - alpha) * tau)
 
-    ``diffs[m]`` must hold y^m - y^(m-1) (entry 0 unused); works for scalar
-    diffs of shape (n_max+1,) and field diffs of shape (n_max+1, nx).
-    Raises DomainError when n exceeds the number of weights.
+
+def _gauss_jacobi(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss rule for (1+y)^beta on [-1, 1].
+
+    Golub-Welsch on the three-term recurrence of the Jacobi polynomials
+    P^(0, beta), beta > -1 and beta != 0.
     """
-    n_weights = len(weights.b)
-    if n > n_weights:
-        raise DomainError(f"step index {n} exceeds the {n_weights} L1 weights")
-    if n <= 1 or weights.alpha == 1.0:  # memoryless at alpha = 1: b_j = 0 for j >= 1
-        return 0.0 if diffs.ndim == 1 else np.zeros(diffs.shape[1])
-    return weights.b_rev[n_weights - n : n_weights - 1] @ diffs[1:n]
+    k = np.arange(1.0, m)
+    two_k = 2.0 * k + beta
+    diag = np.empty(m)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (two_k * (two_k + 2.0))
+    off = 4.0 * k * k * (k + beta) ** 2 / (two_k**2 * (two_k + 1.0) * (two_k - 1.0))
+    nodes, vectors = eigh_tridiagonal(diag, np.sqrt(off))
+    mass = 2.0 ** (beta + 1.0) / (beta + 1.0)  # integral of (1+y)^beta over [-1, 1]
+    return nodes, mass * vectors[0] ** 2
+
+
+@functools.lru_cache(maxsize=16)
+def _soe_modes(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates s_q and weights c_q with b_j ~ sum_q c_q exp(-s_q j) for 1 <= j < n_steps.
+
+    From x^(-alpha) = int_0^inf s^(alpha-1) exp(-s x) ds / Gamma(alpha) on
+    x in [1, n_steps]: Gauss-Jacobi on [0, 1/n_steps], where s*x <= 1, then
+    Gauss-Legendre panels of width 1 in log s up to ``_SOE_S_MAX``.  Each
+    kernel weight w_q becomes the L1 weight of a unit interval,
+    c_q = (1-alpha) w_q (1 - exp(-s_q)) / s_q.  alpha must lie in (0, 1).
+    """
+    y, omega = _gauss_jacobi(_SOE_JACOBI, alpha - 1.0)
+    s_jac = (1.0 + y) / (2.0 * n_steps)
+    w_jac = omega * (2.0 * n_steps) ** (-alpha)
+    lo = -math.log(n_steps)
+    panels = math.ceil(math.log(_SOE_S_MAX) - lo)
+    y, omega = np.polynomial.legendre.leggauss(_SOE_PANEL)
+    log_s = (lo + np.arange(panels)[:, None] + 0.5 * (1.0 + y)).ravel()
+    s_leg = np.exp(log_s)
+    w_leg = np.tile(0.5 * omega, panels) * np.exp(alpha * log_s)
+    s = np.concatenate([s_jac, s_leg])
+    c = (1.0 - alpha) / math.gamma(alpha) * np.concatenate([w_jac, w_leg]) * (-np.expm1(-s)) / s
+    s.flags.writeable = False
+    c.flags.writeable = False
+    return s, c
+
+
+def _is_uniform(step: float, dt: float) -> bool:
+    return abs(step - dt) <= _UNIFORM_RTOL * dt
+
+
+def _grown(buf: np.ndarray) -> np.ndarray:
+    """``buf`` copied into a zero array with twice as many rows."""
+    out = np.zeros((2 * buf.shape[0],) + buf.shape[1:])
+    out[: buf.shape[0]] = buf
+    return out
+
+
+class L1History:
+    """The committed history y^0 ... y^(n-1) of one L1 run of order alpha.
+
+    ``dt`` is the uniform step and ``n_steps * dt`` the horizon: the memory
+    sum is defined for t_last < t_new <= n_steps * dt.  The last value is
+    kept as is (a float or a field); the increments are kept as Q SOE state
+    vectors plus the exact increments of the newest intervals, ``_rows`` in
+    that order, with the times of the exact intervals' ends in
+    ``_tail_times`` (see the module docstring).
+    """
+
+    def __init__(self, y0, alpha: float, dt: float, n_steps: int):
+        weights = l1_weights(alpha, dt, _FOLD + 1)
+        if n_steps < 1:
+            raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+        self.alpha, self.dt, self.scale = alpha, dt, weights.scale
+        self.last = y0
+        self.count = 1
+        self.t_last = 0.0
+        self._t_max = n_steps * dt * (1.0 + 1e-12)
+        self._frozen = False
+        if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
+            return
+        s, c = _soe_modes(alpha, n_steps)
+        q = self._q = len(s)
+        self._rates = s
+        self._soe_weights = weights.scale * c
+        self._rows = np.zeros((q + _FOLD + 1,) + np.shape(y0))
+        self._tail_times = np.zeros(_FOLD + 2)  # _tail_times[0]: the state's reference time
+        self._tail = 0
+        # Row k: weights of a uniform step with k exact intervals, the state k + 1 steps old.
+        self._uniform_weights = np.zeros((_FOLD + 1, q + _FOLD))
+        self._uniform_weights[:, :q] = self._soe_weights * np.exp(
+            -np.arange(1.0, _FOLD + 2)[:, None] * s
+        )
+        for k in range(1, _FOLD + 1):
+            self._uniform_weights[k, q : q + k] = weights.scale * weights.b[k:0:-1]
+        self._fold_decay = np.exp(-_FOLD * s).reshape((q,) + (1,) * np.ndim(y0))
+        self._fold_mix = np.exp(-np.outer(s, np.arange(_FOLD - 1.0, -1.0, -1.0)))
+
+    def __len__(self):
+        return self.count
+
+    def append(self, value, t: float) -> None:
+        step = t - self.t_last
+        increment = value - self.last
+        self.last, self.count, self.t_last = value, self.count + 1, t
+        if self.alpha == 1.0:
+            return
+        if not self._frozen and not _is_uniform(step, self.dt):
+            self._frozen = True
+        q, k = self._q, self._tail
+        if q + k == len(self._rows):
+            self._rows = _grown(self._rows)
+        if k + 1 == len(self._tail_times):
+            self._tail_times = _grown(self._tail_times)
+        self._rows[q + k] = increment
+        self._tail_times[k + 1] = t
+        self._tail = k + 1
+        if self._tail > _FOLD and not self._frozen:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the _FOLD oldest exact intervals into the SOE state."""
+        q, rows = self._q, self._rows
+        state = rows[:q]
+        state *= self._fold_decay
+        state += self._fold_mix @ rows[q : q + _FOLD]
+        rows[q] = rows[q + _FOLD]
+        self._tail_times[:2] = self._tail_times[_FOLD : _FOLD + 2]
+        self._tail = 1
+
+    def memory(self, t_new: float):
+        """History part of the L1 sum at t_new: each committed interval's
+        step-time weight times its increment, scale included."""
+        if not self.t_last < t_new <= self._t_max:
+            raise DomainError(
+                f"memory at t={t_new!r} is outside ({self.t_last!r}, {self._t_max!r}]"
+            )
+        if self.alpha == 1.0:
+            return np.zeros(np.shape(self.last))
+        q, k = self._q, self._tail
+        if not self._frozen and _is_uniform(t_new - self.t_last, self.dt):
+            weights = self._uniform_weights[k, : q + k]
+        else:
+            times = self._tail_times[: k + 1]
+            weights = np.empty(q + k)
+            np.exp(self._rates * ((times[0] - t_new) / self.dt), out=weights[:q])
+            weights[:q] *= self._soe_weights
+            weights[q:] = _nonuniform_history_weights(self.alpha, times, t_new)
+        return weights @ self._rows[: q + k]
 
 
 def solve_linear_fode(
@@ -132,76 +286,18 @@ def solve_linear_fode(
         raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps
-    w = l1_weights(alpha, dt, n_steps)
     y = np.empty(n_steps + 1)
     y[0] = y0
-    history = L1History(y[0])
-    coef = w.scale + rate  # b0 = 1
+    history = L1History(y[0], alpha, dt, n_steps)
+    scale = history.scale
+    coef = scale + rate  # b0 = 1
     if coef <= 0:
         raise StepFailureError("non-positive implicit coefficient")
     for n in range(1, n_steps + 1):
-        hist = caputo_convolution(w, history.increments, n)
-        y[n] = w.scale * (y[n - 1] - hist) / coef
+        y[n] = (scale * y[n - 1] - history.memory(n * dt)) / coef
         history.append(y[n], n * dt)
     times = dt * np.arange(n_steps + 1)
     return ScalarTrace(times=times, values=y)
-
-
-def _nonuniform_history_weights(alpha: float, times: np.ndarray, t_new: float) -> np.ndarray:
-    """L1 weights of the committed intervals, seen from t_new (exclusive)."""
-    g2 = math.gamma(2.0 - alpha)
-    powers = (t_new - times) ** (1.0 - alpha)
-    return (powers[:-1] - powers[1:]) / (g2 * (times[1:] - times[:-1]))
-
-
-def _grown(buf: np.ndarray) -> np.ndarray:
-    """``buf`` copied into a zero array with twice as many rows."""
-    out = np.zeros((2 * buf.shape[0],) + buf.shape[1:])
-    out[: buf.shape[0]] = buf
-    return out
-
-
-class L1History:
-    """Committed values y^0 ... y^(n-1) of one L1 run, as increments, with their times.
-
-    Only the last value is kept; it is a float or a field.  The increments
-    and the step times live in arrays that double when full, so each memory
-    sum is one matrix-vector product: ``caputo_convolution`` over
-    ``increments`` while the mesh is uniform, ``memory`` once it is not.
-    """
-
-    def __init__(self, y0):
-        self.last = y0
-        self.count = 1
-        self._incs = np.zeros((16,) + np.shape(y0))
-        self._times = np.zeros(16)
-
-    def __len__(self):
-        return self.count
-
-    @property
-    def increments(self) -> np.ndarray:
-        """View whose row m holds y^m - y^(m-1); row 0 is zero."""
-        return self._incs[: self.count]
-
-    @property
-    def times(self) -> np.ndarray:
-        """View of the step times t_0 = 0, ..., t_(n-1)."""
-        return self._times[: self.count]
-
-    def append(self, value, t: float) -> None:
-        n = self.count
-        if n == len(self._times):
-            self._incs, self._times = _grown(self._incs), _grown(self._times)
-        self._incs[n] = value - self.last
-        self._times[n] = t
-        self.last = value
-        self.count = n + 1
-
-    def memory(self, alpha: float, t_new: float):
-        """History part of the L1 sum at t_new, weighted by the actual step times."""
-        n = self.count
-        return _nonuniform_history_weights(alpha, self._times[:n], t_new) @ self._incs[1:n]
 
 
 def solve_logistic_fode(
@@ -231,10 +327,8 @@ def solve_logistic_fode(
     floor = DT_FLOOR_REL * t_end
     g2 = math.gamma(2.0 - alpha)
 
-    history = L1History(y0)
-    values = [y0]
-    # t_last stays a Python float, never read back from history.times, so the
-    # step's power is libm's: numpy's ** can differ from it in the last bit.
+    history = L1History(y0, alpha, dt, math.ceil(t_end / dt))
+    times, values = [0.0], [y0]
     t_last, y_last = 0.0, y0
     cur_dt = dt
     blow_time = None
@@ -250,7 +344,7 @@ def solve_logistic_fode(
             cur_dt *= 0.5
             _check_floor(cur_dt, floor)
             continue
-        hist = float(history.memory(alpha, t_new))
+        hist = float(history.memory(t_new))
         y_new = (w_new * y_last - hist + y_last * y_last) / coef
         increment_ok = (y_new - y_last) <= 0.5 * max(y_last, 1e-12)
         if y_new < y_last or not increment_ok:
@@ -258,12 +352,13 @@ def solve_logistic_fode(
             _check_floor(cur_dt, floor)
             continue
         history.append(y_new, t_new)
+        times.append(t_new)
         values.append(y_new)
         t_last, y_last = t_new, y_new
         if y_new >= BLOW_THRESHOLD:
             blow_time = t_new
             break
-    trace = ScalarTrace(times=history.times.copy(), values=np.array(values, dtype=float))
+    trace = ScalarTrace(times=np.array(times), values=np.array(values, dtype=float))
     return trace, blow_time
 
 

@@ -216,7 +216,8 @@ def _campaign_params(section, kind, options) -> dict:
     schema = CAMPAIGN_SCHEMA[kind]
     for key in options:
         if key not in schema:
-            raise ConfigError(f"unknown key for kind '{kind}' (choose from {sorted(schema)})",
+            choices = f"choose from {sorted(schema)}" if schema else "it takes no keys"
+            raise ConfigError(f"unknown key for kind '{kind}' ({choices})",
                               key=key, section=section)
     params = {}
     for key, (value_type, default, bounds) in schema.items():

@@ -32,11 +32,12 @@ few tens of kflop, so the kernel does its arithmetic and little else:
   computed once per step size (one for the uniform mesh, one for the current
   level of the adaptive regime, whose step only ever halves), followed by one
   finiteness check of the solution; a failure raises StepFailureError;
-* one history object, ``caputo.L1History``, holding the last field, the
-  increments and the step times: the uniform regime reads its memory sum
-  through ``caputo_convolution`` and the contiguous weights ``b_rev`` (one
-  gemv), the adaptive regime through ``L1History.memory``, whose weights
-  come from the step times;
+* one history object, ``caputo.L1History``, whose ``memory(t_new)`` is the
+  memory sum of both regimes: one matrix-vector product over the Q
+  sum-of-exponentials state vectors of the uniform mesh and the intervals
+  kept exact, Q + 32 rows or fewer on the uniform mesh, so a uniform step
+  costs the same at any index; in the adaptive regime the state is frozen
+  and every new interval stays exact, with weights from the step times;
 * one ``max u`` per step, shared by the blow-up test, the adaptive trigger
   and the monitors, which are written into a preallocated array.
 """
@@ -51,15 +52,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .caputo import (
-    BLOW_THRESHOLD,
-    DT_FLOOR_REL,
-    L1History,
-    L1Weights,
-    _grown,
-    caputo_convolution,
-    l1_weights,
-)
+from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History, _grown
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -292,16 +285,17 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def step(history: L1History, weights: L1Weights, cho: np.ndarray) -> np.ndarray:
+def step(history: L1History, cho: np.ndarray) -> np.ndarray:
     """Advance one uniform L1 step of the coupled scheme.
 
-    ``history`` holds u^0..u^(n-1); returns u^n.  ``cho`` is the factor
-    ``system_factor(weights.scale + 1, A)`` of the operator matrix A, shared
-    by every uniform step.  Raises StepFailureError when the solve fails.
+    ``history`` holds u^0..u^(n-1); returns u^n, one step ``history.dt``
+    later.  ``cho`` is the factor ``system_factor(history.scale + 1, A)`` of
+    the operator matrix A, shared by every uniform step.  Raises
+    StepFailureError when the solve fails.
     """
     u_prev = history.last
-    hist = caputo_convolution(weights, history.increments, len(history))
-    rhs = weights.scale * (u_prev - hist) + u_prev * u_prev
+    hist = history.memory(history.t_last + history.dt)
+    rhs = history.scale * u_prev - hist + u_prev * u_prev
     return _solve(cho, rhs)
 
 
@@ -352,18 +346,17 @@ def run(
     n_steps = config.n_steps
     dt = config.effective_dt
     stride = max(1, n_steps // 2000)
-    weights = l1_weights(config.alpha, dt, n_steps)
-    factor = system_factor(weights.scale + 1.0, operator.entries)
+    history = L1History(u0, config.alpha, dt, n_steps)
+    factor = system_factor(history.scale + 1.0, operator.entries)
 
     monitors = _Monitors(grid.h, e1, record_fields, n_steps // stride + 2)
     monitors.record(0.0, u0, float(u0.max()))
     adaptive_trigger = 10.0 * (1.0 + lam1)
-    history = L1History(u0)
     blowup = None
     inconclusive = None
 
     for step_idx in range(1, n_steps + 1):
-        u_new = step(history, weights, factor)
+        u_new = step(history, factor)
         u_max = float(u_new.max())
         t_now = step_idx * dt
         if u_max >= BLOW_THRESHOLD:
@@ -407,11 +400,12 @@ def run(
 def _run_adaptive(config, operator, history, monitors, max_last):
     """Adaptive continuation once the field is in the blow-up regime.
 
-    The memory term is evaluated with L1 weights computed from the actual
-    (piecewise-uniform) step times; each committed step re-records, and the
-    step is halved when max u grows by more than 50% in one step.  The step
-    only ever shrinks, so one Cholesky factor, of the current step size, is
-    kept.  ``max_last`` is max u of the last committed field.
+    The memory term weighs the intervals after the uniform prefix, which
+    ``L1History`` freezes at the first halving, by the actual step times;
+    each committed step re-records, and the step is halved when max u grows
+    by more than 50% in one step.  The step only ever shrinks, so one
+    Cholesky factor, of the current step size, is kept.  ``max_last`` is
+    max u of the last committed field.
     """
     alpha = config.alpha
     g2 = math.gamma(2.0 - alpha)
@@ -419,7 +413,7 @@ def _run_adaptive(config, operator, history, monitors, max_last):
     floor = DT_FLOOR_REL * config.t_end
     t_end = config.t_end
     cur_dt = config.effective_dt
-    t_last = float(history.times[-1])
+    t_last = history.t_last
     factor_key, factor = None, None
     max_steps = 200_000
 
@@ -430,7 +424,7 @@ def _run_adaptive(config, operator, history, monitors, max_last):
         t_new = min(t_last + cur_dt, t_end)
         dt_eff = t_new - t_last
         w_new = dt_eff ** (-alpha) / g2
-        hist = history.memory(alpha, t_new)
+        hist = history.memory(t_new)
         key = round(math.log2(dt_eff), 6)
         if key != factor_key:
             factor_key, factor = key, system_factor(w_new + 1.0, a_mat)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrd.caputo import (
+    _FOLD,
     BLOW_THRESHOLD,
     L1History,
     _nonuniform_history_weights,
-    caputo_convolution,
+    _soe_modes,
     l1_weights,
     solve_linear_fode,
     solve_logistic_fode,
@@ -57,6 +58,89 @@ class TestWeights:
         with pytest.raises(DomainError):
             l1_weights(0.5, 0.1, 0)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99])
+    def test_matches_mpmath_far_out(self, alpha):
+        # b_j as a difference of powers lost ~j ulps; the expm1/log1p form keeps a few
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        b = l1_weights(alpha, 1.0, 200_001).b
+        one_minus = 1 - mpmath.mpf(alpha)
+        for j in (1, 2, 10, 3999, 12_345, 199_999, 200_000):
+            ref = mpmath.power(j + 1, one_minus) - mpmath.power(j, one_minus)
+            assert abs(float((b[j] - ref) / ref)) <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99])
+    def test_nonuniform_weights_match_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        gaps = np.random.default_rng(11).uniform(0.01, 1.0, 300)
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        t_new = times[-1] + 1e-3
+        got = _nonuniform_history_weights(alpha, times, t_new)
+        one_minus, g2 = 1 - mpmath.mpf(alpha), mpmath.gamma(2 - mpmath.mpf(alpha))
+        for m in (0, 1, 150, 298, 299):
+            left, right = mpmath.mpf(times[m]), mpmath.mpf(times[m + 1])
+            d_left, d_right = mpmath.mpf(t_new) - left, mpmath.mpf(t_new) - right
+            ref = (mpmath.power(d_left, one_minus) - mpmath.power(d_right, one_minus)) / (
+                g2 * (right - left)
+            )
+            assert abs(float((got[m] - ref) / ref)) <= 1e-13
+
+
+# --- exact oracles: the O(N) memory sums the SOE history replaces ----------------
+
+
+def exact_memory(alpha, times, values, t_new):
+    """Step-time L1 history sum over every committed interval, scale included."""
+    incs = np.diff(values, axis=0)
+    if len(incs) == 0:
+        return np.zeros(np.shape(values[0])), np.zeros(np.shape(values[0]))
+    weights = _nonuniform_history_weights(alpha, times, t_new)
+    return weights @ incs, weights @ np.abs(incs)
+
+
+def uniform_memory(alpha, dt, values):
+    """scale * sum_{j=1}^{n-1} b_j (y^(n-j) - y^(n-j-1)) at t_n, n = len(values)."""
+    n = len(values)
+    w = l1_weights(alpha, dt, n)
+    incs = np.diff(values, axis=0)
+    coef = w.scale * w.b[n - 1 : 0 : -1]
+    return coef @ incs, coef @ np.abs(incs)
+
+
+def _mesh(kind, dt, n):
+    """n + 1 step times of one of the meshes the steppers produce."""
+    if kind == "uniform":
+        return dt * np.arange(n + 1.0)
+    m0 = (2 * n) // 3
+    if kind == "halvings":  # adaptive regime: the step only ever halves
+        steps = np.concatenate([np.full(m0, dt), dt * 0.5 ** (1 + np.arange(n - m0) // 16)])
+    else:  # "frozen": one short step, then uniform steps that must stay exact
+        steps = np.concatenate([np.full(m0, dt), [0.3 * dt], np.full(n - m0 - 1, dt)])
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _drive(alpha, times, values, dt, n_steps, checks):
+    """Feed the mesh to an L1History; return the worst error relative to
+    sum |terms| over the checked steps, at each step time and at a trial
+    time inside the next interval (a rejected step)."""
+    history = L1History(values[0], alpha, dt, n_steps)
+    worst = 0.0
+    for m in range(1, len(times)):
+        if m in checks:
+            trial = times[m - 1] + 0.37 * (times[m] - times[m - 1])
+            for t_new in (times[m], trial):
+                got = history.memory(t_new)
+                ref, magnitude = exact_memory(alpha, times[:m], values[:m], t_new)
+                assert np.shape(got) == np.shape(ref)
+                if alpha == 1.0:
+                    assert np.all(got == 0.0)
+                    continue
+                magnitude = np.maximum(magnitude, np.finfo(float).tiny)  # 0 before any interval
+                worst = max(worst, float(np.max(np.abs(got - ref) / magnitude)))
+        history.append(values[m], times[m])
+    return worst
+
 
 class TestMemorySum:
     N = 400
@@ -71,23 +155,21 @@ class TestMemorySum:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("width", [None, 7])
     def test_matches_loop_reference(self, alpha, width):
-        w = l1_weights(alpha, 0.05, self.N)
-        shape = (self.N + 1,) if width is None else (self.N + 1, width)
-        diffs = np.random.default_rng(17).uniform(-1.0, 1.0, size=shape)
-        for n in (1, 2, 3, self.N // 2, self.N):
-            got = caputo_convolution(w, diffs, n)
-            ref = self._loop_sum(w.b, diffs, n)
-            assert np.shape(got) == ref.shape
-            # relative to the sum of |terms|, so sign cancellation cannot hide an error
-            magnitude = self._loop_sum(w.b, np.abs(diffs), n)
-            assert np.all(np.abs(got - ref) <= 1e-13 * magnitude)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    def test_reversed_slice_identity(self, alpha):
-        w = l1_weights(alpha, 0.05, self.N)
-        assert w.b_rev.flags.c_contiguous and not w.b_rev.flags.writeable
-        for n in range(2, self.N + 1):
-            assert np.array_equal(w.b_rev[self.N - n : self.N - 1], w.b[n - 1 : 0 : -1])
+        dt = 0.05
+        w = l1_weights(alpha, dt, self.N)
+        shape = (self.N,) if width is None else (self.N, width)
+        values = np.random.default_rng(17).uniform(-1.0, 1.0, size=shape)
+        diffs = np.concatenate([np.zeros((1,) + shape[1:]), np.diff(values, axis=0)])
+        history = L1History(values[0], alpha, dt, self.N)
+        for n in range(1, self.N):
+            if n in (1, 2, 3, 33, 34, self.N // 2, self.N - 1):
+                got = history.memory(n * dt)
+                ref = w.scale * self._loop_sum(w.b, diffs, n)
+                assert np.shape(got) == ref.shape
+                # relative to the sum of |terms|, so sign cancellation cannot hide an error
+                magnitude = w.scale * self._loop_sum(w.b, np.abs(diffs), n)
+                assert np.all(np.abs(got - ref) <= 1e-13 * magnitude)
+            history.append(values[n], n * dt)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.999, 1.0])
     @pytest.mark.parametrize("dt", [0.1, 0.37])
@@ -95,48 +177,125 @@ class TestMemorySum:
         w = l1_weights(alpha, dt, self.N)
         for n in range(2, self.N + 1):
             got = _nonuniform_history_weights(alpha, dt * np.arange(n), n * dt)
-            ref = w.scale * w.b_rev[self.N - n : self.N - 1]
+            ref = w.scale * w.b[n - 1 : 0 : -1]
             if alpha == 1.0:
                 assert np.all(got == 0.0) and np.all(ref == 0.0)
             else:
-                # b_j is a difference of two powers ~ j^(1-alpha), so both forms
-                # lose about j/(1-alpha) ulps to cancellation
-                rtol = 4.0 * np.finfo(float).eps * self.N / (1.0 - alpha)
+                # the mesh times m*dt are rounded to ulp(N*dt), which moves a
+                # step-time weight by up to about N/2 ulps
+                rtol = np.finfo(float).eps * self.N
                 np.testing.assert_allclose(got, ref, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_step_index_beyond_weights(self, alpha):
-        w = l1_weights(alpha, 0.1, 4)
-        with pytest.raises(DomainError, match="step index 5"):
-            caputo_convolution(w, np.zeros((8, 3)), 5)
-        assert np.shape(caputo_convolution(w, np.zeros((8, 3)), 4)) == (3,)
+        history = L1History(np.zeros(3), alpha, 0.1, 4)
+        with pytest.raises(DomainError, match="outside"):
+            history.memory(0.5)
+        assert np.shape(history.memory(0.4)) == (3,)
+        history.append(np.ones(3), 0.1)
+        with pytest.raises(DomainError, match="outside"):
+            history.memory(0.1)
+
+
+class TestSOE:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("n_steps", [2, 50, 4000, 200_000])
+    def test_weights_fit_the_l1_weights(self, alpha, n_steps):
+        s, c = _soe_modes(alpha, n_steps)
+        b = l1_weights(alpha, 1.0, n_steps).b
+        j = np.unique(np.geomspace(1, n_steps - 1, 400).round()).astype(int)
+        approx = np.exp(-np.outer(j, s)) @ c
+        assert np.max(np.abs(approx / b[j] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [2, 400, 4000, 200_000])
+    def test_mode_count_bound(self, n_steps):
+        for alpha in (0.25, 0.5, 0.8, 0.99):
+            q = len(_soe_modes(alpha, n_steps)[0])
+            assert q <= 8 * math.ceil(math.log(30.0 * n_steps)) + 6
+        assert len(_soe_modes(0.5, 200_000)[0]) <= 140
+
+    def test_uniform_history_stays_bounded(self):
+        history = L1History(np.zeros(16), 0.5, 0.25, 5000)
+        rows = len(history._rows)
+        for m in range(1, 5000):
+            history.append(np.full(16, float(m)), 0.25 * m)
+        assert len(history._rows) == rows == len(_soe_modes(0.5, 5000)[0]) + _FOLD + 1
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99, 1.0])
+    @pytest.mark.parametrize("kind", ["uniform", "halvings", "frozen"])
+    @pytest.mark.parametrize("width", [None, 4], ids=["scalar", "field"])
+    def test_matches_exact_oracle(self, alpha, kind, width):
+        n, dt = 1500, 0.25
+        times = _mesh(kind, dt, n)
+        shape = (n + 1,) if width is None else (n + 1, width)
+        values = np.random.default_rng(5).uniform(0.0, 1.0, size=shape)
+        checks = {1, 2, 32, 33, 34, 65, 999, 1000, 1001, 1002, 1003, 1100, n}
+        worst = _drive(alpha, times, values, dt, n, checks)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99, 1.0])
+    @pytest.mark.parametrize("kind", ["uniform", "frozen"])
+    def test_matches_exact_oracle_long(self, alpha, kind):
+        n, dt = 200_000, 0.5
+        times = _mesh(kind, dt, n)
+        values = np.cumsum(np.random.default_rng(7).uniform(-1.0, 1.0, n + 1))
+        worst = _drive(alpha, times, values, dt, n, {1000, 133_334, 133_340, n})
+        assert worst <= 1e-12
+        if kind == "uniform":
+            got = L1History(values[0], alpha, dt, n)
+            for m in range(1, n):
+                got.append(values[m], m * dt)
+            ref, magnitude = uniform_memory(alpha, dt, values[:n])
+            assert abs(got.memory(n * dt) - ref) <= 1e-12 * magnitude
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_repeat_runs_bit_identical(self, alpha):
+        def once():
+            _soe_modes.cache_clear()
+            times = _mesh("halvings", 0.25, 600)
+            values = np.random.default_rng(3).uniform(0.0, 1.0, size=(601, 5))
+            history = L1History(values[0], alpha, 0.25, 600)
+            out = []
+            for m in range(1, 601):
+                out.append(history.memory(times[m]))
+                history.append(values[m], times[m])
+            return np.array(out)
+
+        assert np.array_equal(once(), once())
+        assert np.array_equal(
+            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0).values,
+            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0).values,
+        )
 
 
 class TestL1History:
     @pytest.mark.parametrize("width", [None, 5], ids=["scalar", "field"])
     def test_increments_survive_growth(self, width):
-        shape = (41,) if width is None else (41, width)
+        # a mesh off the uniform step from the first interval keeps every
+        # increment exact, in arrays that double past their first capacity
+        n = 400
+        times = np.concatenate([[0.0], np.cumsum(np.geomspace(0.05, 0.2, n))])
+        shape = (n + 1,) if width is None else (n + 1, width)
         values = np.random.default_rng(3).uniform(0.0, 1.0, size=shape)
-        history = L1History(values[0])
-        for m, y in enumerate(values[1:], start=1):
-            history.append(y, 0.1 * m)
-        assert len(history) == 41
+        history = L1History(values[0], 0.6, 0.1, 800)
+        for m in range(1, n + 1):
+            history.append(values[m], times[m])
+        assert len(history) == n + 1
+        assert history.t_last == times[-1]
         assert np.array_equal(history.last, values[-1])
-        assert np.all(history.increments[0] == 0.0)
-        assert np.array_equal(history.increments[1:], values[1:] - values[:-1])
-        assert np.array_equal(history.times, 0.1 * np.arange(41))
+        t_new = times[-1] + 0.05
+        ref, magnitude = exact_memory(0.6, times, values, t_new)
+        assert np.all(np.abs(history.memory(t_new) - ref) <= 1e-13 * magnitude)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
     def test_memory_matches_uniform_sum_on_uniform_mesh(self, alpha):
-        n, dt = 40, 0.1
-        w = l1_weights(alpha, dt, n)
+        n, dt = 100, 0.1
         fields = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, 3))
-        history = L1History(fields[0])
+        history = L1History(fields[0], alpha, dt, n)
         for m in range(1, n):
             history.append(fields[m], m * dt)
-        got = history.memory(alpha, n * dt)
-        ref = w.scale * caputo_convolution(w, history.increments, n)
-        magnitude = w.scale * caputo_convolution(w, np.abs(history.increments), n)
+        got = history.memory(n * dt)
+        ref, magnitude = uniform_memory(alpha, dt, fields)
         assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
 
 
@@ -163,6 +322,18 @@ class TestLinearFode:
             for k in (6, 8, 10)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_matches_exact_history_solver(self, alpha):
+        n, dt, rate = 4000, 0.25, 0.3
+        w = l1_weights(alpha, dt, n)
+        y = np.empty(n + 1)
+        y[0] = 1.0
+        for k in range(1, n + 1):  # the O(n^2) exact memory sum
+            hist = w.b[k - 1 : 0 : -1] @ np.diff(y[:k])
+            y[k] = w.scale * (y[k - 1] - hist) / (w.scale + rate)
+        got = solve_linear_fode(alpha, rate, 1.0, dt, n * dt).values
+        np.testing.assert_allclose(got, y, rtol=1e-12, atol=0.0)
 
     def test_trace_covers_interval_for_nondividing_dt(self):
         trace = solve_linear_fode(0.5, 1.0, 1.0, 0.3, 1.0)

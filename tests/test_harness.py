@@ -103,6 +103,13 @@ class TestParseConfig:
         assert err.value.key == "slope_bnd"
         assert err.value.section == "decay-small"
 
+    def test_keyless_kind_says_it_takes_no_keys(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, "[x]\nkind = ml_table\ntol = 1e-10\n"))
+        assert "'ml_table' (it takes no keys)" in str(err.value)
+        assert "choose from []" not in str(err.value)
+        assert (err.value.key, err.value.section) == ("tol", "x")
+
     def test_unknown_profile_rejected(self, tmp_path):
         bad = MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nprofile = nope")
         with pytest.raises(ConfigError) as err:
@@ -140,6 +147,17 @@ class TestConfigDocs:
             ("bounds-quick", "invariant_region"),
             ("blowup-quick", "blowup"),
         ]
+
+    def test_long_horizon_config_parses(self):
+        campaigns = parse_config(ROOT / "configs" / "long_horizon.ini")
+        assert [(c.name, c.kind) for c in campaigns] == [
+            ("decay-long-a05", "decay"),
+            ("decay-long-a08", "decay"),
+        ]
+        for campaign, alpha in zip(campaigns, (0.5, 0.8)):
+            p = campaign.params
+            assert (p["alpha"], p["dt"], p["t_end"]) == (alpha, 0.5, 8000.0)
+            assert round(p["t_end"] / p["dt"]) == 16_000
 
     def test_readme_lists_every_key_with_default(self):
         # Each kind's README entry names every key, with its default written

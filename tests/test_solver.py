@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from fracrd import solver
-from fracrd.caputo import BLOW_THRESHOLD, L1History, l1_weights, solve_logistic_fode
+from fracrd.caputo import BLOW_THRESHOLD, L1History, solve_logistic_fode
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, OperatorMatrix
 from fracrd.solver import (
@@ -53,18 +53,16 @@ class TestStep:
     def test_single_node_hand_oracle(self):
         # alpha=1, dt=0.1, A=[2], u0=0.5: (10+2+1) u1 = 10*0.5 + 0.25
         op = OperatorMatrix(dim=1, entries=np.array([[2.0]]))
-        weights = l1_weights(1.0, 0.1, 5)
-        history = L1History(np.array([0.5]))
-        u1 = step(history, weights, system_factor(weights.scale + 1.0, op.entries))
+        history = L1History(np.array([0.5]), 1.0, 0.1, 5)
+        u1 = step(history, system_factor(history.scale + 1.0, op.entries))
         assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
 
     def test_zero_field_is_fixed_point(self):
         op = OperatorMatrix(dim=2, entries=np.eye(2))
-        weights = l1_weights(0.5, 0.1, 10)
-        history = L1History(np.zeros(2))
-        factor = system_factor(weights.scale + 1.0, op.entries)
+        history = L1History(np.zeros(2), 0.5, 0.1, 10)
+        factor = system_factor(history.scale + 1.0, op.entries)
         for k in range(1, 6):
-            u = step(history, weights, factor)
+            u = step(history, factor)
             assert np.all(u == 0.0)
             history.append(u, 0.1 * k)
 
@@ -107,17 +105,15 @@ class TestSolve:
 
     def test_nan_history_raises_step_failure(self):
         op = OperatorMatrix(dim=3, entries=np.eye(3))
-        weights = l1_weights(0.5, 0.1, 10)
-        history = L1History(np.array([0.5, np.nan, 0.5]))
+        history = L1History(np.array([0.5, np.nan, 0.5]), 0.5, 0.1, 10)
         with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            step(history, weights, system_factor(weights.scale + 1.0, op.entries))
+            step(history, system_factor(history.scale + 1.0, op.entries))
 
     def test_singular_factor_raises_step_failure(self):
-        weights = l1_weights(0.5, 0.1, 10)
-        history = L1History(np.full(3, 0.5))
+        history = L1History(np.full(3, 0.5), 0.5, 0.1, 10)
         factor = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(StepFailureError, match="factor is singular"):
-            step(history, weights, factor)
+            step(history, factor)
 
     def test_non_spd_matrix_raises_step_failure(self):
         with pytest.raises(StepFailureError, match="not positive definite"):
@@ -127,7 +123,7 @@ class TestSolve:
     def _adaptive_inputs(last, entries):
         cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=3, dt=0.1, t_end=1.0)
         op = OperatorMatrix(dim=3, entries=entries)
-        history = L1History(np.full(3, 0.5))
+        history = L1History(np.full(3, 0.5), cfg.alpha, cfg.effective_dt, cfg.n_steps)
         history.append(last, cfg.effective_dt)
         monitors = _Monitors(cfg.grid.h, np.ones(3), False, 4)
         return cfg, op, history, monitors
