@@ -112,8 +112,11 @@ class Field:
 class OperatorMatrix:
     """Dense symmetric positive-semidefinite discretization of the operator."""
 
-    dim: int
     entries: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,7 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         entries.flat[n :: n + 1] -= off
         entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
         _check_symmetry(entries)
-    return OperatorMatrix(dim=n, entries=entries)
+    return OperatorMatrix(entries)
 
 
 def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> OperatorMatrix:
@@ -281,7 +284,7 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
 
     entries *= c
     _check_symmetry(entries)
-    return OperatorMatrix(dim=n, entries=entries)
+    return OperatorMatrix(entries)
 
 
 def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:

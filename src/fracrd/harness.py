@@ -53,6 +53,7 @@ from .fraclap import (
 from .solver import (
     PROFILES,
     SimConfig,
+    _get_operator,
     blowup_bracket,
     detect_blowup,
     initial_field,
@@ -464,8 +465,6 @@ def scaled_blowup_config(p, alpha, factor):
     target mass; t_end is 1.5 times the upper end of the blow-up window.
     Returns ``(config, lambda1, h0)``.
     """
-    from .solver import _get_operator
-
     a, b = p["domain"]
     cfg = SimConfig(
         alpha=alpha, s=p["s"], a=a, b=b, n=p["n"], dt=p["dt"], t_end=1.0,

@@ -25,21 +25,30 @@ lambda1 the run carries the two-sided blow-up window
 and blow-up is declared when max u crosses ``caputo.BLOW_THRESHOLD``, with the
 step size halved adaptively once max u exceeds 10*(1 + lambda1).
 
-Step kernel.  At the grid sizes the campaigns use (n = 128, 256) a step is a
-few tens of kflop, so the kernel does its arithmetic and little else:
+Stepping.  ``run`` is one loop over committed steps in two regimes.  The
+uniform regime steps to t = k*dt with the weight ``scale`` of the uniform
+mesh and records every output stride.  The first time max u exceeds
+10*(1 + lambda1) the loop turns adaptive: it steps to min(t_last + dt', t_end)
+with the weight dt_eff^(-alpha)/Gamma(2-alpha) of the step actually taken,
+records every committed step, and rejects a step and halves dt' when max u
+grows by more than half.  At the grid sizes the campaigns use (n = 128, 256)
+a step is a few tens of kflop, so each one does its arithmetic and little
+else, the same in both regimes:
 
-* one solve per step: a single LAPACK ``potrs`` call on a Cholesky factor
-  computed once per step size (one for the uniform mesh, one for the current
-  level of the adaptive regime, whose step only ever halves), followed by one
-  finiteness check of the solution; a failure raises StepFailureError;
-* one history object, ``caputo.L1History``, whose ``memory(t_new)`` is the
-  memory sum of both regimes: one matrix-vector product over the Q
-  sum-of-exponentials state vectors of the uniform mesh and the intervals
-  kept exact, Q + 32 rows or fewer on the uniform mesh, so a uniform step
-  costs the same at any index; in the adaptive regime the state is frozen
-  and every new interval stays exact, with weights from the step times;
-* one ``max u`` per step, shared by the blow-up test, the adaptive trigger
-  and the monitors, which are written into a preallocated array.
+* one right-hand side, w*u_last - memory(t_new) + u_last^2, and one solve:
+  a single LAPACK ``potrs`` call on a Cholesky factor computed once per step
+  size (one for the uniform mesh, one per level of the adaptive regime, whose
+  step only ever halves), followed by one finiteness check of the solution;
+  a failure raises StepFailureError;
+* one history object, ``caputo.L1History``, whose ``memory(t_new)`` is one
+  matrix-vector product over the Q sum-of-exponentials state vectors of the
+  uniform mesh and the intervals kept exact, Q + 32 rows or fewer on the
+  uniform mesh, so a uniform step costs the same at any index; in the
+  adaptive regime the state is frozen and every new interval stays exact,
+  with weights from the step times;
+* one ``max u`` per step, shared by the rejection test, the blow-up test,
+  the adaptive trigger and the monitors, which are written into a
+  preallocated array.
 """
 
 from __future__ import annotations
@@ -285,21 +294,9 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def step(history: L1History, cho: np.ndarray) -> np.ndarray:
-    """Advance one uniform L1 step of the coupled scheme.
-
-    ``history`` holds u^0..u^(n-1); returns u^n, one step ``history.dt``
-    later.  ``cho`` is the factor ``system_factor(history.scale + 1, A)`` of
-    the operator matrix A, shared by every uniform step.  Raises
-    StepFailureError when the solve fails.
-    """
-    u_prev = history.last
-    hist = history.memory(history.t_last + history.dt)
-    rhs = history.scale * u_prev - hist + u_prev * u_prev
-    return _solve(cho, rhs)
-
-
 # --- full runs -----------------------------------------------------------------
+
+_MAX_ADAPTIVE_STEPS = 200_000  # run: committed steps after the adaptive switch before giving up
 
 # A few entries cover every campaign's working set; one n = 4096 entry is
 # 134 MB.  Keyed on the grid and s, since a SimConfig's profile_params dict
@@ -324,9 +321,13 @@ def run(
     """Advance the scheme to t_end or blow-up and collect the monitors.
 
     Records E, H and the field bounds every output stride (at most ~2000
-    entries).  Once max u exceeds 10*(1+lambda1) the run switches to adaptive
-    stepping: the L1 memory weights are evaluated from the actual step times
-    and the step is halved whenever the relative growth of max u exceeds 1/2.
+    entries) of the uniform mesh.  Once max u exceeds 10*(1+lambda1) the run
+    switches to adaptive stepping: every committed step is recorded, the L1
+    memory weights are evaluated from the actual step times, and a step is
+    rejected and the step size halved whenever the relative growth of max u
+    exceeds 1/2.  The adaptive regime ends the run unresolved after
+    ``_MAX_ADAPTIVE_STEPS`` committed steps or once its step falls below
+    ``DT_FLOOR_REL * t_end``.
     """
     grid = config.grid
     operator, eigenpair = _get_operator(config)
@@ -343,34 +344,61 @@ def run(
         raise DomainError("initial data must be finite")
 
     h0 = float(grid.h * np.sum(u0 * e1))
+    alpha, t_end = config.alpha, config.t_end
     n_steps = config.n_steps
-    dt = config.effective_dt
+    dt = cur_dt = config.effective_dt
+    g2 = math.gamma(2.0 - alpha)
+    floor = DT_FLOOR_REL * t_end
+    t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
-    history = L1History(u0, config.alpha, dt, n_steps)
+    history = L1History(u0, alpha, dt, n_steps)
     factor = system_factor(history.scale + 1.0, operator.entries)
+    factor_key = None  # log2 of the adaptive step the factor was built for
 
+    u_max = float(u0.max())
     monitors = _Monitors(grid.h, e1, record_fields, n_steps // stride + 2)
-    monitors.record(0.0, u0, float(u0.max()))
+    monitors.record(0.0, u0, u_max)
     adaptive_trigger = 10.0 * (1.0 + lam1)
-    blowup = None
-    inconclusive = None
+    adaptive, k, k_switch = False, 0, 0  # k: committed steps
+    blowup = inconclusive = None
 
-    for step_idx in range(1, n_steps + 1):
-        u_new = step(history, factor)
-        u_max = float(u_new.max())
-        t_now = step_idx * dt
-        if u_max >= BLOW_THRESHOLD:
-            monitors.record(t_now, u_new, u_max)
-            blowup = BlowupEvent(t_star_numeric=t_now, terminal_max=u_max)
+    while history.t_last < t_stop:
+        if not adaptive:
+            t_new, w = (k + 1) * dt, history.scale
+        else:
+            if k - k_switch >= _MAX_ADAPTIVE_STEPS:
+                inconclusive = "step budget exhausted in adaptive regime"
+                break
+            t_new = min(history.t_last + cur_dt, t_end)
+            tau = t_new - history.t_last
+            w = tau ** (-alpha) / g2
+            key = round(math.log2(tau), 6)
+            if key != factor_key:
+                factor_key, factor = key, system_factor(w + 1.0, operator.entries)
+        u_last = history.last
+        u_new = _solve(factor, w * u_last - history.memory(t_new) + u_last * u_last)
+        max_new = float(u_new.max())
+        if adaptive and max_new - u_max > 0.5 * max(u_max, 1.0):
+            cur_dt *= 0.5
+            if cur_dt < floor:
+                inconclusive = (
+                    f"step size collapsed below floor {floor:g} "
+                    "without crossing the blow-up threshold"
+                )
+                break
+            continue
+        history.append(u_new, t_new)
+        k, u_max = k + 1, max_new
+        blown = u_max >= BLOW_THRESHOLD
+        if adaptive or blown or k % stride == 0 or k == n_steps:
+            monitors.record(t_new, u_new, u_max)
+        if blown:
+            blowup = BlowupEvent(t_star_numeric=t_new, terminal_max=u_max)
             break
-        history.append(u_new, t_now)
-        if step_idx % stride == 0 or step_idx == n_steps:
-            monitors.record(t_now, u_new, u_max)
-        if u_max > adaptive_trigger:
-            blowup, inconclusive = _run_adaptive(config, operator, history, monitors, u_max)
-            break
+        if not adaptive and u_max > adaptive_trigger:
+            adaptive, k_switch = True, k
 
-    bracket = blowup_bracket(h0, config.alpha, lam1) if h0 > 0 else None
+    bracket = blowup_bracket(h0, alpha, lam1) if h0 > 0 else None
     if bracket is not None and not bracket.admissible:
         bracket = None
 
@@ -395,56 +423,6 @@ def run(
         fields=monitors.fields,
         field_times=monitors.field_times,
     )
-
-
-def _run_adaptive(config, operator, history, monitors, max_last):
-    """Adaptive continuation once the field is in the blow-up regime.
-
-    The memory term weighs the intervals after the uniform prefix, which
-    ``L1History`` freezes at the first halving, by the actual step times;
-    each committed step re-records, and the step is halved when max u grows
-    by more than 50% in one step.  The step only ever shrinks, so one
-    Cholesky factor, of the current step size, is kept.  ``max_last`` is
-    max u of the last committed field.
-    """
-    alpha = config.alpha
-    g2 = math.gamma(2.0 - alpha)
-    a_mat = operator.entries
-    floor = DT_FLOOR_REL * config.t_end
-    t_end = config.t_end
-    cur_dt = config.effective_dt
-    t_last = history.t_last
-    factor_key, factor = None, None
-    max_steps = 200_000
-
-    while t_last < t_end - 1e-12 * t_end:
-        if len(history) > max_steps:
-            return None, "step budget exhausted in adaptive regime"
-        u_last = history.last
-        t_new = min(t_last + cur_dt, t_end)
-        dt_eff = t_new - t_last
-        w_new = dt_eff ** (-alpha) / g2
-        hist = history.memory(t_new)
-        key = round(math.log2(dt_eff), 6)
-        if key != factor_key:
-            factor_key, factor = key, system_factor(w_new + 1.0, a_mat)
-        rhs = w_new * u_last - hist + u_last * u_last
-        u_new = _solve(factor, rhs)
-        max_new = float(u_new.max())
-        if (max_new - max_last) > 0.5 * max(max_last, 1.0):
-            cur_dt *= 0.5
-            if cur_dt < floor:
-                return None, (
-                    f"step size collapsed below floor {floor:g} "
-                    "without crossing the blow-up threshold"
-                )
-            continue
-        history.append(u_new, t_new)
-        t_last, max_last = t_new, max_new
-        monitors.record(t_new, u_new, max_new)
-        if max_new >= BLOW_THRESHOLD:
-            return BlowupEvent(t_star_numeric=t_new, terminal_max=max_new), None
-    return None, None
 
 
 def _maybe_decay_slope(times, energy, config):

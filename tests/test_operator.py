@@ -224,7 +224,7 @@ class TestEigenpair:
     @pytest.mark.parametrize("n", [8, 600])
     def test_not_positive_definite_is_named(self, n):
         grid = Grid1D(0.0, 1.0, n)
-        op = OperatorMatrix(dim=n, entries=-np.eye(n))
+        op = OperatorMatrix(-np.eye(n))
         with pytest.raises(ConvergenceError, match="not positive definite"):
             principal_eigenpair(op, grid)
 
@@ -232,7 +232,7 @@ class TestEigenpair:
         grid = Grid1D(0.0, 1.0, 8)
         a = assemble_regional(grid, 0.5).entries.copy()
         a[3, 5] = np.nan
-        op = OperatorMatrix(dim=8, entries=a)
+        op = OperatorMatrix(a)
         with pytest.raises(ConvergenceError, match="non-finite entries"):
             principal_eigenpair(op, grid)
 
@@ -240,6 +240,8 @@ class TestEigenpair:
         op = assemble_regional(Grid1D(0.0, 1.0, 8), 0.5)
         with pytest.raises(DomainError, match="n=9 .* dim=8"):
             principal_eigenpair(op, Grid1D(0.0, 1.0, 9))
+        with pytest.raises(DomainError, match="n=8 .* dim=3"):
+            principal_eigenpair(OperatorMatrix(2.0 * np.eye(3)), Grid1D(0.0, 1.0, 8))
 
     def test_discrete_poincare(self, op64):
         grid, op = op64

@@ -9,19 +9,17 @@ from scipy.linalg import cho_factor, cho_solve
 from fracrd import solver
 from fracrd.caputo import BLOW_THRESHOLD, L1History, solve_logistic_fode
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
-from fracrd.fraclap import Grid1D, OperatorMatrix
+from fracrd.fraclap import Grid1D
+from fracrd.harness import scaled_blowup_config
 from fracrd.solver import (
     SimConfig,
     _get_operator,
-    _Monitors,
-    _run_adaptive,
     _solve,
     blowup_bracket,
     decay_rate_fit,
     detect_blowup,
     initial_field,
     run,
-    step,
     system_factor,
 )
 from fracrd.special import MLParams, ml_eval
@@ -50,21 +48,15 @@ class TestConfig:
 
 
 class TestStep:
-    def test_single_node_hand_oracle(self):
-        # alpha=1, dt=0.1, A=[2], u0=0.5: (10+2+1) u1 = 10*0.5 + 0.25
-        op = OperatorMatrix(dim=1, entries=np.array([[2.0]]))
-        history = L1History(np.array([0.5]), 1.0, 0.1, 5)
-        u1 = step(history, system_factor(history.scale + 1.0, op.entries))
-        assert u1[0] == pytest.approx(5.25 / 13.0, rel=1e-14)
-
-    def test_zero_field_is_fixed_point(self):
-        op = OperatorMatrix(dim=2, entries=np.eye(2))
-        history = L1History(np.zeros(2), 0.5, 0.1, 10)
-        factor = system_factor(history.scale + 1.0, op.entries)
-        for k in range(1, 6):
-            u = step(history, factor)
-            assert np.all(u == 0.0)
-            history.append(u, 0.1 * k)
+    def test_first_step_matches_dense_solve_at_alpha_one(self):
+        # alpha = 1 keeps no memory: (1/dt + 1 + A) u1 = u0/dt + u0^2
+        cfg = SimConfig(alpha=1.0, s=0.5, a=0.0, b=1.0, n=8, dt=0.1, t_end=1.0)
+        u0 = np.linspace(0.1, 0.8, 8)
+        result = run(cfg, u0_override=u0, record_fields=True)
+        a_mat = _get_operator(cfg)[0].entries
+        expected = np.linalg.solve((1.0 / cfg.dt + 1.0) * np.eye(8) + a_mat, u0 / cfg.dt + u0**2)
+        assert result.field_times[1] == cfg.dt
+        np.testing.assert_allclose(result.fields[1], expected, rtol=1e-13)
 
     def test_matches_rk4_reference_at_alpha_one(self):
         # Classical limit: the semi-discrete system du/dt = -Au - u + u^2
@@ -103,40 +95,18 @@ class TestSolve:
             expected = cho_solve(cho_factor(shift * np.eye(n) + a), rhs)
             assert np.array_equal(_solve(system_factor(shift, a), rhs), expected)
 
-    def test_nan_history_raises_step_failure(self):
-        op = OperatorMatrix(dim=3, entries=np.eye(3))
-        history = L1History(np.array([0.5, np.nan, 0.5]), 0.5, 0.1, 10)
+    def test_nan_rhs_raises_step_failure(self):
         with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            step(history, system_factor(history.scale + 1.0, op.entries))
+            _solve(system_factor(2.0, np.eye(3)), np.array([0.5, np.nan, 0.5]))
 
     def test_singular_factor_raises_step_failure(self):
-        history = L1History(np.full(3, 0.5), 0.5, 0.1, 10)
         factor = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(StepFailureError, match="factor is singular"):
-            step(history, factor)
+            _solve(factor, np.full(3, 0.5))
 
     def test_non_spd_matrix_raises_step_failure(self):
         with pytest.raises(StepFailureError, match="not positive definite"):
             system_factor(1.0, -5.0 * np.eye(4))
-
-    @staticmethod
-    def _adaptive_inputs(last, entries):
-        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=3, dt=0.1, t_end=1.0)
-        op = OperatorMatrix(dim=3, entries=entries)
-        history = L1History(np.full(3, 0.5), cfg.alpha, cfg.effective_dt, cfg.n_steps)
-        history.append(last, cfg.effective_dt)
-        monitors = _Monitors(cfg.grid.h, np.ones(3), False, 4)
-        return cfg, op, history, monitors
-
-    def test_adaptive_nan_history_raises_step_failure(self):
-        cfg, op, history, monitors = self._adaptive_inputs(np.array([0.5, np.nan, 0.5]), np.eye(3))
-        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            _run_adaptive(cfg, op, history, monitors, 0.5)
-
-    def test_adaptive_non_spd_matrix_raises_step_failure(self):
-        cfg, op, history, monitors = self._adaptive_inputs(np.full(3, 0.6), -1e3 * np.eye(3))
-        with pytest.raises(StepFailureError, match="not positive definite"):
-            _run_adaptive(cfg, op, history, monitors, 0.6)
 
 
 class TestOperatorCache:
@@ -291,8 +261,6 @@ class TestBlowupRuns:
         # at alpha 0.5 the adaptive step reaches the floor DT_FLOOR_REL * t_end
         # before max u reaches the threshold, so the run must say so rather
         # than report "no event"
-        from fracrd.harness import scaled_blowup_config
-
         p = {"domain": (0.0, 2.0), "s": 0.4, "n": 32, "dt": 2e-3, "width": 0.2}
         cfg, _, _ = scaled_blowup_config(p, 0.5, 1.2)
         r = run(cfg)
@@ -301,6 +269,44 @@ class TestBlowupRuns:
         finding = detect_blowup(cfg)
         assert finding.status == "inconclusive"
         assert finding.t_star is None
+
+
+    @staticmethod
+    def _alpha_one_blowup():
+        # 115 uniform steps, then 98 committed adaptive steps to the threshold
+        p = {"domain": (0.0, 2.0), "s": 0.4, "n": 32, "dt": 2e-3, "width": 0.2}
+        return scaled_blowup_config(p, 1.0, 1.6)[0]
+
+    def test_adaptive_regime_records_every_committed_step(self, monkeypatch):
+        commits = []
+
+        class SpyHistory(L1History):
+            def append(self, value, t):
+                commits.append((t, float(value.max())))
+                super().append(value, t)
+
+        monkeypatch.setattr(solver, "L1History", SpyHistory)
+        r = run(self._alpha_one_blowup())
+        assert r.blowup is not None
+        trigger = 10.0 * (1.0 + r.lambda1)
+        switch = next(i for i, (_, u_max) in enumerate(commits) if u_max > trigger)
+        t_switch = commits[switch][0]
+        adaptive = [t for t, _ in commits[switch + 1 :]]
+        assert len(adaptive) > 1
+        assert list(r.times[r.times > t_switch]) == adaptive
+        assert np.all(np.diff(r.times) > 0)
+        steps = np.diff([t_switch] + adaptive)
+        assert np.all(steps[1:] <= steps[:-1] * (1.0 + 1e-9))
+        assert steps[-1] < 1e-3 * steps[0]  # the step was halved
+
+    def test_adaptive_step_budget_counts_only_adaptive_steps(self, monkeypatch):
+        cfg = self._alpha_one_blowup()
+        monkeypatch.setattr(solver, "_MAX_ADAPTIVE_STEPS", 100)  # below the uniform prefix
+        assert run(cfg).blowup is not None
+        monkeypatch.setattr(solver, "_MAX_ADAPTIVE_STEPS", 1)
+        r = run(cfg)
+        assert r.blowup is None
+        assert r.inconclusive == "step budget exhausted in adaptive regime"
 
 
 class TestDetectBlowup:
