@@ -14,20 +14,26 @@ over (y, x) turns the full-line energy into
     int int u'(t) v'(tau) |t - tau|^(1-2s) / (2s(2s-1)) dt dtau,
 
 whose cell-pair integrals are fourth differences of |k|^(3-2s) (a quadratic
-log form at s = 1/2), and the difference between the full-line and the
-Omega-restricted energy is a weighted mass term with the explicit weight
-omega(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s), integrable against products
-of interior hats.  That mass is tridiagonal and is subtracted in place from
-the Toeplitz full-line matrix as two diagonals.  Its cell integrals need
+log form at s = 1/2).  From offset 3 on, where those differences cancel,
+they are Gauss-Legendre integrals of the cubic B-spline against t^(-1-2s),
+the fourth derivative of that primitive.  The difference between the
+full-line and the Omega-restricted energy is a weighted mass term with the
+explicit weight omega(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s), integrable
+against products of interior hats.  That mass is tridiagonal and is
+subtracted in place from the Toeplitz full-line matrix as two diagonals.
+Its cell integrals need
 powers at the n + 1 knots k*h only; they come from libm (Python ``**`` and
 ``math.log``), since numpy's ``power`` and ``log`` differ from it in the last
 bit on some inputs and the matrix is reproducible bit for bit.  Dividing the
 stiffness matrix by h (lumped mass) yields a nodal operator matrix.  The
-variational origin makes the matrix symmetric positive semidefinite with
-nonpositive off-diagonal entries and nonnegative row sums, and its
+variational origin makes the matrix symmetric positive semidefinite, and its
 eigenvalues converge at the energy (squared) rate, which the pointwise
 collocation alternative does not achieve for the boundary-singular
-eigenfunctions of this operator.
+eigenfunctions of this operator.  Off the diagonal it is nonpositive, with
+nonnegative row sums (an M-matrix), only for s above a threshold that rises
+with n: the nearest-neighbour entry is positive below it.  Measured on
+(0, 1), the largest failing s on a 0.01 grid is 0.08 at n = 16, 0.17 at
+n = 64, 0.21 at n = 256, 0.22 at n = 1024 and 2048, and 0.23 at n = 4096.
 
 ``assemble_regional_untruncated`` keeps a cell-collocation construction on a
 cell-centred grid tiling all of (a, b): midpoint values against exact
@@ -43,10 +49,13 @@ Both variants pass a tiled symmetry check and use the normalization
 C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under which the s -> 1
 limit is the classical Dirichlet Laplacian.
 
-``principal_eigenpair`` is one inverse-iteration loop on the Cholesky factor
-of the assembled matrix, stopped by a backward-error bound on the residual,
-16 * eps * ||A||_1; A is checked finite once, and each iteration is one
-LAPACK ``potrs`` solve.  Dense ``eigh`` serves only as the independent
+Both matrices are centrosymmetric bit for bit: the grid is its own mirror
+image under x -> a + b - x.  ``principal_eigenpair`` uses that.  One pass
+over A checks it finite and equal to its mirror image and takes ||A||_1;
+then one inverse-iteration loop runs on the Cholesky factor of the
+ceil(n/2) mirror-even block B = Q^T A Q, one LAPACK ``potrs`` solve per
+iteration, and stops on a backward-error bound, 16 * eps * ||A||_1, met by
+the residual on A itself.  Dense ``eigh`` serves only as the independent
 oracle (tests, the eigen_convergence campaign, the benchmark).
 """
 
@@ -63,8 +72,23 @@ from .errors import AssemblyError, ConvergenceError, DomainError
 
 _MAX_NODES = 4096  # dense storage; the kernel has global support
 _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
-_MAX_ITERATIONS = 100  # the suite and the tests meet the bound in 9 to 17
-_SYMMETRY_TILE = 64  # edge of the symmetry check's tiles; a tile pair is 64 kB
+# The suite meets the bound in 9 to 13 iterations, the tests in 9 to 14, and
+# n <= 1025 with s in [1e-3, 1 - 1e-6] in at most 22.
+_MAX_ITERATIONS = 100
+_SYMMETRY_TILE = 64  # edge of the symmetry check's tiles and of the eigen scan's strips
+
+
+def _spline_rule(points: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on each unit piece of [-2, 2], and their weights
+    times the centred cubic B-spline M4 at the nodes."""
+    x, wx = np.polynomial.legendre.leggauss(points)
+    u = (np.arange(-2.0, 2.0)[:, None] + 0.5 * (x + 1.0)).ravel()
+    au = np.abs(u)
+    m4 = np.where(au >= 1.0, (2.0 - au) ** 3 / 6.0, 2.0 / 3.0 - au**2 + 0.5 * au**3)
+    return u, 0.5 * np.tile(wx, 4) * m4
+
+
+_SPLINE_NODES, _SPLINE_WEIGHTS = _spline_rule()
 
 
 @dataclass(frozen=True)
@@ -110,7 +134,10 @@ class Field:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetric positive-semidefinite discretization of the operator."""
+    """Dense symmetric positive-semidefinite discretization of the operator.
+
+    On a uniform grid the matrix is also centrosymmetric, J A J = A with J
+    the reversal, exactly; ``principal_eigenpair`` requires that."""
 
     entries: np.ndarray
 
@@ -182,17 +209,31 @@ def _slope_kernel_primitive(t: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _fullspace_energy_toeplitz(n: int, h: float, s: float) -> np.ndarray:
-    """Energy of interior hat pairs for the full-line kernel (Toeplitz)."""
+def _fullspace_energy_column(n: int, h: float, s: float) -> np.ndarray:
+    """First column of the Toeplitz energy matrix of interior hat pairs for
+    the full-line kernel.
+
+    The entry at offset k is -h^(1-2s) times the fourth difference of the
+    primitive P at k.  For k <= 2 that difference is taken directly.  For
+    k >= 3 it equals the integral of M4(u) (k + u)^(-1-2s) over [-2, 2],
+    with M4 the centred cubic B-spline (the fourth derivative of P is
+    t^(-1-2s) for every s), taken by Gauss-Legendre on each unit piece: the
+    direct difference of values ~k^(3-2s) keeps a relative error of about
+    eps * k^4, all of the entry's digits at k ~ 4000.
+    """
     k = np.arange(n, dtype=float)
-    fourth = (
-        _slope_kernel_primitive(k + 2, s)
-        - 4.0 * _slope_kernel_primitive(k + 1, s)
-        + 6.0 * _slope_kernel_primitive(k, s)
-        - 4.0 * _slope_kernel_primitive(k - 1, s)
-        + _slope_kernel_primitive(k - 2, s)
+    near = k[:3]
+    fourth = np.empty(n)
+    fourth[:3] = (
+        _slope_kernel_primitive(near + 2, s)
+        - 4.0 * _slope_kernel_primitive(near + 1, s)
+        + 6.0 * _slope_kernel_primitive(near, s)
+        - 4.0 * _slope_kernel_primitive(near - 1, s)
+        + _slope_kernel_primitive(near - 2, s)
     )
-    return toeplitz(-(h ** (1.0 - 2.0 * s)) * fourth)
+    far = k[3:, None] + _SPLINE_NODES
+    fourth[3:] = np.sum(far ** (-1.0 - 2.0 * s) * _SPLINE_WEIGHTS, axis=1)
+    return -(h ** (1.0 - 2.0 * s)) * fourth
 
 
 def _boundary_weight_mass(n: int, h: float, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +280,7 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
     # infinite entries that result are reported by _check_symmetry as an
     # AssemblyError, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        entries = _fullspace_energy_toeplitz(n, h, s)
+        entries = toeplitz(_fullspace_energy_column(n, h, s))
         try:
             diag, off = _boundary_weight_mass(n, h, s)
         except OverflowError:
@@ -287,54 +328,116 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
     return OperatorMatrix(entries)
 
 
+def _centrosymmetric_norm1(a: np.ndarray) -> float:
+    """||A||_1 from one pass over strips of A; ConvergenceError unless A is
+    finite, DomainError unless A equals its mirror image J A J exactly.
+
+    Each strip of _SYMMETRY_TILE rows is compared with its mirror strip
+    reversed in both axes, and |A| is summed by column, so the pass forms no
+    n x n temporary."""
+    n, t = len(a), _SYMMETRY_TILE
+    colsum = np.zeros(n)
+    finite = mirrored = True
+    for i in range(0, n, t):
+        rows = a[i : i + t]
+        finite = finite and bool(np.isfinite(rows).all())
+        mirrored = mirrored and np.array_equal(rows, a[n - i - len(rows) : n - i][::-1, ::-1])
+        colsum += np.abs(rows).sum(axis=0)
+    if not finite:
+        raise ConvergenceError("operator matrix has non-finite entries")
+    if not mirrored:
+        raise DomainError(
+            "operator matrix is not centrosymmetric (A != J A J, J the reversal): "
+            "principal_eigenpair needs the mirror symmetry of a uniform grid"
+        )
+    return float(np.max(colsum))
+
+
+def _mirror_even_block(a: np.ndarray) -> np.ndarray:
+    """B = Q^T A Q for the orthonormal basis Q of mirror-even vectors: the
+    first ceil(n/2) entries of w = Q y are y, scaled by 1/sqrt(2) off the
+    middle node, and the rest are their mirror image."""
+    n = len(a)
+    k, m = (n + 1) // 2, n // 2
+    b = a[:k, :k].copy()
+    b[:, :m] += a[:k, ::-1][:, :m]
+    if k > m:  # odd n: the middle node is its own mirror image
+        b[:m, m] *= math.sqrt(2.0)
+        b[m, :m] = b[:m, m]
+    return b
+
+
+def _unfold(y: np.ndarray, n: int) -> np.ndarray:
+    """w = Q y: the mirror-even vector of length n with half y."""
+    m = n // 2
+    half = y[:m] / math.sqrt(2.0)
+    return np.concatenate((half, y[m:], half[::-1]))
+
+
 def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
-    """Smallest eigenpair by zero-shift inverse iteration on the Cholesky
-    factor of A.
+    """Smallest eigenpair by zero-shift inverse iteration on the mirror-even
+    half of A.
 
-    The matrix is positive definite on the zero-exterior subspace, so plain
-    inverse iteration converges to the ground state.  It stops at the first
-    unit iterate w whose residual ||A w - lambda w|| (a backward error: w is
-    an exact eigenvector of a matrix within that distance of A) is at most
-    16 * eps * ||A||_1.  The floating-point floor of that residual measures
-    0.3 to 2.3 eps * ||A||_1 for n from 8 to 4096 and s from 0.01 to 0.99,
-    so the factor 16 leaves about 7x headroom; a bound relative to lambda1
-    instead would sit below the floor on fine grids with s near 1.  The
-    eigenvector is sign-fixed (largest-magnitude entry positive), checked
-    positive, and rescaled to h * sum(e1) = 1.
+    A uniform grid maps onto itself under x -> a + b - x, so the assembled
+    matrix is centrosymmetric (J A J = A) and its positive ground state is
+    mirror-even.  With Q the orthonormal basis of mirror-even vectors, the
+    loop iterates on the Cholesky factor of the ceil(n/2) block B = Q^T A Q,
+    a quarter of A's size and an eighth of its factorization cost (Cantoni &
+    Butler, Linear Algebra Appl. 13 (1976) 275).  B is positive definite
+    when A is, and its eigenvalues are those of A's mirror-even modes.  A
+    positive ground state is among them (a positive vector is never odd),
+    so plain inverse iteration on B finds it.  Odd modes are never seen:
+    the result is A's ground state when that is positive, as this
+    operator's is (dense eigh agrees for n up to 1025 and s from 1e-3 to
+    1 - 1e-6).  Once
+    B's residual ||B y - lambda y|| for the unit iterate y is at most
+    16 * eps * ||A||_1, lambda and the residual are recomputed on A itself
+    for w = Q y, and the loop stops when that residual (a backward error: w
+    is an exact eigenvector of a matrix within that distance of A) meets the
+    same bound.  The floating-point floor of that residual measures 0.27 to
+    2.4 eps * ||A||_1 for n from 8 to 4096 and s from 0.01 to 0.99, so the
+    factor 16 leaves about 7x headroom; a bound relative to lambda1 instead
+    would sit below the floor on fine grids with s near 1.  The eigenvector
+    is sign-fixed (largest-magnitude entry positive), checked positive,
+    rescaled to h * sum(e1) = 1, and is mirror-symmetric bit for bit.
 
-    Raises DomainError when grid and matrix differ in size; ConvergenceError
-    when A is not finite or not positive definite, when an iterate's norm
-    underflows to 0 or overflows (the scale of A is too far from 1), when the
-    bound is not met within 100 iterations, or when the limit is not a
-    positive eigenpair.
+    Raises DomainError when grid and matrix differ in size or A is not
+    centrosymmetric; ConvergenceError when A is not finite or not positive
+    definite, when an iterate's norm underflows to 0 or overflows (the scale
+    of A is too far from 1), when the bound is not met within 100
+    iterations, or when the limit is not a positive eigenpair.
     """
     if grid.n != op.dim:
         raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
-    a = op.entries
-    if not np.isfinite(a).all():
-        raise ConvergenceError("operator matrix has non-finite entries")
-    a_norm = np.linalg.norm(a, 1)
+    a, n = op.entries, op.dim
+    a_norm = _centrosymmetric_norm1(a)
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * a_norm
+    b = _mirror_even_block(a)
     try:
-        factor = cho_factor(a, check_finite=False)[0]
+        factor = cho_factor(b, check_finite=False)[0]
     except np.linalg.LinAlgError:
         raise ConvergenceError("operator matrix is not positive definite") from None
-    w = np.full(op.dim, 1.0 / math.sqrt(op.dim))
+    y = np.full(len(b), 1.0 / math.sqrt(len(b)))
     for _ in range(_MAX_ITERATIONS):
-        w = dpotrs(factor, w)[0]  # its info is nonzero only for an illegal argument
+        y = dpotrs(factor, y)[0]  # its info is nonzero only for an illegal argument
         with np.errstate(over="ignore"):  # an infinite norm is reported below
-            norm = np.linalg.norm(w)
+            norm = np.linalg.norm(y)
         if not 0.0 < norm < math.inf:
             raise ConvergenceError(
                 f"inverse iterate's norm {'underflowed to 0' if norm == 0 else 'overflowed'} "
                 f"at operator scale ||A||_1 = {a_norm:g} on the domain ({grid.a:g}, {grid.b:g})"
             )
-        w /= norm
-        aw = a @ w
-        lam = float(w @ aw)
-        residual = float(np.linalg.norm(aw - lam * w))
+        y /= norm
+        by = b @ y
+        lam = float(y @ by)
+        residual = float(np.linalg.norm(by - lam * y))
         if residual <= bound:
-            break
+            w = _unfold(y, n)
+            aw = a @ w
+            lam = float(w @ aw)
+            residual = float(np.linalg.norm(aw - lam * w))
+            if residual <= bound:
+                break
     else:
         raise ConvergenceError(
             f"inverse iteration residual {residual:g} exceeds the bound "

@@ -8,9 +8,13 @@ D^alpha u + L_s u + u = u^2, each step solves
     (scale*I + L_s + I) u^n = scale*(u^(n-1) - history) + (u^(n-1))^2,
 
 i.e. the stiff linear part (including the -u piece of the reaction) is
-implicit and the quadratic piece explicit.  The system matrix is an M-matrix
-plus identity, which makes the scheme positivity- and order-preserving and
-keeps every field with data in [0,1] inside [0,1] for any step size.
+implicit and the quadratic piece explicit.  The system matrix is L_s plus a
+positive multiple of the identity.  Where L_s has nonpositive off-diagonal
+entries that makes it an M-matrix, so the scheme is positivity- and
+order-preserving and keeps every field with data in [0,1] inside [0,1] for
+any step size.  That holds for s above a threshold that rises with n (0.23
+at n = 4096; see ``fraclap``); below it the nearest-neighbour entry of L_s
+is positive and the guarantee is unbacked.
 
 Monitored functionals (discrete integrals with weight h):
 

@@ -10,6 +10,7 @@ from fracrd.fraclap import (
     OperatorMatrix,
     _boundary_weight_mass,
     _check_symmetry,
+    _fullspace_energy_column,
     assemble_regional,
     assemble_regional_untruncated,
     dump_eigenpair,
@@ -60,6 +61,25 @@ def reference_boundary_mass(n, h, s):
                 + (b2 / h) * mono(2, t0, t1)
             )
     return (diag + diag[::-1]) / (2.0 * s), (off + off[::-1]) / (2.0 * s)
+
+
+def reference_energy_column(k, s):
+    """-(fourth difference of the double primitive of |t|^(1-2s)/(2s(2s-1)))
+    at offset k in 40-digit arithmetic, where the cancellation costs nothing."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def primitive(t):
+        t = abs(mpmath.mpf(t))
+        if t == 0:
+            return mpmath.mpf(0)
+        if s == 0.5:
+            return mpmath.mpf(3) / 4 * t**2 - t**2 * mpmath.log(t) / 2
+        p = mpmath.mpf(s)
+        return t ** (3 - 2 * p) / (2 * p * (2 * p - 1) * (2 - 2 * p) * (3 - 2 * p))
+
+    with mpmath.workdps(40):
+        fourth = sum(c * primitive(k + d) for c, d in zip((1, -4, 6, -4, 1), (2, 1, 0, -1, -2)))
+        return float(-fourth)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +163,28 @@ class TestAssembly:
         assert np.all(np.diag(a) > 0)
         assert np.all(a @ np.ones(op.dim) > 0)
 
+    @pytest.mark.parametrize("s", [0.01, 0.3, 0.5, 0.9, 0.99])
+    def test_energy_column_matches_extended_precision(self, s):
+        # The far entries are integrals of the spline against the kernel; a
+        # direct fourth difference of values ~k^(3-2s) loses all digits by
+        # k ~ 4000.
+        column = _fullspace_energy_column(4096, 1.0, s)
+        for k in (0, 1, 2, 3, 10, 100, 1000, 4095):
+            ref = reference_energy_column(k, s)
+            assert abs(column[k] - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_m_matrix_structure_on_the_largest_grid(self, s):
+        a = assemble_regional(Grid1D(0.0, 1.0, 4096), s).entries
+        assert np.all(a.sum(axis=1) >= 0)
+        np.fill_diagonal(a, -np.inf)
+        assert np.max(a) <= 0
+
+    def test_centrosymmetric_bit_for_bit(self):
+        for a in (assemble_regional(Grid1D(-1.0, 3.0, 131), 0.3).entries,
+                  assemble_regional_untruncated(0.0, 1.0, 130, 0.7).entries):
+            assert np.array_equal(a, a[::-1, ::-1])
+
     def test_untruncated_annihilates_constants(self):
         op = assemble_regional_untruncated(0.0, 1.0, 64, 0.5)
         resid = np.max(np.abs(op.entries @ np.ones(64)))
@@ -211,8 +253,8 @@ class TestEigenpair:
         assert abs(pair.lambda1 - lam_dense) <= 2.0 * backward_error_bound(op)
 
     def test_largest_grid_meets_contract(self):
-        # No dense oracle here: eigh takes seconds at n = 4096 and is itself
-        # about 1e-10 off; the residual is recomputed from the returned pair.
+        # No dense oracle here: eigh takes seconds at n = 4096; the residual
+        # is recomputed from the returned pair.
         grid = Grid1D(0.0, 1.0, 4096)
         op = assemble_regional(grid, 0.9)
         pair = principal_eigenpair(op, grid)
@@ -220,6 +262,26 @@ class TestEigenpair:
         residual = np.linalg.norm(op.entries @ e1 - pair.lambda1 * e1) / np.linalg.norm(e1)
         assert residual <= backward_error_bound(op)
         assert e1.min() > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 65, 1025])
+    def test_fold_matches_dense_oracle(self, n):
+        # The loop runs on the mirror-even half; lambda1 is still checked
+        # against the full matrix, and e1 is its own mirror image bit for bit.
+        grid = Grid1D(0.0, 1.0, n)
+        op = assemble_regional(grid, 0.7)
+        pair = principal_eigenpair(op, grid)
+        lam_dense = eigh(op.entries, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert abs(pair.lambda1 - lam_dense) <= 2.0 * backward_error_bound(op)
+        assert pair.residual <= backward_error_bound(op)
+        e1 = pair.e1.values
+        assert np.array_equal(e1, e1[::-1])
+
+    def test_not_centrosymmetric_is_named(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        a = assemble_regional(grid, 0.5).entries.copy()
+        a[0, 1] = a[1, 0] = 1.5 * a[0, 1]
+        with pytest.raises(DomainError, match="not centrosymmetric"):
+            principal_eigenpair(OperatorMatrix(a), grid)
 
     @pytest.mark.parametrize("n", [8, 600])
     def test_not_positive_definite_is_named(self, n):
@@ -296,11 +358,13 @@ class TestAgainstIndependentOracles:
         # With the boundary-weight correction disabled the assembly is the
         # full-kernel (restricted) fractional Dirichlet operator; its ground
         # state on (-1, 1) at s = 1/2 is known to high precision: 1.157773883.
-        from fracrd.fraclap import _fullspace_energy_toeplitz, normalizing_constant
+        from scipy.linalg import toeplitz
+
+        from fracrd.fraclap import _fullspace_energy_column, normalizing_constant
 
         n = 1024
         h = 2.0 / (n + 1)
-        entries = _fullspace_energy_toeplitz(n, h, 0.5) * (normalizing_constant(0.5) / h)
+        entries = toeplitz(_fullspace_energy_column(n, h, 0.5)) * (normalizing_constant(0.5) / h)
         lam = eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert lam == pytest.approx(1.157773883, abs=5e-4)
 
