@@ -45,7 +45,9 @@ near the singularity, hence the closed-form cell integrals
     int_cell |x_i - xi|^(-1-2s) dxi
         = ((d - h/2)^(-2s) - (d + h/2)^(-2s)) / (2s),   d = |i-j| h.
 
-Both variants pass a tiled symmetry check and use the normalization
+Both variants build A symmetric by construction, a Toeplitz matrix with its
+three central diagonals overwritten, and check its 3n distinct values finite
+before forming it.  Both use the normalization
 C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under which the s -> 1
 limit is the classical Dirichlet Laplacian.
 
@@ -75,7 +77,7 @@ _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
 # The suite meets the bound in 9 to 13 iterations, the tests in 9 to 14, and
 # n <= 1025 with s in [1e-3, 1 - 1e-6] in at most 22.
 _MAX_ITERATIONS = 100
-_SYMMETRY_TILE = 64  # edge of the symmetry check's tiles and of the eigen scan's strips
+_STRIP_ROWS = 64  # rows per strip of principal_eigenpair's one pass over A
 
 
 def _spline_rule(points: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -171,25 +173,21 @@ def _cell_kernel_integrals(h: float, offsets: np.ndarray, s: float) -> np.ndarra
     return ((d - 0.5 * h) ** (-2.0 * s) - (d + 0.5 * h) ** (-2.0 * s)) / (2.0 * s)
 
 
-def _check_symmetry(entries: np.ndarray) -> None:
-    """Raise AssemblyError unless A is finite and max|A - A^T| <= 1e-12 * max|A|,
-    comparing tiles A[I, J] with A[J, I]^T for I <= J; max|A| comes from the
-    same tiles.  A NaN or infinite entry makes the skew or the scale non-finite."""
-    n, t = len(entries), _SYMMETRY_TILE
-    skews, scales = [], []
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper, lower = entries[i : i + t, j : j + t], entries[j : j + t, i : i + t]
-            skews.append(np.max(np.abs(upper - lower.T)))
-            scales.append(max(np.max(np.abs(upper)), np.max(np.abs(lower))))
-    skew, scale = np.max(skews), np.max(scales)
-    if not math.isfinite(skew + scale):
+def _symmetric_operator(h: float, s: float, column, diag, off) -> OperatorMatrix:
+    """A = toeplitz(column) with its diagonal set to diag and both neighbouring
+    diagonals to off, symmetric by construction.  Every entry of A is one of
+    these O(n) values, so checking them finite checks A; AssemblyError if not."""
+    if not all(np.isfinite(v).all() for v in (column, diag, off)):
         raise AssemblyError(
-            "assembled matrix has non-finite entries: the cell width is outside "
-            "the range its kernel powers can represent in double precision"
+            f"assembled matrix has non-finite entries: the cell width h = {h:g} is "
+            f"outside the range its kernel powers can represent at s = {s:g}"
         )
-    if skew > 1e-12 * scale:
-        raise AssemblyError(f"assembled matrix asymmetric: {skew:g} vs scale {scale:g}")
+    n = len(column)
+    entries = toeplitz(column)
+    entries.flat[:: n + 1] = diag
+    entries.flat[1 :: n + 1] = off
+    entries.flat[n :: n + 1] = off
+    return OperatorMatrix(entries)
 
 
 def _slope_kernel_primitive(t: np.ndarray, s: float) -> np.ndarray:
@@ -276,23 +274,22 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         raise DomainError(f"n={grid.n} exceeds the supported dense range {_MAX_NODES}")
     n, h = grid.n, grid.h
     c = normalizing_constant(s)
-    # On extreme domains the powers of h leave the double range; the NaN or
-    # infinite entries that result are reported by _check_symmetry as an
-    # AssemblyError, so numpy's warnings would only repeat it.
+    # A's 3n distinct values: the scaled Toeplitz column, and its first two
+    # entries less the boundary mass.  Powers of h that leave the double range
+    # are an AssemblyError from _symmetric_operator; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        entries = toeplitz(_fullspace_energy_column(n, h, s))
+        column = _fullspace_energy_column(n, h, s)
         try:
             diag, off = _boundary_weight_mass(n, h, s)
         except OverflowError:
             raise AssemblyError(
                 f"cell width h = {h:g} overflows the boundary-mass knot powers at s = {s:g}"
             ) from None
-        entries.flat[:: n + 1] -= diag
-        entries.flat[1 :: n + 1] -= off
-        entries.flat[n :: n + 1] -= off
-        entries *= c / h  # lumped mass turns the energy matrix into a nodal operator
-        _check_symmetry(entries)
-    return OperatorMatrix(entries)
+        scale = c / h  # lumped mass turns the energy matrix into a nodal operator
+        diag = (column[0] - diag) * scale
+        off = (column[1] - off) * scale
+        column *= scale
+    return _symmetric_operator(h, s, column, diag, off)
 
 
 def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> OperatorMatrix:
@@ -311,31 +308,29 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
     h = (b - a) / n
     c = normalizing_constant(s)
 
-    kernel = _cell_kernel_integrals(h, np.arange(1, n, dtype=float), s)
-    entries = toeplitz(np.concatenate(([0.0], -kernel)))
-    csum = np.concatenate(([0.0], np.cumsum(kernel)))
-    # Singular-cell curvature correction as a second difference with
-    # reflected ends (no exterior coupling), so constants stay in the kernel.
-    gh2 = (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / (h * h)
-    diag_corr = np.full(n, 2.0 * gh2)
-    diag_corr[0] = diag_corr[-1] = gh2
-    entries.flat[:: n + 1] = csum + csum[::-1] + diag_corr
-    entries.flat[1 :: n + 1] -= gh2
-    entries.flat[n :: n + 1] -= gh2
-
-    entries *= c
-    _check_symmetry(entries)
-    return OperatorMatrix(entries)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kernel = _cell_kernel_integrals(h, np.arange(1, n, dtype=float), s)
+        csum = np.concatenate(([0.0], np.cumsum(kernel)))
+        # Singular-cell curvature correction as a second difference with
+        # reflected ends (no exterior coupling), so constants stay in the kernel;
+        # a numpy scalar, so that h * h = 0 or an overflow gives inf, not an error.
+        gh2 = np.float64(0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / (h * h)
+        diag_corr = np.full(n, 2.0 * gh2)
+        diag_corr[0] = diag_corr[-1] = gh2
+        column = np.concatenate(([0.0], -kernel)) * c
+        diag = (csum + csum[::-1] + diag_corr) * c
+        off = (-kernel[0] - gh2) * c
+    return _symmetric_operator(h, s, column, diag, off)
 
 
 def _centrosymmetric_norm1(a: np.ndarray) -> float:
     """||A||_1 from one pass over strips of A; ConvergenceError unless A is
     finite, DomainError unless A equals its mirror image J A J exactly.
 
-    Each strip of _SYMMETRY_TILE rows is compared with its mirror strip
+    Each strip of _STRIP_ROWS rows is compared with its mirror strip
     reversed in both axes, and |A| is summed by column, so the pass forms no
     n x n temporary."""
-    n, t = len(a), _SYMMETRY_TILE
+    n, t = len(a), _STRIP_ROWS
     colsum = np.zeros(n)
     finite = mirrored = True
     for i in range(0, n, t):

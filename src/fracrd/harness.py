@@ -190,7 +190,10 @@ def parse_config(path) -> list:
         raise ConfigError(f"configuration file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        cp.read(path)
+        cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration: {exc}")
     campaigns = []

@@ -341,6 +341,15 @@ class TestCli:
         assert "ml-check/" in report
         assert "decay-small/" not in report
 
+    def test_run_non_utf8_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(MINIMAL_DECAY.encode() + b"# \xff\n")
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        offset = len(MINIMAL_DECAY) + 2
+        assert err.splitlines() == [f"error: {cfg} is not UTF-8: byte 0xff at offset {offset}"]
+
     def test_run_unknown_campaign_filter(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY)
         code = cli.main(["run", str(cfg), "--campaign", "nope", "--out", str(tmp_path / "o")])

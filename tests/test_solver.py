@@ -60,7 +60,9 @@ class TestStep:
 
     def test_matches_rk4_reference_at_alpha_one(self):
         # Classical limit: the semi-discrete system du/dt = -Au - u + u^2
-        # integrated by an independent RK4 stepper with dt 100x smaller.
+        # integrated by an independent RK4 stepper with dt 5x smaller
+        # (dt * lambda_max(A) = 0.035).  It differs from the RK4 result at
+        # dt / 100 by 7.3e-15 relative; the solver's error against it is 3.6e-4.
         cfg = SimConfig(
             alpha=1.0, s=0.95, a=0.0, b=4.0, n=64, dt=2.5e-4, t_end=1.0,
             profile="parabola", profile_params={"amplitude": 0.5},
@@ -73,7 +75,7 @@ class TestStep:
         def rhs(v):
             return -(a_mat @ v) - v + v * v
 
-        dt = cfg.dt / 100.0
+        dt = cfg.dt / 5.0
         for _ in range(int(round(cfg.t_end / dt))):
             k1 = rhs(u)
             k2 = rhs(u + 0.5 * dt * k1)
