@@ -190,12 +190,12 @@ def parse_config(path) -> list:
         raise ConfigError(f"configuration file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read(path, encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
                           f"at offset {exc.start}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse configuration: {exc}")
+    except configparser.Error as exc:  # its message spans lines; the CLI prints one
+        raise ConfigError(f"cannot parse configuration: {' '.join(str(exc).split())}") from None
     campaigns = []
     for section in cp.sections():
         options = dict(cp[section])
@@ -473,7 +473,7 @@ def scaled_blowup_config(p, alpha, factor):
         alpha=alpha, s=p["s"], a=a, b=b, n=p["n"], dt=p["dt"], t_end=1.0,
         profile="gauss", profile_params={"amplitude": 1.0, "width": p["width"]},
     )
-    _, pair = _get_operator(cfg)
+    pair = _get_operator(cfg)[0]
     lam1 = pair.lambda1
     grid = cfg.grid
     unit = initial_field(grid, cfg.profile, cfg.profile_params)

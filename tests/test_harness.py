@@ -350,6 +350,26 @@ class TestCli:
         offset = len(MINIMAL_DECAY) + 2
         assert err.splitlines() == [f"error: {cfg} is not UTF-8: byte 0xff at offset {offset}"]
 
+    def test_run_bom_prefixed_config(self, tmp_path, capsys):
+        # Windows editors start UTF-8 files with a byte-order mark
+        cfg = tmp_path / "example.ini"
+        cfg.write_bytes(b"\xef\xbb\xbf" + (ROOT / "configs" / "example.ini").read_bytes())
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert code == 0
+
+    @pytest.mark.parametrize("text,cause", [
+        ("kind = decay\n", "File contains no section headers. file: "),
+        ("[a]\nkind = decay\nfoo\n", "Source contains parsing errors: "),
+    ])
+    def test_run_malformed_config_one_error_line(self, tmp_path, capsys, text, cause):
+        cfg = _write(tmp_path, text)
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot parse configuration: {cause}")
+
     def test_run_unknown_campaign_filter(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY)
         code = cli.main(["run", str(cfg), "--campaign", "nope", "--out", str(tmp_path / "o")])

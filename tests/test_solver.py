@@ -4,23 +4,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from fracrd import solver
 from fracrd.caputo import BLOW_THRESHOLD, L1History, solve_logistic_fode
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
-from fracrd.fraclap import Grid1D
+from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
 from fracrd.harness import scaled_blowup_config
 from fracrd.solver import (
     SimConfig,
     _get_operator,
-    _solve,
+    _implicit_step,
     blowup_bracket,
     decay_rate_fit,
     detect_blowup,
     initial_field,
     run,
-    system_factor,
 )
 from fracrd.special import MLParams, ml_eval
 
@@ -53,7 +51,7 @@ class TestStep:
         cfg = SimConfig(alpha=1.0, s=0.5, a=0.0, b=1.0, n=8, dt=0.1, t_end=1.0)
         u0 = np.linspace(0.1, 0.8, 8)
         result = run(cfg, u0_override=u0, record_fields=True)
-        a_mat = _get_operator(cfg)[0].entries
+        a_mat = assemble_regional(cfg.grid, cfg.s).entries
         expected = np.linalg.solve((1.0 / cfg.dt + 1.0) * np.eye(8) + a_mat, u0 / cfg.dt + u0**2)
         assert result.field_times[1] == cfg.dt
         np.testing.assert_allclose(result.fields[1], expected, rtol=1e-13)
@@ -68,8 +66,7 @@ class TestStep:
             profile="parabola", profile_params={"amplitude": 0.5},
         )
         result = run(cfg, record_fields=True)
-        op, _ = _get_operator(cfg)
-        a_mat = op.entries
+        a_mat = assemble_regional(cfg.grid, cfg.s).entries
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
 
         def rhs(v):
@@ -87,28 +84,46 @@ class TestStep:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("n", [1, 7, 128])
-    def test_matches_cho_solve_bit_for_bit(self, n):
+    @staticmethod
+    def _basis(n):
+        return mirror_eigenbasis(assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
+    def test_matches_dense_solve(self, n):
+        # odd n exercise the middle node of the mirror fold; the largest
+        # deviation here is 1.7e-14 (at s = 0.9, n = 255 and w = 1e-3 it is
+        # 7e-13, as the condition number 1e4 of the step matrix allows)
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
+        lam, v = mirror_eigenbasis(a)
         rng = np.random.default_rng(n)
-        for shift in (0.5, 3.0, 1e4):
-            g = rng.standard_normal((n, n))
-            a = g @ g.T
+        for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
-            expected = cho_solve(cho_factor(shift * np.eye(n) + a), rhs)
-            assert np.array_equal(_solve(system_factor(shift, a), rhs), expected)
+            expected = np.linalg.solve((w + 1.0) * np.eye(n) + a, rhs)
+            u = _implicit_step(lam, v, w, rhs)
+            assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
+    def test_basis_is_orthonormal_and_ascending(self, n):
+        lam, v = self._basis(n)
+        assert np.abs(v.T @ v - np.eye(n)).max() <= n * np.finfo(float).eps * 16
+        assert np.all(np.diff(lam) >= 0)  # the step's definiteness check reads lam[0]
 
     def test_nan_rhs_raises_step_failure(self):
+        lam, v = self._basis(3)
         with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            _solve(system_factor(2.0, np.eye(3)), np.array([0.5, np.nan, 0.5]))
+            _implicit_step(lam, v, 1.0, np.array([0.5, np.nan, 0.5]))
 
-    def test_singular_factor_raises_step_failure(self):
-        factor = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
-        with pytest.raises(StepFailureError, match="factor is singular"):
-            _solve(factor, np.full(3, 0.5))
+    def test_non_finite_basis_raises_step_failure(self):
+        lam, v = self._basis(3)
+        v[1, 1] = np.inf
+        with pytest.raises(StepFailureError, match="eigenbasis is not finite"):
+            _implicit_step(lam, v, 1.0, np.full(3, 0.5))
 
     def test_non_spd_matrix_raises_step_failure(self):
-        with pytest.raises(StepFailureError, match="not positive definite"):
-            system_factor(1.0, -5.0 * np.eye(4))
+        # w + 1 + min lam = 0 exactly: singular, rejected before the solve
+        lam = np.array([-2.0, 1.0, 3.0])
+        with pytest.raises(StepFailureError, match="w = 1, min eigenvalue of A = -2$"):
+            _implicit_step(lam, np.eye(3), 1.0, np.full(3, 0.5))
 
 
 class TestOperatorCache:
@@ -118,9 +133,10 @@ class TestOperatorCache:
 
     def test_hit_returns_same_objects(self):
         cfg = self._config(0.31)
-        op, pair = _get_operator(cfg)
+        pair, lam, v = _get_operator(cfg)
         again = _get_operator(cfg)
-        assert again[0] is op and again[1] is pair
+        assert again[0] is pair and again[1] is lam and again[2] is v
+        assert not (lam.flags.writeable or v.flags.writeable)
 
     def test_evicts_least_recently_used(self):
         size = solver._operator.cache_info().maxsize
@@ -137,14 +153,14 @@ class TestOperatorCache:
         # an eviction interleave.
         size = solver._operator.cache_info().maxsize
         configs = [self._config(0.2 + 0.01 * k) for k in range(size + 2)]
-        serial = [_get_operator(cfg)[1].lambda1 for cfg in configs]
+        serial = [_get_operator(cfg)[0].lambda1 for cfg in configs]
         requests = [configs[k % len(configs)] for k in range(1000)]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(_get_operator, cfg) for cfg in requests]
-                results = [f.result(timeout=120)[1].lambda1 for f in futures]
+                results = [f.result(timeout=120)[0].lambda1 for f in futures]
         finally:
             sys.setswitchinterval(old)
         assert results == [serial[k % len(configs)] for k in range(1000)]
@@ -211,7 +227,7 @@ class TestRun:
         cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=48, dt=0.05, t_end=2.0,
                         profile="parabola", profile_params={"amplitude": 0.8})
         r = run(cfg, record_fields=True)
-        _, pair = _get_operator(cfg)
+        pair = _get_operator(cfg)[0]
         e1 = pair.e1.values
         h = cfg.grid.h
         mass = h * e1.sum()
@@ -324,7 +340,7 @@ class TestDetectBlowup:
         # quadratic-growth equation for the shifted mass H - (1 + lambda1).
         cfg = SimConfig(alpha=1.0, s=0.4, a=0.0, b=40.0, n=128, dt=1e-3, t_end=1.0,
                         profile="constant", profile_params={"amplitude": 3.0})
-        _, pair = _get_operator(cfg)
+        pair = _get_operator(cfg)[0]
         finding = detect_blowup(cfg)
         assert finding.status == "blowup"
         shifted = 3.0 - (1.0 + pair.lambda1)
