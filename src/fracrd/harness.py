@@ -466,7 +466,7 @@ def scaled_blowup_config(p, alpha, factor):
     ``p`` holds a blowup campaign's ``domain``, ``s``, ``n``, ``dt`` and
     ``width``.  The data are a Gaussian bump of that width, scaled to the
     target mass; t_end is 1.5 times the upper end of the blow-up window.
-    Returns ``(config, lambda1, h0)``.
+    Returns ``(config, bracket)``; the bracket carries h0.
     """
     a, b = p["domain"]
     cfg = SimConfig(
@@ -489,7 +489,7 @@ def scaled_blowup_config(p, alpha, factor):
         dt=dt,
         profile_params={"amplitude": amplitude, "width": p["width"]},
     )
-    return cfg, lam1, h0_target
+    return cfg, bracket
 
 
 def _run_blowup(campaign) -> tuple:
@@ -518,10 +518,9 @@ def _run_blowup(campaign) -> tuple:
     for alpha in p["alphas"]:
         for factor in p["h0_factors"]:
             t0 = time.perf_counter()
-            cfg, lam1, h0 = scaled_blowup_config(p, alpha, factor)
-            bracket = blowup_bracket(h0, alpha, lam1)
+            cfg, bracket = scaled_blowup_config(p, alpha, factor)
             finding = detect_blowup(cfg)
-            tag = f"alpha:{alpha:g};h0:{h0:.15g}"
+            tag = f"alpha:{alpha:g};h0:{bracket.h0:.15g}"
             if finding.status != "blowup":
                 frag.append(
                     _record(name, f"containment_a{alpha:g}_f{factor:g}", tag, math.nan,

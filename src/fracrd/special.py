@@ -2,28 +2,22 @@
 
 ``ml_eval`` is the workhorse: it evaluates E_alpha(z) = sum_m z^m/Gamma(alpha*m+1)
 in double precision by switching on the cancellation exponent
-nats = x**(1/alpha), x = -z, between three regimes,
+nats = x**(1/alpha), x = -z, between two regimes,
 
 * the direct series for nonnegative z and for nats <= ``_F64_MAX_NATS``,
-  where the alternating terms cancel mildly (at most e^3 of the sum),
+  where the alternating terms cancel mildly (at most e^3 of the sum), and
 * a fixed-node Gauss-Legendre quadrature of the completely-monotone
   spectral integral (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal.
-  5 (2002)) for the middle range, where the series would cancel
-  catastrophically; the integrand is positive, so no precision is lost, and
-* the algebraic large-argument expansion
-      E_alpha(-x) ~ sum_{k>=1} (-1)^(k+1) x^(-k) / Gamma(1 - alpha*k)
-  summed adaptively to its optimal truncation for nats >= ``_asym_min_nats``
-  (36, rising towards 46 as alpha -> 1), where its floor exp(-nats) is
-  negligible at double precision.
+  5 (2002)) for every larger nats, where the series would cancel
+  catastrophically; the integrand is positive, so no precision is lost.
 
-Measured against ``fracrd.mlref`` (25 digits): the quadrature is accurate to
-7e-15 relative for alpha in [0.25, 1 - 1e-10], and to 6e-16 out to 46 nats
-for alpha in [0.999, 1 - 1e-7]; over all three regimes the worst relative
-error is 8e-12 for alpha in [0.25, 0.999] and z in [-50, 5], and 2e-11 for
-alpha up to 1 - 1e-7 (just above the upper seam, where the expansion's floor
-exp(-nats) is largest relative to E_alpha).  On the extended negative range
-(z down to ``_Z_MIN``) the asymptotic branch only gains accuracy as |z|
-grows.  Nothing here holds mutable state, so concurrent callers are safe.
+Measured against ``fracrd.mlref`` (25 digits) on 788 points with nats from 3
+to z = ``_Z_MIN``, the quadrature's worst relative error is 7e-16 for alpha
+in [0.25, 0.999], 4e-13 for alpha up to 1 - 1e-7, and 4e-10 for alpha up to
+1 - 1e-10; the last two come from the kernel resonance sitting just past the
+end of the quadrature's u range, near 48.5 nats.  Just below the seam the
+series loses up to 1.2e-13 (alpha 0.98, 2.7 nats) to the rounding of its
+terms.  Nothing here holds mutable state, so concurrent callers are safe.
 """
 
 from __future__ import annotations
@@ -39,16 +33,13 @@ from .errors import DomainError, UnsupportedParameterError
 _ALPHA_MIN = 0.25
 _Z_MAX = 5.0
 # The solver evaluates decay envelopes at z = -lambda1 * t^alpha, far below
-# z = -50, where the mlref comparison ends; the asymptotic branch handles this
-# with accuracy that improves as z -> -inf, so the supported range extends
-# accordingly.
+# z = -50; the quadrature is checked against mlref's spectral route down to
+# this z.
 _Z_MIN = -1.0e12
 
-# Branch thresholds on the cancellation exponent x**(1/alpha), x = -z.
+# Seam between series and quadrature on the cancellation exponent
+# x**(1/alpha), x = -z.
 _F64_MAX_NATS = 3.0
-_ASYM_MIN_NATS = 36.0
-# The quadrature is verified against mlref up to this many nats.
-_ASYM_MAX_NATS = 46.0
 
 # Series truncation: stop once the current term is below this fraction of the
 # partial sum (and the tail is provably geometric).
@@ -109,7 +100,9 @@ def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # point of exp(-w**(1/alpha)) at w = 0.
 _W_NODES, _W_WEIGHTS = _panel_rule(np.concatenate(([0.0], 2.0 ** np.arange(-40.0, 1.0))))
 _W_LOG = np.log(_W_NODES)
-# u in [1, 48]; beyond 48, exp(-u) leaves under 1e-19 of the integral.
+# u in [1, 48]; beyond 48, exp(-u) leaves under 1e-19 of the integral, except
+# where the resonance of alpha > 1 - 1e-7 sits just past 48 and holds up to
+# 4e-10 of it (alpha = 1 - 1e-10, 48.5 nats).
 _U_EDGES = np.arange(1.0, 48.5, 0.5)
 _U_NODES, _U_WEIGHTS = _panel_rule(_U_EDGES)
 _U_MASS = _U_WEIGHTS * np.exp(-_U_NODES)
@@ -124,9 +117,11 @@ def _spectral(alpha: float, x: float, nats: float) -> float:
     on fixed Gauss-Legendre panels.  The integrand is positive, so the sum
     has no cancellation.  For alpha > 1/2, D has zeros at
     u = nats * exp(+-i*theta), theta = pi*(1-alpha)/alpha; when they come
-    within distance 1 of the real axis, panel edges are graded geometrically
-    around their real part.  Near them D is formed from q = u/nats - 1 and
-    1 + cos(alpha*pi) = 2*sin(pi*(1-alpha)/2)^2, which keeps its relative
+    within distance 1 of the real axis and their real part lies at most 1
+    past the u range, panel edges are graded geometrically around that real
+    part, and u/nats - 1 is formed relative to it; elsewhere D is formed from
+    log(u/nats), which keeps its relative accuracy however large nats is.
+    With 1 + cos(alpha*pi) = 2*sin(pi*(1-alpha)/2)^2, D keeps its relative
     accuracy as alpha -> 1.
     """
     beta = math.pi * (1.0 - alpha)
@@ -136,80 +131,26 @@ def _spectral(alpha: float, x: float, nats: float) -> float:
     d = _W_NODES / x + (one_plus_cos - 1.0)
     part1 = np.dot(_W_WEIGHTS, np.exp(-np.exp(_W_LOG / alpha)) / (d * d + sin2)) / alpha
 
-    mass = _U_MASS
-    q = _U_NODES / nats - 1.0
     theta = beta / alpha
     height = nats * math.sin(theta)
-    if alpha > 0.5 and height < 1.0:
-        centre = nats * math.cos(theta)
+    centre = nats * math.cos(theta)
+    u_end = _U_EDGES[-1]
+    if alpha > 0.5 and height < 1.0 and centre < u_end + 1.0:
         offsets = height * 2.0 ** np.arange(-3.0, math.ceil(-math.log2(height)) + 1.0)
         graded = np.concatenate((-offsets, [0.0], offsets))
-        graded = graded[(graded > 1.0 - centre) & (graded < 48.0 - centre)]
-        # Panels relative to the centre, so q keeps its relative accuracy there.
+        graded = graded[(graded > 1.0 - centre) & (graded < u_end - centre)]
+        # Panels relative to the centre, so u/nats - 1 keeps its relative
+        # accuracy there.
         r, weights = _panel_rule(np.sort(np.concatenate((_U_EDGES - centre, graded))))
         mass = weights * np.exp(-(centre + r))
-        q = (r - 2.0 * nats * math.sin(0.5 * theta) ** 2) / nats
-    log1p_q = np.log1p(q)
-    d = np.expm1(alpha * log1p_q) + one_plus_cos
-    # u^(alpha-1) = nats^(alpha-1) * (1+q)^(alpha-1)
-    part2 = np.dot(mass, np.exp((alpha - 1.0) * log1p_q) / (d * d + sin2)) * nats ** (alpha - 1.0)
+        log_ratio = np.log1p((r - 2.0 * nats * math.sin(0.5 * theta) ** 2) / nats)
+    else:
+        mass = _U_MASS
+        log_ratio = np.log(_U_NODES / nats)
+    d = np.expm1(alpha * log_ratio) + one_plus_cos
+    # u^(alpha-1) = nats^(alpha-1) * (u/nats)^(alpha-1)
+    part2 = np.dot(mass, np.exp((alpha - 1.0) * log_ratio) / (d * d + sin2)) * nats ** (alpha - 1.0)
     return float(sin_a / (math.pi * x) * (part1 + part2))
-
-
-def _asymptotic(alpha: float, z: float) -> float:
-    """Algebraic expansion at large negative z, optimally truncated.
-
-    The term magnitudes x^(-k)/|Gamma(1-alpha*k)| bottom out near
-    k* = x**(1/alpha)/alpha at the scale exp(-x**(1/alpha)), which is
-    negligible whenever this branch is selected.  Individual magnitudes
-    oscillate on the way down (the reflection sine modulates the Gamma
-    factors), so the loop runs to k* (or until terms are negligible) rather
-    than stopping at the first local increase.
-    """
-    x = -z
-    nats = x ** (1.0 / alpha)
-    k_opt = min(500, max(8, int(nats / alpha)))
-    log_x = math.log(x)
-    total = 0.0
-    inv = 1.0 / x
-    powx = 1.0
-    for k in range(1, k_opt + 1):
-        powx *= inv
-        term = powx * _rgamma(1.0 - alpha * k)
-        if k % 2 == 0:
-            term = -term
-        total += term
-        # Sound early exit: |1/Gamma(1-alpha*k')| <= Gamma(alpha*k')/pi, so
-        # once the envelope x^-k Gamma(alpha*k)/pi is tiny and still shrinking
-        # by at least half per term, the remaining tail is negligible.
-        if (alpha * (k + 1)) ** alpha <= 0.5 * x:
-            log_env = -k * log_x + math.lgamma(alpha * k) - math.log(math.pi)
-            if log_env < math.log(5e-18 * abs(total) + 1e-300):
-                break
-    return total
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x) for real x, zero at the poles."""
-    if x > 0:
-        return 1.0 / math.gamma(x)
-    if x == math.floor(x):
-        return 0.0
-    # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi*x) / pi.
-    return math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
-
-
-def _asym_min_nats(alpha: float) -> float:
-    """Seam between the quadrature and the large-argument expansion.
-
-    The expansion drops a term of about exp(-nats), which relative to
-    E_alpha(-x) ~ (1-alpha)/x is about nats*exp(-nats)/(1-alpha): 8e-12 at
-    alpha = 0.999 and 36 nats.  Closer to alpha = 1 the seam moves up by
-    log(1e-3/(1-alpha)) nats, which holds that error near 8e-12, until it
-    reaches ``_ASYM_MAX_NATS`` near alpha = 1 - 4.5e-8.  For alpha <= 0.999 it
-    stays at ``_ASYM_MIN_NATS``.
-    """
-    return min(_ASYM_MAX_NATS, _ASYM_MIN_NATS + max(0.0, math.log(1e-3 / (1.0 - alpha))))
 
 
 def ml_eval(params: MLParams) -> float:
@@ -227,12 +168,8 @@ def ml_eval(params: MLParams) -> float:
         raise UnsupportedParameterError(f"z={z} outside validated range [{_Z_MIN}, {_Z_MAX}]")
     if alpha == 1.0:
         return math.exp(z)
-    if z >= 0.0:
-        return _series_f64(alpha, z)
-    nats = (-z) ** (1.0 / alpha)
+    nats = max(-z, 0.0) ** (1.0 / alpha)
     if nats <= _F64_MAX_NATS:
         return _series_f64(alpha, z)
-    if nats >= _asym_min_nats(alpha):
-        return _asymptotic(alpha, z)
     return _spectral(alpha, -z, nats)
 

@@ -341,8 +341,9 @@ class TestLinearFode:
         assert trace.times[-1] == 1.0
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            solve_linear_fode(0.5, -1.0, 1.0, 0.1, 1.0)
+        for rate in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="rate="):
+                solve_linear_fode(0.5, rate, 1.0, 0.1, 1.0)
         with pytest.raises(DomainError):
             solve_linear_fode(0.5, 1.0, 1.0, 2.0, 1.0)
 

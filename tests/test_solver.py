@@ -280,7 +280,7 @@ class TestBlowupRuns:
         # before max u reaches the threshold, so the run must say so rather
         # than report "no event"
         p = {"domain": (0.0, 2.0), "s": 0.4, "n": 32, "dt": 2e-3, "width": 0.2}
-        cfg, _, _ = scaled_blowup_config(p, 0.5, 1.2)
+        cfg, _ = scaled_blowup_config(p, 0.5, 1.2)
         r = run(cfg)
         assert r.blowup is None
         assert "collapsed below floor" in r.inconclusive
