@@ -35,8 +35,11 @@ uniform intervals then sit in Q state vectors, each one the increments
 weighted by exp(-s_q * age), and an interval at least one uniform step old
 weighs scale * c_q * exp(-s_q * age) with c_q = (1-alpha) w_q (1-exp(-s_q))/s_q.
 The newest intervals stay exact, with step-time weights, and enter the state
-in blocks of ``_FOLD`` by one matrix product, so a uniform step costs one
-matrix-vector product over Q + ``_FOLD`` rows whatever its index.  The first
+in blocks of ``_FOLD`` by one matrix product (a fold).  The state changes only
+at a fold, so the fold also forms, by one more matrix product, its share of
+the memory sum of each of the next ``_FOLD`` + 1 uniform steps.  A uniform
+step then costs one matrix-vector product over at most ``_FOLD`` exact
+intervals and one addition, whatever its index.  The first
 interval off the uniform mesh (an adaptive halving, a short last step)
 freezes the state; from then on every interval stays exact, and the frozen
 state only decays with the time since the freeze.  Alpha = 1 keeps no
@@ -168,6 +171,8 @@ def _soe_modes(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_uniform(step: float, dt: float) -> bool:
+    """Whether an interval of length ``step`` counts as a uniform step of ``dt``
+    (``L1History`` makes the same test inline)."""
     return abs(step - dt) <= _UNIFORM_RTOL * dt
 
 
@@ -198,6 +203,7 @@ class L1History:
         self.count = 1
         self.t_last = 0.0
         self._t_max = n_steps * dt * (1.0 + 1e-12)
+        self._uniform_tol = _UNIFORM_RTOL * dt
         self._frozen = False
         if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
             return
@@ -206,16 +212,17 @@ class L1History:
         self._rates = s
         self._soe_weights = weights.scale * c
         self._rows = np.zeros((q + _FOLD + 1,) + np.shape(y0))
+        self._field = np.ndim(y0) > 0
         self._tail_times = np.zeros(_FOLD + 2)  # _tail_times[0]: the state's reference time
         self._tail = 0
-        # Row k: weights of a uniform step with k exact intervals, the state k + 1 steps old.
-        self._uniform_weights = np.zeros((_FOLD + 1, q + _FOLD))
-        self._uniform_weights[:, :q] = self._soe_weights * np.exp(
-            -np.arange(1.0, _FOLD + 2)[:, None] * s
-        )
-        for k in range(1, _FOLD + 1):
-            self._uniform_weights[k, q : q + k] = weights.scale * weights.b[k:0:-1]
-        self._fold_decay = np.exp(-_FOLD * s).reshape((q,) + (1,) * np.ndim(y0))
+        # Entry k: weights of a uniform step with k exact intervals, the state k + 1 steps old.
+        self._state_weights = self._soe_weights * np.exp(-np.arange(1.0, _FOLD + 2)[:, None] * s)
+        self._tail_weights = [weights.scale * weights.b[k:0:-1] for k in range(_FOLD + 1)]
+        # The state changes only at a fold, so its share of the next uniform
+        # steps' memory sums is formed there, in one matrix product.
+        self._state_part = np.zeros((_FOLD + 1,) + np.shape(y0))
+        # one factor per state entry: a multiply broadcast along rows is twice as slow
+        self._fold_decay = np.multiply.outer(np.exp(-_FOLD * s), np.ones(np.shape(y0)))
         self._fold_mix = np.exp(-np.outer(s, np.arange(_FOLD - 1.0, -1.0, -1.0)))
 
     def __len__(self):
@@ -223,21 +230,25 @@ class L1History:
 
     def append(self, value, t: float) -> None:
         step = t - self.t_last
-        increment = value - self.last
+        last = self.last
         self.last, self.count, self.t_last = value, self.count + 1, t
         if self.alpha == 1.0:
             return
-        if not self._frozen and not _is_uniform(step, self.dt):
-            self._frozen = True
         q, k = self._q, self._tail
-        if q + k == len(self._rows):
-            self._rows = _grown(self._rows)
-        if k + 1 == len(self._tail_times):
-            self._tail_times = _grown(self._tail_times)
-        self._rows[q + k] = increment
+        # the arrays fill up only once frozen; until then the tail folds at _FOLD + 1
+        if self._frozen or abs(step - self.dt) > self._uniform_tol:
+            self._frozen = True
+            if q + k == len(self._rows):
+                self._rows = _grown(self._rows)
+            if k + 1 == len(self._tail_times):
+                self._tail_times = _grown(self._tail_times)
+        if self._field:
+            np.subtract(value, last, out=self._rows[q + k])  # no temporary increment
+        else:
+            self._rows[q + k] = value - last
         self._tail_times[k + 1] = t
         self._tail = k + 1
-        if self._tail > _FOLD and not self._frozen:
+        if k >= _FOLD and not self._frozen:
             self._fold()
 
     def _fold(self) -> None:
@@ -246,6 +257,7 @@ class L1History:
         state = rows[:q]
         state *= self._fold_decay
         state += self._fold_mix @ rows[q : q + _FOLD]
+        np.matmul(self._state_weights, state, out=self._state_part)
         rows[q] = rows[q + _FOLD]
         self._tail_times[:2] = self._tail_times[_FOLD : _FOLD + 2]
         self._tail = 1
@@ -253,21 +265,23 @@ class L1History:
     def memory(self, t_new: float):
         """History part of the L1 sum at t_new: each committed interval's
         step-time weight times its increment, scale included."""
-        if not self.t_last < t_new <= self._t_max:
+        t_last = self.t_last
+        if not t_last < t_new <= self._t_max:
             raise DomainError(
-                f"memory at t={t_new!r} is outside ({self.t_last!r}, {self._t_max!r}]"
+                f"memory at t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]"
             )
         if self.alpha == 1.0:
             return np.zeros(np.shape(self.last))
         q, k = self._q, self._tail
-        if not self._frozen and _is_uniform(t_new - self.t_last, self.dt):
-            weights = self._uniform_weights[k, : q + k]
-        else:
-            times = self._tail_times[: k + 1]
-            weights = np.empty(q + k)
-            np.exp(self._rates * ((times[0] - t_new) / self.dt), out=weights[:q])
-            weights[:q] *= self._soe_weights
-            weights[q:] = _nonuniform_history_weights(self.alpha, times, t_new)
+        if not self._frozen and abs(t_new - t_last - self.dt) <= self._uniform_tol:
+            total = self._tail_weights[k] @ self._rows[q : q + k]
+            total += self._state_part[k]
+            return total
+        times = self._tail_times[: k + 1]
+        weights = np.empty(q + k)
+        np.exp(self._rates * ((times[0] - t_new) / self.dt), out=weights[:q])
+        weights[:q] *= self._soe_weights
+        weights[q:] = _nonuniform_history_weights(self.alpha, times, t_new)
         return weights @ self._rows[: q + k]
 
 

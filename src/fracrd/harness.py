@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .caputo import solve_linear_fode, solve_logistic_fode
-from .errors import ConfigError, FracRDError
+from .errors import ConfigError, DomainError, FracRDError
 from .fraclap import (
     Grid1D,
     assemble_regional,
@@ -478,6 +478,11 @@ def scaled_blowup_config(p, alpha, factor):
     grid = cfg.grid
     unit = initial_field(grid, cfg.profile, cfg.profile_params)
     h0_unit = float(grid.h * np.sum(unit * pair.e1.values))
+    if not (h0_unit > 0 and math.isfinite(h0_unit)):
+        raise DomainError(
+            f"gauss profile of width {p['width']:g} has weighted mass {h0_unit:g} on "
+            f"the grid; it cannot be scaled to h0 = {factor:g} * (1 + lambda1)"
+        )
     h0_target = factor * (1.0 + lam1)
     amplitude = h0_target / h0_unit
     bracket = blowup_bracket(h0_target, alpha, lam1)

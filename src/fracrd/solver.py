@@ -39,22 +39,33 @@ grows by more than half.  At the grid sizes the campaigns use (n = 128, 256)
 a step is a few tens of kflop, so each one does its arithmetic and little
 else, the same in both regimes:
 
-* one right-hand side, w*u_last - memory(t_new) + u_last^2, and one solve
-  in the eigenbasis A = V diag(lam) V^T, built once per cached operator:
-  u = V ((V^T rhs) / (w + 1 + lam)), two matrix-vector products and one
-  division for any w, so a step of a new size needs no new factor (15 us
-  against 23 us for a Cholesky ``potrs`` solve at n = 128, 34 against 58 us
-  at n = 256, one BLAS thread), followed by one finiteness check of the
-  solution; a failure raises StepFailureError;
-* one history object, ``caputo.L1History``, whose ``memory(t_new)`` is one
-  matrix-vector product over the Q sum-of-exponentials state vectors of the
-  uniform mesh and the intervals kept exact, Q + 32 rows or fewer on the
-  uniform mesh, so a uniform step costs the same at any index; in the
-  adaptive regime the state is frozen and every new interval stays exact,
-  with weights from the step times;
-* one ``max u`` per step, shared by the rejection test, the blow-up test,
-  the adaptive trigger and the monitors, which are written into a
-  preallocated array.
+* one right-hand side, u_last*(w + u_last) - memory(t_new), and one solve.
+  A step of the uniform size w = ``scale`` (every uniform step, and the
+  adaptive steps before the first halving, which the history also weighs as
+  uniform) is one product with the step matrix ((w + 1) I + A)^-1, formed
+  once per run from the eigenbasis A = V diag(lam) V^T cached per operator,
+  when the run has at least n steps to pay for its n-product build.  Any
+  other step solves in the eigenbasis, u = V ((V^T rhs) / (w + 1 + lam)),
+  two products and one division for any w, so a step of a new size needs no
+  new factor.  At n = 128 with one BLAS thread the step-matrix solve takes
+  4.1 us and the basis solve 8.0 us (13 and 25 us at n = 256), each with
+  its one finiteness check of the solution, u @ u; a failure raises
+  StepFailureError naming the cause;
+* one history object, ``caputo.L1History``, which keeps the uniform mesh as
+  Q sum-of-exponentials state vectors and at most 32 intervals kept exact;
+  on the uniform mesh ``memory(t_new)`` is one matrix-vector product over
+  the exact intervals plus the state's share, formed when the intervals
+  were folded into the state, so a uniform step costs the same at any
+  index; in the adaptive regime the state is frozen and every new interval
+  stays exact, with weights from the step times;
+* at most one ``max u`` per step, shared by the rejection test, the blow-up
+  test and the adaptive trigger.  After a step-matrix solve in the uniform
+  regime, sqrt(u @ u) >= max u stands in for it while it stays below half
+  of both thresholds;
+* monitors that copy a recorded field into a block and reduce E, H, min u
+  and max u a block at a time.
+
+A uniform step at n = 128 takes about 15 us in all at best, one BLAS thread.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History, _grown
+from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History, _is_uniform
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -100,7 +111,8 @@ def _profile_plateau(xr, p):
 def _profile_gauss(xr, p):
     center = p.get("center", 0.5)
     width = p.get("width", 0.1)
-    return p.get("amplitude", 1.0) * np.exp(-(((xr - center) / width) ** 2))
+    with np.errstate(over="ignore"):  # a square past the double range is exp(-inf) = 0
+        return p.get("amplitude", 1.0) * np.exp(-(((xr - center) / width) ** 2))
 
 
 def _profile_step(xr, p):
@@ -138,6 +150,9 @@ def initial_field(grid: Grid1D, profile: str, params: dict) -> np.ndarray:
 # --- configuration and results ----------------------------------------------
 
 
+_MAX_STEPS = 10_000_000  # SimConfig: uniform steps of one run, about 3 minutes at n = 128
+
+
 @dataclass(frozen=True)
 class SimConfig:
     alpha: float
@@ -159,8 +174,11 @@ class SimConfig:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
         if not 0 < self.dt <= self.t_end:
             raise DomainError(f"need 0 < dt <= t_end, got dt={self.dt}")
-        if self.n_steps < 1:
-            raise DomainError("configuration yields zero time steps")
+        if not self.t_end / self.dt <= _MAX_STEPS:
+            raise DomainError(
+                f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds the limit of "
+                f"{_MAX_STEPS:.0e} uniform steps per run"
+            )
         if self.profile not in PROFILES:
             raise DomainError(f"unknown profile '{self.profile}'")
         Grid1D(self.a, self.b, self.n)  # validates the grid spec
@@ -179,34 +197,54 @@ class SimConfig:
         return Grid1D(self.a, self.b, self.n)
 
 
-class _Monitors:
-    """E, H, min u and max u at the recorded times, in an array that doubles when full.
+_BLOCK = 64  # _Monitors: recorded fields reduced at once
 
-    The reductions are numpy's pairwise sums, so the recorded values do not
-    depend on the BLAS build.
+
+class _Monitors:
+    """E, H, min u and max u at the recorded times.
+
+    Recorded fields are copied into a block of ``_BLOCK`` rows, and E, H,
+    min u and max u are reduced a block at a time.  The reductions are numpy's pairwise
+    sums along each row, which give the same bits as the sums of one field and
+    do not depend on the BLAS build.
     """
 
-    def __init__(self, h: float, e1: np.ndarray, record_fields: bool, capacity: int):
+    def __init__(self, h: float, e1: np.ndarray, record_fields: bool):
         self._h = h
         self._e1 = e1
-        self._rows = np.empty((capacity, 5))
-        self.count = 0
+        self._block = np.empty((_BLOCK, len(e1)))
+        self._filled = 0  # rows of the block not yet reduced
+        self._times = []
+        self._reduced = []  # (E, H, min u, max u) arrays, one per reduced block
         self.fields = [] if record_fields else None
         self.field_times = [] if record_fields else None
 
-    def record(self, t: float, u: np.ndarray, u_max: float):
-        if self.count == len(self._rows):
-            self._rows = _grown(self._rows)
-        h = self._h
-        self._rows[self.count] = (t, h * (u * u).sum(), h * (u * self._e1).sum(), u.min(), u_max)
-        self.count += 1
+    def record(self, t: float, u: np.ndarray):
+        j = self._filled
+        self._block[j] = u
+        self._times.append(t)
+        self._filled = j + 1
+        if j + 1 == _BLOCK:
+            self._reduce()
         if self.fields is not None:
             self.fields.append(u.copy())
             self.field_times.append(t)
 
+    def _reduce(self):
+        block, h = self._block[: self._filled], self._h
+        self._reduced.append((
+            h * (block * block).sum(axis=1),
+            h * (block * self._e1).sum(axis=1),
+            block.min(axis=1),
+            block.max(axis=1),
+        ))
+        self._filled = 0
+
     def columns(self) -> np.ndarray:
         """(5, count) array of times, E, H, min u and max u; each row contiguous."""
-        return self._rows[: self.count].T.copy()
+        if self._filled:
+            self._reduce()
+        return np.array([self._times, *(np.concatenate(parts) for parts in zip(*self._reduced))])
 
 
 @dataclass(frozen=True)
@@ -261,31 +299,73 @@ class BlowupFinding:
 # --- stepping ----------------------------------------------------------------
 
 
-def _implicit_step(lam: np.ndarray, v: np.ndarray, w: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve ((w + 1) I + A) u = rhs for A = V diag(lam) V^T, lam ascending,
-    as u = V ((V^T rhs) / (w + 1 + lam)).
-
-    Raises StepFailureError before the solve when w + 1 + min lam <= 0 (the
-    step matrix is not positive definite), and after it when u is not
-    finite, naming the cause: a non-finite right-hand side or basis.
-    """
+def _definite_shift(lam: np.ndarray, w: float) -> float:
+    """w + 1, after checking that (w + 1) I + A is positive definite (lam ascending)."""
     shift = w + 1.0
     if not shift + lam[0] > 0:
         raise StepFailureError(
             f"step matrix (w + 1)*I + A is not positive definite: "
             f"w = {w:.6g}, min eigenvalue of A = {lam[0]:.6g}"
         )
-    u = v @ ((rhs @ v) / (lam + shift))
+    return shift
+
+
+def _check_finite(u: np.ndarray, rhs: np.ndarray, mat: np.ndarray, name: str) -> None:
+    """Raise StepFailureError naming the cause when the solution u of a step
+    with right-hand side rhs and solve matrix mat is not finite."""
+    if np.isfinite(u).all():
+        return
+    if not np.isfinite(rhs).all():
+        cause = "the right-hand side is not finite"
+    elif not np.isfinite(mat).all():
+        cause = f"the {name} is not finite"
+    else:
+        cause = "the solve overflowed"
+    raise StepFailureError(f"linear solve gave a non-finite field: {cause}")
+
+
+def _implicit_step(lam: np.ndarray, v: np.ndarray, w: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ((w + 1) I + A) u = rhs for A = V diag(lam) V^T, lam ascending,
+    as u = V ((V^T rhs) / (w + 1 + lam)).
+
+    Raises StepFailureError before the solve when w + 1 + min lam <= 0 (the
+    step matrix is not positive definite), and after it when u is not
+    finite, naming the cause: a non-finite right-hand side or basis, or an
+    overflow.
+    """
+    u = v @ ((rhs @ v) / (lam + _definite_shift(lam, w)))
     # u @ u is finite when every entry is, short of overflow past 1e154,
     # and one BLAS call is cheaper than an elementwise test
-    if not math.isfinite(u @ u) and not np.isfinite(u).all():
-        cause = (
-            "the right-hand side is not finite"
-            if not np.isfinite(rhs).all()
-            else "the eigenbasis is not finite"
-        )
-        raise StepFailureError(f"linear solve gave a non-finite field: {cause}")
+    if not math.isfinite(u @ u):
+        _check_finite(u, rhs, v, "eigenbasis")
     return u
+
+
+def _step_matrix(lam: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
+    """((w + 1) I + A)^-1 = V diag(1 / (w + 1 + lam)) V^T, about n
+    matrix-vector products of work.
+
+    Raises StepFailureError, as ``_implicit_step`` does, before the product
+    when the step matrix is not positive definite, and after it when the
+    product is not finite.
+    """
+    shift = _definite_shift(lam, w)
+    with np.errstate(invalid="ignore", over="ignore"):  # reported as the typed error below
+        step_matrix = (v / (lam + shift)) @ v.T
+    if not np.isfinite(step_matrix).all():
+        cause = "the eigenbasis is not finite" if not np.isfinite(v).all() else "it overflowed"
+        raise StepFailureError(f"step matrix ((w + 1)*I + A)^-1 is not finite: {cause}")
+    return step_matrix
+
+
+def _matrix_step(step_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """u = step_matrix @ rhs and u @ u, with the finiteness check of
+    ``_implicit_step``; sqrt(u @ u) bounds max u."""
+    u = step_matrix @ rhs
+    norm2 = u @ u
+    if not math.isfinite(norm2):
+        _check_finite(u, rhs, step_matrix, "step matrix")
+    return u, norm2
 
 
 # --- full runs -----------------------------------------------------------------
@@ -355,27 +435,43 @@ def run(
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
     history = L1History(u0, alpha, dt, n_steps)
+    memory, append, scale = history.memory, history.append, history.scale
+    # A step of the uniform size is one product with the step matrix, once
+    # the run has enough steps to pay for its build
+    step_matrix = _step_matrix(lam, v, scale) if n_steps >= config.n else None
 
     u_max = float(u0.max())
-    monitors = _Monitors(grid.h, e1, record_fields, n_steps // stride + 2)
-    monitors.record(0.0, u0, u_max)
+    monitors = _Monitors(grid.h, e1, record_fields)
+    monitors.record(0.0, u0)
     adaptive_trigger = 10.0 * (1.0 + lam1)
+    # max u <= sqrt(u @ u), which the step-matrix solve returns: while that
+    # bound stays below half of both thresholds, u_max holds it, not the max
+    bound_norm2 = (0.5 * min(adaptive_trigger, BLOW_THRESHOLD)) ** 2
     adaptive, k, k_switch = False, 0, 0  # k: committed steps
     blowup = inconclusive = None
 
     while history.t_last < t_stop:
         if not adaptive:
-            t_new, w = (k + 1) * dt, history.scale
+            t_new, w = (k + 1) * dt, scale
         else:
             if k - k_switch >= _MAX_ADAPTIVE_STEPS:
                 inconclusive = "step budget exhausted in adaptive regime"
                 break
             t_new = min(history.t_last + cur_dt, t_end)
             tau = t_new - history.t_last
-            w = tau ** (-alpha) / g2
+            # before the first halving the history weighs the step as uniform
+            w = scale if cur_dt == dt and _is_uniform(tau, dt) else tau ** (-alpha) / g2
         u_last = history.last
-        u_new = _implicit_step(lam, v, w, w * u_last - history.memory(t_new) + u_last * u_last)
-        max_new = float(u_new.max())
+        rhs = u_last * (w + u_last)
+        rhs -= memory(t_new)
+        if w == scale and step_matrix is not None:
+            u_new, norm2 = _matrix_step(step_matrix, rhs)
+        else:
+            u_new, norm2 = _implicit_step(lam, v, w, rhs), math.inf
+        if adaptive or not norm2 < bound_norm2:
+            max_new = float(u_new.max())
+        else:
+            max_new = math.sqrt(norm2)
         if adaptive and max_new - u_max > 0.5 * max(u_max, 1.0):
             cur_dt *= 0.5
             if cur_dt < floor:
@@ -385,20 +481,18 @@ def run(
                 )
                 break
             continue
-        history.append(u_new, t_new)
+        append(u_new, t_new)
         k, u_max = k + 1, max_new
         blown = u_max >= BLOW_THRESHOLD
         if adaptive or blown or k % stride == 0 or k == n_steps:
-            monitors.record(t_new, u_new, u_max)
+            monitors.record(t_new, u_new)
         if blown:
             blowup = BlowupEvent(t_star_numeric=t_new, terminal_max=u_max)
             break
         if not adaptive and u_max > adaptive_trigger:
             adaptive, k_switch = True, k
 
-    bracket = blowup_bracket(h0, alpha, lam1) if h0 > 0 else None
-    if bracket is not None and not bracket.admissible:
-        bracket = None
+    bracket = blowup_bracket(h0, alpha, lam1) if h0 >= 1.0 + lam1 else None
 
     times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = None
@@ -451,8 +545,14 @@ def blowup_bracket(h0: float, alpha: float, lambda1: float) -> BlowupBracket:
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     gamma_a1 = math.gamma(alpha + 1.0)
-    lower = (gamma_a1 / (4.0 * (h0 + 0.5))) ** (1.0 / alpha)
-    upper = (gamma_a1 / h0) ** (1.0 / alpha)
+    try:
+        lower = (gamma_a1 / (4.0 * (h0 + 0.5))) ** (1.0 / alpha)
+        upper = (gamma_a1 / h0) ** (1.0 / alpha)
+    except OverflowError:
+        raise DomainError(
+            f"blow-up bracket overflows at alpha = {alpha:g}, h0 = {h0:g}: "
+            "(Gamma(alpha + 1) / h0)^(1/alpha) exceeds the double range"
+        ) from None
     return BlowupBracket(h0=h0, lower=lower, upper=upper, admissible=h0 >= 1.0 + lambda1)
 
 

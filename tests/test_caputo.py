@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fracrd.caputo import (
     _FOLD,
+    _UNIFORM_RTOL,
     BLOW_THRESHOLD,
     L1History,
+    _is_uniform,
     _nonuniform_history_weights,
     _soe_modes,
     l1_weights,
@@ -286,6 +288,24 @@ class TestL1History:
         t_new = times[-1] + 0.05
         ref, magnitude = exact_memory(0.6, times, values, t_new)
         assert np.all(np.abs(history.memory(t_new) - ref) <= 1e-13 * magnitude)
+
+    def test_uniform_step_tolerance_is_shared(self):
+        # memory and append test a step inline; the solver's step weight uses
+        # _is_uniform.  All three must draw the line at the same place.
+        dt = 0.25
+        inside, outside = dt * (1.0 + 0.5 * _UNIFORM_RTOL), dt * (1.0 + 2.0 * _UNIFORM_RTOL)
+        assert _is_uniform(inside, dt) and not _is_uniform(outside, dt)
+        history = L1History(np.zeros(3), 0.5, dt, 100)
+        for m in range(1, _FOLD + 9):  # past one fold
+            history.append(np.full(3, float(m * m)), m * dt)
+        t = history.t_last
+        uniform = history.memory(t + dt)
+        assert np.array_equal(history.memory(t + inside), uniform)
+        assert not np.array_equal(history.memory(t + outside), uniform)
+        history.append(np.full(3, 1.0), t + inside)
+        assert not history._frozen
+        history.append(np.full(3, 2.0), history.t_last + outside)
+        assert history._frozen
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
     def test_memory_matches_uniform_sum_on_uniform_mesh(self, alpha):

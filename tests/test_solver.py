@@ -9,11 +9,14 @@ from fracrd import solver
 from fracrd.caputo import BLOW_THRESHOLD, L1History, solve_logistic_fode
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
-from fracrd.harness import scaled_blowup_config
+from fracrd.harness import CAMPAIGN_SCHEMA, Campaign, run_campaign, scaled_blowup_config
 from fracrd.solver import (
     SimConfig,
     _get_operator,
     _implicit_step,
+    _matrix_step,
+    _Monitors,
+    _step_matrix,
     blowup_bracket,
     decay_rate_fit,
     detect_blowup,
@@ -37,6 +40,21 @@ class TestConfig:
             SimConfig(**{**base, "dt": 2.0})
         with pytest.raises(DomainError):
             SimConfig(**{**base, "profile": "no-such-profile"})
+
+    @pytest.mark.parametrize("dt,t_end", [(1e-7, 1000.0), (1e-300, 1e300)])
+    def test_step_budget(self, dt, t_end):
+        # 1e10 steps, and a step count past the float range: both typed
+        base = dict(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16)
+        SimConfig(**base, dt=1e-4, t_end=1000.0)  # 1e7 steps: at the limit
+        with pytest.raises(DomainError, match="exceeds the limit of 1e\\+07 uniform steps"):
+            SimConfig(**base, dt=dt, t_end=t_end)
+
+    def test_decay_campaign_past_the_step_budget_is_a_failed_record(self):
+        params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["decay"].items()}
+        params.update(alpha=0.5, s=0.4, dt=1e-7, t_end=1000.0)
+        (record,), traces = run_campaign(Campaign(name="d", kind="decay", params=params))
+        assert record.name == "campaign_error" and not record.passed and not traces
+        assert "exceeds the limit" in record.expected
 
     def test_profiles_stay_in_unit_interval(self):
         grid = Grid1D(0.0, 1.0, 64)
@@ -125,6 +143,59 @@ class TestSolve:
         with pytest.raises(StepFailureError, match="w = 1, min eigenvalue of A = -2$"):
             _implicit_step(lam, np.eye(3), 1.0, np.full(3, 0.5))
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
+    def test_step_matrix_matches_dense_solve(self, n):
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
+        lam, v = mirror_eigenbasis(a)
+        rng = np.random.default_rng(n)
+        for w in (1e-3, 1.0, 1e4):
+            rhs = rng.standard_normal(n)
+            expected = np.linalg.solve((w + 1.0) * np.eye(n) + a, rhs)
+            u, norm2 = _matrix_step(_step_matrix(lam, v, w), rhs)
+            assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert norm2 == u @ u and u.max() <= np.sqrt(norm2)
+
+    def test_step_matrix_nan_rhs_raises_step_failure(self):
+        lam, v = self._basis(3)
+        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
+            _matrix_step(_step_matrix(lam, v, 1.0), np.array([0.5, np.nan, 0.5]))
+
+    def test_non_finite_basis_raises_when_step_matrix_is_formed(self):
+        lam, v = self._basis(3)
+        v[1, 1] = np.inf
+        with pytest.raises(StepFailureError, match="not finite: the eigenbasis is not finite"):
+            _step_matrix(lam, v, 1.0)
+
+    def test_step_matrix_overflow_names_the_solve(self):
+        # numpy reports the overflow itself as well; the typed error names it
+        with np.errstate(over="ignore"), pytest.raises(StepFailureError, match="solve overflowed"):
+            _matrix_step(np.full((2, 2), 1e300), np.full(2, 1e300))
+
+    def test_non_spd_shift_raises_before_step_matrix_is_formed(self):
+        # no basis at all: the definiteness test must come before the product
+        lam = np.array([-2.0, 1.0, 3.0])
+        with pytest.raises(StepFailureError, match="w = 1, min eigenvalue of A = -2$"):
+            _step_matrix(lam, None, 1.0)
+
+
+class TestMonitors:
+    @pytest.mark.parametrize("n", [7, 128, 1000])
+    def test_columns_match_per_field_sums_bit_for_bit(self, n):
+        # three blocks: two full ones and a partial last one
+        rng = np.random.default_rng(n)
+        h, e1 = 1.0 / (n + 1), rng.uniform(0.0, 1.0, n)
+        fields = rng.standard_normal((2 * solver._BLOCK + 17, n))
+        monitors = _Monitors(h, e1, record_fields=False)
+        for m, u in enumerate(fields):
+            monitors.record(0.1 * m, u)
+        times, energy, h_func, umin, umax = monitors.columns()
+        assert np.array_equal(times, 0.1 * np.arange(len(fields)))
+        assert np.array_equal(energy, [h * (u * u).sum() for u in fields])
+        assert np.array_equal(h_func, [h * (u * e1).sum() for u in fields])
+        assert np.array_equal(umin, [u.min() for u in fields])
+        assert np.array_equal(umax, [u.max() for u in fields])
+        assert np.array_equal(monitors.columns()[1], energy)  # a second call changes nothing
+
 
 class TestOperatorCache:
     @staticmethod
@@ -168,6 +239,29 @@ class TestOperatorCache:
 
 
 class TestRun:
+    def test_matches_hand_loop_of_history_and_basis_solve(self):
+        # 200 steps >= n = 16: every step of the run goes through the step
+        # matrix; the hand loop solves in the eigenbasis and records every step
+        cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=10.0,
+                        profile="parabola", profile_params={"amplitude": 0.9})
+        assert cfg.n_steps == 200
+        r = run(cfg)
+        pair, lam, v = _get_operator(cfg)
+        h, e1 = cfg.grid.h, pair.e1.values
+        u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
+        history = L1History(u, cfg.alpha, cfg.effective_dt, cfg.n_steps)
+        w = history.scale
+        rows = [(0.0, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max())]
+        for k in range(1, cfg.n_steps + 1):
+            t = k * cfg.effective_dt
+            u = _implicit_step(lam, v, w, w * u - history.memory(t) + u * u)
+            history.append(u, t)
+            rows.append((t, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max()))
+        expected = np.array(rows).T
+        got = np.array([r.times, r.energy, r.h_functional, r.umin, r.umax])
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
     def test_zero_data(self):
         cfg = SimConfig(alpha=0.8, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=1.0,
                         profile="constant", profile_params={"amplitude": 0.0})
@@ -260,6 +354,19 @@ class TestBracket:
         with pytest.raises(DomainError):
             blowup_bracket(0.0, 1.0, 0.5)
 
+    def test_overflow_is_a_domain_error(self):
+        # (Gamma(1.001) / 0.1)^1000 is about 1e1000
+        with pytest.raises(DomainError, match="alpha = 0.001, h0 = 0.1"):
+            blowup_bracket(0.1, 1e-3, 0.5)
+
+    def test_invariant_campaign_at_small_alpha_runs(self):
+        # every run there has 0 < h0 < 1 + lambda1, where the bracket would overflow
+        params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["invariant_region"].items()}
+        params.update(alphas=(1e-3,), s_values=(0.5,), n=16, t_end=1.0, comparison_pairs=1)
+        records, _ = run_campaign(Campaign(name="inv", kind="invariant_region", params=params))
+        assert len(records) == 7
+        assert all(r.passed for r in records)
+
 
 class TestBlowupRuns:
     def test_bracket_attached_only_when_admissible(self):
@@ -288,6 +395,17 @@ class TestBlowupRuns:
         assert finding.status == "inconclusive"
         assert finding.t_star is None
 
+
+    def test_zero_mass_unit_profile_is_a_domain_error(self):
+        # the square in the gauss profile overflows, so every node reads 0
+        p = {"domain": (0.0, 2.0), "s": 0.4, "n": 16, "dt": 2e-3, "width": 1e-300}
+        with pytest.raises(DomainError, match="width 1e-300 has weighted mass 0"):
+            scaled_blowup_config(p, 1.0, 1.2)
+        params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["blowup"].items()}
+        params.update(alphas=(1.0,), s=0.4, n=16, width=1e-300)
+        (record,), _ = run_campaign(Campaign(name="bu", kind="blowup", params=params))
+        assert record.name == "campaign_error" and not record.passed
+        assert "weighted mass 0" in record.expected
 
     @staticmethod
     def _alpha_one_blowup():
