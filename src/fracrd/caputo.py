@@ -154,6 +154,9 @@ def _soe_modes(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     kernel weight w_q becomes the L1 weight of a unit interval,
     c_q = (1-alpha) w_q (1 - exp(-s_q)) / s_q.  alpha must lie in (0, 1).
     """
+    if not alpha - 1.0 > -1.0:  # the Jacobi weight (1+y)^(alpha-1) is not integrable
+        raise DomainError(f"alpha = {alpha:g} is too small for the SOE history: "
+                          "1 - alpha rounds to 1")
     y, omega = _gauss_jacobi(_SOE_JACOBI, alpha - 1.0)
     s_jac = (1.0 + y) / (2.0 * n_steps)
     w_jac = omega * (2.0 * n_steps) ** (-alpha)

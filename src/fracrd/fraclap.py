@@ -111,6 +111,9 @@ class Grid1D:
             raise DomainError(f"need a < b, got ({self.a}, {self.b})")
         if self.n < 2:
             raise DomainError(f"need n >= 2 interior nodes, got {self.n}")
+        if not self.h > 0:
+            raise DomainError(f"cell width h = (b - a) / (n + 1) underflows to 0 on "
+                              f"({self.a:g}, {self.b:g})")
 
     @property
     def h(self) -> float:
@@ -167,7 +170,11 @@ class EigenPair:
 
 def normalizing_constant(s: float) -> float:
     """Full-space constant C_{1,s}; makes the s->1 limit the classical -d2/dx2."""
-    return 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * abs(math.gamma(-s)))
+    try:
+        gamma_s = math.gamma(-s)
+    except OverflowError:  # Gamma(-s) ~ -1/s
+        raise DomainError(f"s = {s:g} is too small: Gamma(-s) overflows") from None
+    return 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * abs(gamma_s))
 
 
 def _cell_kernel_integrals(h: float, offsets: np.ndarray, s: float) -> np.ndarray:

@@ -26,6 +26,24 @@ Every record runs and every gate is a fixed value at its record, so each
 kind's record set follows from its lists (``alphas``, ``s_values``,
 ``h0_factors``).
 
+A gate is built by one of four constructors, which write its ``expected``
+text and its ``tol``; NaN fails every gate:
+
+* ``at_most(x)``  -- ``<=x``, tol ``|x|``: ``max_rel_err`` 1e-10,
+  ``erfc_identity`` 1e-9, ``symmetry`` and ``annihilate_constants`` 1e-12,
+  ``lambda1_vs_dense_*`` 1e-10, ``envelope`` 1.05, ``logistic_T_*`` 0.01,
+  ``stability_*`` 0.05, ``bounds_*`` and ``comparison_principle`` 1e-8;
+* ``at_least(x)`` -- ``>=x``, tol ``|x|``: ``psd_probes`` -1e-10,
+  ``cauchy_lambda1`` 1.5;
+* ``equals(x)``   -- ``==x``, tol 0: ``repeat_identical`` 0, ``l1_monotone`` 1;
+* ``within(lo, hi, tol)`` -- ``in[lo,hi]``, tol as given: ``l1_order``
+  ``[alpha - 0.1, 2.2 - alpha]`` with tol its width, ``slope``
+  ``-alpha * (2 -/+ 0.15)`` with tol its half-width ``0.15 * alpha``, and
+  ``containment_*`` the blow-up bracket with tol its width.
+
+A record's note (``;finding:...``, ``;dt:...``, ``;n:...``) follows
+``expected`` and fails the record.
+
 Reports are plain text, one record per line, sorted by campaign/name/params;
 wall times are excluded from the canonical form used for determinism checks.
 """
@@ -119,17 +137,43 @@ class Report:
         return "\n".join(r.line(with_wall=False) for r in self.sorted_records()) + "\n"
 
 
-def _record(campaign, name, params, measured, expected, tol, passed, t0):
-    return CheckRecord(
-        campaign=campaign,
-        name=name,
-        params=params,
-        measured=float(measured),
-        expected=expected,
-        tol=tol,
-        passed=bool(passed),
-        wall=time.perf_counter() - t0,
-    )
+@dataclass(frozen=True)
+class Gate:
+    """A record's fixed pass condition, lo <= measured <= hi.
+
+    NaN fails every gate: each comparison with it is false.
+    """
+
+    expected: str
+    tol: float
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def passes(self, measured: float) -> bool:
+        return self.lo <= measured <= self.hi
+
+
+def at_most(x):
+    return Gate(f"<={x:g}", abs(x), hi=x)
+
+
+def at_least(x):
+    return Gate(f">={x:g}", abs(x), lo=x)
+
+
+def equals(x):
+    return Gate(f"=={x:g}", 0.0, x, x)
+
+
+def within(lo, hi, tol):
+    return Gate(f"in[{lo:.15g},{hi:.15g}]", tol, lo, hi)
+
+
+def _record(campaign, name, params, measured, gate, t0, note=""):
+    """A check record; a non-empty note follows ``expected`` and fails it."""
+    measured = float(measured)
+    return CheckRecord(campaign, name, params, measured, gate.expected + note, gate.tol,
+                       not note and gate.passes(measured), time.perf_counter() - t0)
 
 
 # --- configuration ------------------------------------------------------------
@@ -149,7 +193,8 @@ CAMPAIGN_SCHEMA = {
         "n": ("int", 128, "[2, 4096]"),
         "dt": ("float", 0.1, "(0, inf)"),
         "t_end": ("float", 50.0, "(0, inf)"),
-        "comparison_pairs": ("int", 20, "[1, inf)"),
+        # a pair is two 200-step n = 64 runs, about 11 ms: 1e4 pairs about 2 minutes
+        "comparison_pairs": ("int", 20, "[1, 10000]"),
     },
     "decay": {
         "alpha": ("float", None, "(0, 1]"),
@@ -165,7 +210,8 @@ CAMPAIGN_SCHEMA = {
         "alphas": ("floats", None, "(0, 1]"),
         "s": ("float", None, "(0, 1)"),
         "domain": ("domain", (0.0, 2.0), "(-inf, inf)"),
-        "n": ("int", 128, "[2, 4096]"),
+        # the stability arm runs at 2 n, and the operator stops at n = 4096
+        "n": ("int", 128, "[2, 2048]"),
         "dt": ("float", 2e-3, "(0, inf)"),
         "h0_factors": ("floats", (1.2, 1.6), "[1, inf)"),
         "width": ("float", 0.2, "(0, inf)"),
@@ -176,7 +222,9 @@ CAMPAIGN_SCHEMA = {
         "cauchy_s": ("float", 0.9, "(0, 1)"),
         "domain": ("domain", (0.0, 1.0), "(-inf, inf)"),
         "oracle_n": ("int", 64, "[2, 4096]"),
-        "probes": ("int", 100, "[1, inf)"),
+        # a probe is one product with A, about 10 ms at oracle_n = 4096: 1e4 probes
+        # about 2 minutes
+        "probes": ("int", 100, "[1, 10000]"),
     },
 }
 
@@ -298,26 +346,16 @@ def _run_ml_table(campaign) -> tuple:
     name = campaign.name
 
     def compute_fragment():
-        frag = []
         t0 = time.perf_counter()
         table = load_oracle_table()
         worst = 0.0
         for alpha, z, ref in table:
-            val = ml_eval(MLParams(alpha=alpha, z=z))
-            err = abs(val - ref) / max(abs(ref), 1e-300)
+            err = abs(ml_eval(MLParams(alpha=alpha, z=z)) - ref) / max(abs(ref), 1e-300)
             worst = max(worst, err)
-        frag.append(
-            _record(name, "max_rel_err", f"points:{len(table)}", worst,
-                    "<=1e-10", 1e-10, worst <= 1e-10, t0)
-        )
+        frag = [_record(name, "max_rel_err", f"points:{len(table)}", worst, at_most(1e-10), t0)]
         t0 = time.perf_counter()
-        erfc_ref = 0.4275835762
-        val = ml_eval(MLParams(alpha=0.5, z=-1.0))
-        err = abs(val - erfc_ref)
-        frag.append(
-            _record(name, "erfc_identity", "alpha:0.5;z:-1", err,
-                    "<=1e-09", 1e-9, err <= 1e-9, t0)
-        )
+        erfc_dev = abs(ml_eval(MLParams(alpha=0.5, z=-1.0)) - 0.4275835762)
+        frag.append(_record(name, "erfc_identity", "alpha:0.5;z:-1", erfc_dev, at_most(1e-9), t0))
         return frag
 
     frag1 = compute_fragment()
@@ -325,11 +363,7 @@ def _run_ml_table(campaign) -> tuple:
     frag2 = compute_fragment()
     first = "".join(r.line(with_wall=False) for r in frag1)
     second = "".join(r.line(with_wall=False) for r in frag2)
-    identical = first == second
-    frag1.append(
-        _record(name, "repeat_identical", "-", 0.0 if identical else 1.0,
-                "==0", 0.0, identical, t0)
-    )
+    frag1.append(_record(name, "repeat_identical", "-", first != second, equals(0), t0))
     return frag1, {}
 
 
@@ -343,10 +377,8 @@ def _run_eigen_convergence(campaign) -> tuple:
     grid = Grid1D(a, b, p["oracle_n"])
     op = assemble_regional(grid, p["cauchy_s"])
     asym = np.max(np.abs(op.entries - op.entries.T)) / np.max(np.abs(op.entries))
-    frag.append(
-        _record(name, "symmetry", f"n:{p['oracle_n']};s:{p['cauchy_s']:g}", asym,
-                "<=1e-12", 1e-12, asym <= 1e-12, t0)
-    )
+    frag.append(_record(name, "symmetry", f"n:{p['oracle_n']};s:{p['cauchy_s']:g}", asym,
+                        at_most(1e-12), t0))
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(_PROBE_SEED)
@@ -354,20 +386,15 @@ def _run_eigen_convergence(campaign) -> tuple:
     for _ in range(p["probes"]):
         v = rng.standard_normal(grid.n)
         worst_quad = min(worst_quad, float(v @ (op.entries @ v)) / float(v @ v))
-    frag.append(
-        _record(name, "psd_probes", f"probes:{p['probes']}", worst_quad,
-                ">=-1e-10", 1e-10, worst_quad >= -1e-10, t0)
-    )
+    frag.append(_record(name, "psd_probes", f"probes:{p['probes']}", worst_quad,
+                        at_least(-1e-10), t0))
 
     t0 = time.perf_counter()
     op_aux = assemble_regional_untruncated(a, b, p["oracle_n"], p["cauchy_s"])
     resid = np.max(np.abs(op_aux.entries @ np.ones(p["oracle_n"])))
     scale = np.max(np.abs(np.diag(op_aux.entries)))
-    rel = resid / scale
-    frag.append(
-        _record(name, "annihilate_constants", f"n:{p['oracle_n']}", rel,
-                "<=1e-12", 1e-12, rel <= 1e-12, t0)
-    )
+    frag.append(_record(name, "annihilate_constants", f"n:{p['oracle_n']}", resid / scale,
+                        at_most(1e-12), t0))
 
     for s in p["s_values"]:
         t0 = time.perf_counter()
@@ -376,10 +403,8 @@ def _run_eigen_convergence(campaign) -> tuple:
         pair = principal_eigenpair(operator, g)
         vals = eigh(operator.entries, eigvals_only=True, subset_by_index=[0, 0])
         rel = abs(pair.lambda1 - vals[0]) / vals[0]
-        frag.append(
-            _record(name, f"lambda1_vs_dense_s{s:g}", f"n:{p['oracle_n']};s:{s:g}", rel,
-                    "<=1e-10", 1e-10, rel <= 1e-10, t0)
-        )
+        frag.append(_record(name, f"lambda1_vs_dense_s{s:g}", f"n:{p['oracle_n']};s:{s:g}",
+                            rel, at_most(1e-10), t0))
 
     t0 = time.perf_counter()
     lams = []
@@ -389,11 +414,8 @@ def _run_eigen_convergence(campaign) -> tuple:
         lams.append(pair.lambda1)
     diffs = [abs(lams[i + 1] - lams[i]) for i in range(3)]
     ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
-    min_ratio = min(ratios)
-    frag.append(
-        _record(name, "cauchy_lambda1", f"s:{p['cauchy_s']:g};n:64..512", min_ratio,
-                ">=1.5", 1.5, min_ratio >= 1.5, t0)
-    )
+    frag.append(_record(name, "cauchy_lambda1", f"s:{p['cauchy_s']:g};n:64..512", min(ratios),
+                        at_least(1.5), t0))
     return frag, {}
 
 
@@ -411,20 +433,15 @@ def _run_decay(campaign) -> tuple:
         dt = 2.0**-k
         trace = solve_linear_fode(alpha, 1.0, 1.0, dt, 1.0)
         errors.append(abs(trace.values[-1] - exact))
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
-    frag.append(
-        _record(name, "l1_monotone", f"alpha:{alpha:g}", float(monotone),
-                "==1", 0.0, monotone, t0)
-    )
+    frag.append(_record(name, "l1_monotone", f"alpha:{alpha:g}",
+                        all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)),
+                        equals(1), t0))
     t0 = time.perf_counter()
     dts = [2.0**-k for k in range(6, 13)]
     # error ~ dt^p, so the slope of log2(err) against log2(dt) is +p
     order = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
     lo, hi = alpha - 0.1, 2.0 - alpha + 0.2
-    frag.append(
-        _record(name, "l1_order", f"alpha:{alpha:g}", order,
-                f"in[{lo:.15g},{hi:.15g}]", hi - lo, lo <= order <= hi, t0)
-    )
+    frag.append(_record(name, "l1_order", f"alpha:{alpha:g}", order, within(lo, hi, hi - lo), t0))
 
     t0 = time.perf_counter()
     a, b = p["domain"]
@@ -438,13 +455,9 @@ def _run_decay(campaign) -> tuple:
     # E(t) = ||u||^2 and each mode's amplitude decays like t^-alpha, so the
     # sharp rate of E is t^(-2 alpha); the band's half-width is alpha*band.
     band = 0.15
-    lo, hi = -alpha * (2 + band), -alpha * (2 - band)
-    ok = slope is not None and lo <= slope <= hi
-    frag.append(
-        _record(name, "slope", f"alpha:{alpha:g};s:{p['s']:g}",
-                slope if slope is not None else math.nan,
-                f"in[{lo:.15g},{hi:.15g}]", alpha * band, ok, t0)
-    )
+    frag.append(_record(name, "slope", f"alpha:{alpha:g};s:{p['s']:g}",
+                        slope if slope is not None else math.nan,
+                        within(-alpha * (2 + band), -alpha * (2 - band), alpha * band), t0))
 
     t0 = time.perf_counter()
     e0 = result.energy[0]
@@ -453,10 +466,8 @@ def _run_decay(campaign) -> tuple:
         envelope = e0 * ml_eval(MLParams(alpha=alpha, z=-result.lambda1 * t**alpha))
         if envelope > 0:
             worst = max(worst, e / envelope)
-    frag.append(
-        _record(name, "envelope", f"alpha:{alpha:g};lambda1:{result.lambda1:.15g}", worst,
-                "<=1.05", 1.05, worst <= 1.05, t0)
-    )
+    frag.append(_record(name, "envelope", f"alpha:{alpha:g};lambda1:{result.lambda1:.15g}",
+                        worst, at_most(1.05), t0))
     return frag, traces
 
 
@@ -514,11 +525,8 @@ def _run_blowup(campaign) -> tuple:
             if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < 2.5e-3 * estimates[-1]:
                 break
             dt *= 0.5
-        rel = abs(estimates[-1] - exact) / exact
-        frag.append(
-            _record(name, f"logistic_T_y0_{y0:g}", f"alpha:1;y0:{y0:g}", rel,
-                    "<=0.01", 0.01, rel <= 0.01, t0)
-        )
+        frag.append(_record(name, f"logistic_T_y0_{y0:g}", f"alpha:1;y0:{y0:g}",
+                            abs(estimates[-1] - exact) / exact, at_most(0.01), t0))
 
     for alpha in p["alphas"]:
         for factor in p["h0_factors"]:
@@ -526,39 +534,25 @@ def _run_blowup(campaign) -> tuple:
             cfg, bracket = scaled_blowup_config(p, alpha, factor)
             finding = detect_blowup(cfg)
             tag = f"alpha:{alpha:g};h0:{bracket.h0:.15g}"
-            if finding.status != "blowup":
-                frag.append(
-                    _record(name, f"containment_a{alpha:g}_f{factor:g}", tag, math.nan,
-                            f"in[{bracket.lower:.15g},{bracket.upper:.15g}];"
-                            f"finding:{finding.status}",
-                            0.0, False, t0)
-                )
+            lo, hi = bracket.lower, bracket.upper
+            t_star = finding.t_star if finding.status == "blowup" else math.nan
+            note = "" if finding.status == "blowup" else f";finding:{finding.status}"
+            frag.append(_record(name, f"containment_a{alpha:g}_f{factor:g}", tag, t_star,
+                                within(lo, hi, hi - lo), t0, note))
+            if note:
                 continue
-            t_star = finding.t_star
-            contained = bracket.lower <= t_star <= bracket.upper
-            frag.append(
-                _record(name, f"containment_a{alpha:g}_f{factor:g}", tag, t_star,
-                        f"in[{bracket.lower:.15g},{bracket.upper:.15g}]",
-                        bracket.upper - bracket.lower, contained, t0)
-            )
 
             t0 = time.perf_counter()
-            # dt / sqrt(2) starts a mesh family disjoint from containment's halvings
-            refined_dt = detect_blowup(replace(cfg, dt=cfg.dt * 2.0**-0.5))
-            refined_n = detect_blowup(replace(cfg, n=2 * cfg.n))
-            expected = "<=0.05"
-            drift = 0.0
-            ok = True
-            for arm, other in (("dt", refined_dt), ("n", refined_n)):
-                if other.status != "blowup":
-                    expected += f";{arm}:{other.status}"
-                    ok = False
-                    continue
-                drift = max(drift, abs(other.t_star - t_star) / t_star)
-            frag.append(
-                _record(name, f"stability_a{alpha:g}_f{factor:g}", tag, drift,
-                        expected, 0.05, ok and drift <= 0.05, t0)
-            )
+            arms = {  # dt / sqrt(2) starts a mesh family disjoint from containment's halvings
+                "dt": detect_blowup(replace(cfg, dt=cfg.dt * 2.0**-0.5)),
+                "n": detect_blowup(replace(cfg, n=2 * cfg.n)),
+            }
+            drift = max([0.0] + [abs(other.t_star - t_star) / t_star
+                                 for other in arms.values() if other.status == "blowup"])
+            note = "".join(f";{arm}:{other.status}"
+                           for arm, other in arms.items() if other.status != "blowup")
+            frag.append(_record(name, f"stability_a{alpha:g}_f{factor:g}", tag, drift,
+                                at_most(0.05), t0, note))
     return frag, traces
 
 
@@ -602,13 +596,11 @@ def _run_invariant_region(campaign) -> tuple:
                 violation = max(
                     float(np.max(result.umax) - 1.0), float(-np.min(result.umin)), 0.0
                 )
-                ok = violation <= 1e-8 and result.blowup is None
+                # run records the blown field, so a blow-up reads umax >= 1e8
                 amp = params.get("amplitude", 1.0)
                 tag = f"profile:{profile}({amp:g});alpha:{alpha:g};s:{s:g}"
-                frag.append(
-                    _record(name, f"bounds_{profile}{amp:g}_a{alpha:g}_s{s:g}", tag,
-                            violation, "<=1e-08", 1e-8, ok, t0)
-                )
+                frag.append(_record(name, f"bounds_{profile}{amp:g}_a{alpha:g}_s{s:g}", tag,
+                                    violation, at_most(1e-8), t0))
                 if profile == "parabola" and alpha == p["alphas"][0] and s == p["s_values"][0]:
                     traces[f"{name}_{profile}_a{alpha:g}_s{s:g}"] = result
 
@@ -627,10 +619,8 @@ def _run_invariant_region(campaign) -> tuple:
         res_b = run(cfg, u0_override=ub, record_fields=True)
         for fa, fb in zip(res_a.fields, res_b.fields):
             worst = max(worst, float(np.max(fa - fb)))
-    frag.append(
-        _record(name, "comparison_principle", f"pairs:{p['comparison_pairs']}", worst,
-                "<=1e-08", 1e-8, worst <= 1e-8, t0)
-    )
+    frag.append(_record(name, "comparison_principle", f"pairs:{p['comparison_pairs']}", worst,
+                        at_most(1e-8), t0))
     return frag, traces
 
 
@@ -648,17 +638,8 @@ def run_campaign(campaign: Campaign) -> tuple:
     try:
         return _RUNNERS[campaign.kind](campaign)
     except FracRDError as exc:
-        rec = CheckRecord(
-            campaign=campaign.name,
-            name="campaign_error",
-            params=f"kind:{campaign.kind}",
-            measured=math.nan,
-            expected=f"no error, got: {exc}",
-            tol=0.0,
-            passed=False,
-            wall=0.0,
-        )
-        return [rec], {}
+        return [CheckRecord(campaign.name, "campaign_error", f"kind:{campaign.kind}", math.nan,
+                            f"no error, got: {exc}", 0.0, False, 0.0)], {}
 
 
 def run_campaigns(campaigns) -> tuple:

@@ -288,7 +288,8 @@ class BlowupFinding:
 
     status is 'blowup' (t_star trusted to the requested refinement),
     'none' (the run stayed bounded to t_end), or 'inconclusive' (the step
-    collapsed to the floor before the threshold was crossed).
+    collapsed to the floor before the threshold was crossed, or the dt
+    ladder ran out of halvings or of step budget before t_star settled).
     """
 
     status: str
@@ -450,47 +451,50 @@ def run(
     adaptive, k, k_switch = False, 0, 0  # k: committed steps
     blowup = inconclusive = None
 
-    while history.t_last < t_stop:
-        if not adaptive:
-            t_new, w = (k + 1) * dt, scale
-        else:
-            if k - k_switch >= _MAX_ADAPTIVE_STEPS:
-                inconclusive = "step budget exhausted in adaptive regime"
+    # an overflow in a step reaches its finiteness check, which raises the
+    # typed StepFailureError, so numpy need not warn before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while history.t_last < t_stop:
+            if not adaptive:
+                t_new, w = (k + 1) * dt, scale
+            else:
+                if k - k_switch >= _MAX_ADAPTIVE_STEPS:
+                    inconclusive = "step budget exhausted in adaptive regime"
+                    break
+                t_new = min(history.t_last + cur_dt, t_end)
+                tau = t_new - history.t_last
+                # before the first halving the history weighs the step as uniform
+                w = scale if cur_dt == dt and _is_uniform(tau, dt) else tau ** (-alpha) / g2
+            u_last = history.last
+            rhs = u_last * (w + u_last)
+            rhs -= memory(t_new)
+            if w == scale and step_matrix is not None:
+                u_new, norm2 = _matrix_step(step_matrix, rhs)
+            else:
+                u_new, norm2 = _implicit_step(lam, v, w, rhs), math.inf
+            if adaptive or not norm2 < bound_norm2:
+                max_new = float(u_new.max())
+            else:
+                max_new = math.sqrt(norm2)
+            if adaptive and max_new - u_max > 0.5 * max(u_max, 1.0):
+                cur_dt *= 0.5
+                if cur_dt < floor:
+                    inconclusive = (
+                        f"step size collapsed below floor {floor:g} "
+                        "without crossing the blow-up threshold"
+                    )
+                    break
+                continue
+            append(u_new, t_new)
+            k, u_max = k + 1, max_new
+            blown = u_max >= BLOW_THRESHOLD
+            if adaptive or blown or k % stride == 0 or k == n_steps:
+                monitors.record(t_new, u_new)
+            if blown:
+                blowup = BlowupEvent(t_star_numeric=t_new, terminal_max=u_max)
                 break
-            t_new = min(history.t_last + cur_dt, t_end)
-            tau = t_new - history.t_last
-            # before the first halving the history weighs the step as uniform
-            w = scale if cur_dt == dt and _is_uniform(tau, dt) else tau ** (-alpha) / g2
-        u_last = history.last
-        rhs = u_last * (w + u_last)
-        rhs -= memory(t_new)
-        if w == scale and step_matrix is not None:
-            u_new, norm2 = _matrix_step(step_matrix, rhs)
-        else:
-            u_new, norm2 = _implicit_step(lam, v, w, rhs), math.inf
-        if adaptive or not norm2 < bound_norm2:
-            max_new = float(u_new.max())
-        else:
-            max_new = math.sqrt(norm2)
-        if adaptive and max_new - u_max > 0.5 * max(u_max, 1.0):
-            cur_dt *= 0.5
-            if cur_dt < floor:
-                inconclusive = (
-                    f"step size collapsed below floor {floor:g} "
-                    "without crossing the blow-up threshold"
-                )
-                break
-            continue
-        append(u_new, t_new)
-        k, u_max = k + 1, max_new
-        blown = u_max >= BLOW_THRESHOLD
-        if adaptive or blown or k % stride == 0 or k == n_steps:
-            monitors.record(t_new, u_new)
-        if blown:
-            blowup = BlowupEvent(t_star_numeric=t_new, terminal_max=u_max)
-            break
-        if not adaptive and u_max > adaptive_trigger:
-            adaptive, k_switch = True, k
+            if not adaptive and u_max > adaptive_trigger:
+                adaptive, k_switch = True, k
 
     bracket = blowup_bracket(h0, alpha, lam1) if h0 >= 1.0 + lam1 else None
 
@@ -560,15 +564,17 @@ def detect_blowup(config: SimConfig) -> BlowupFinding:
     """Run with successively halved dt until the crossing time stabilizes.
 
     The reported t_star moves by less than 1% under one further halving,
-    within 12 halvings.  A bounded run reports 'none' immediately; a dt-floor collapse
-    reports 'inconclusive' rather than silently dropping the event.
+    within 12 halvings.  A bounded run reports 'none' immediately.  A dt-floor
+    collapse, a ladder that does not settle within 12 halvings, and a halving
+    that would pass the ``_MAX_STEPS`` budget report 'inconclusive' with the
+    estimates so far, rather than silently dropping the event.
     """
     estimates = []
     cfg = config
     for _ in range(_MAX_REFINEMENTS + 1):
         result = run(cfg)
         if result.inconclusive is not None:
-            return BlowupFinding(status="inconclusive", t_star=None, estimates=tuple(estimates))
+            break
         if result.blowup is None:
             return BlowupFinding(status="none", t_star=None, estimates=tuple(estimates))
         estimates.append(result.blowup.t_star_numeric)
@@ -576,10 +582,10 @@ def detect_blowup(config: SimConfig) -> BlowupFinding:
             prev, cur = estimates[-2], estimates[-1]
             if abs(cur - prev) < _REL_CHANGE * abs(cur):
                 return BlowupFinding(status="blowup", t_star=cur, estimates=tuple(estimates))
+        if not cfg.t_end / (cfg.dt * 0.5) <= _MAX_STEPS:
+            break
         cfg = replace(cfg, dt=cfg.dt * 0.5)
-    raise ConvergenceError(
-        f"blow-up time did not stabilize within {_MAX_REFINEMENTS} dt halvings: {estimates}"
-    )
+    return BlowupFinding(status="inconclusive", t_star=None, estimates=tuple(estimates))
 
 
 def decay_rate_fit(times, values, window) -> float:

@@ -179,6 +179,46 @@ def test_criterion_8_comparison_principle(invariant_result):
     )
 
 
+# Each record's gate in the built-in suite, as the report writes its expected
+# and tol: a gate is never widened to get a green run.  Only containment_* is
+# left out; its bracket comes from the computed lambda1.
+_FROZEN_GATES = {
+    "ml/max_rel_err": ("<=1e-10", "1e-10"),
+    "ml/erfc_identity": ("<=1e-09", "1e-09"),
+    "ml/repeat_identical": ("==0", "0"),
+    "eigen/symmetry": ("<=1e-12", "1e-12"),
+    "eigen/psd_probes": (">=-1e-10", "1e-10"),
+    "eigen/annihilate_constants": ("<=1e-12", "1e-12"),
+    "eigen/lambda1_vs_dense_s": ("<=1e-10", "1e-10"),
+    "eigen/cauchy_lambda1": (">=1.5", "1.5"),
+    "decay-a05/l1_monotone": ("==1", "0"),
+    "decay-a08/l1_monotone": ("==1", "0"),
+    "decay-a05/l1_order": ("in[0.4,1.7]", "1.3"),
+    "decay-a08/l1_order": ("in[0.7,1.4]", "0.7"),
+    "decay-a05/slope": ("in[-1.075,-0.925]", "0.075"),
+    "decay-a08/slope": ("in[-1.72,-1.48]", "0.12"),
+    "decay-a05/envelope": ("<=1.05", "1.05"),
+    "decay-a08/envelope": ("<=1.05", "1.05"),
+    "blowup/logistic_T_y0_": ("<=0.01", "0.01"),
+    "blowup/stability_": ("<=0.05", "0.05"),
+    "invariant/bounds_": ("<=1e-08", "1e-08"),
+    "invariant/comparison_principle": ("<=1e-08", "1e-08"),
+}
+
+
+def test_gates_frozen(ml_result, eigen_result, decay_results, blowup_result, invariant_result):
+    frags = [ml_result[0], eigen_result[0], blowup_result[0], invariant_result[0],
+             *(frag for frag, _ in decay_results.values())]
+    records = [r for frag in frags for r in frag]
+    assert len(records) == 70
+    for rec in records:
+        label = f"{rec.campaign}/{rec.name}"
+        if rec.name.startswith("containment_"):
+            continue
+        (gate,) = [gate for prefix, gate in _FROZEN_GATES.items() if label.startswith(prefix)]
+        assert (rec.expected, f"{rec.tol:.15g}") == gate, label
+
+
 def test_criterion_9_determinism():
     mini = [
         Campaign(name="ml", kind="ml_table", params={}),

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracrd import cli, harness
+from fracrd import cli, harness, solver
 from fracrd.errors import ConfigError
 from fracrd.harness import (
     CAMPAIGN_SCHEMA,
@@ -96,6 +97,16 @@ class TestParseConfig:
         assert err.value.key == line.split(" =")[0]
         assert err.value.section == "c"
 
+    def test_blowup_n_capped_at_half_the_operator_limit(self, tmp_path):
+        # the stability arm runs at 2 n, and the operator stops at n = 4096
+        text = "[bu]\nkind = blowup\nalphas = 1\ns = 0.4\nn = {}\n"
+        (campaign,) = parse_config(_write(tmp_path, text.format(2048)))
+        assert campaign.params["n"] == 2048
+        bound = re.escape("value 2049 violates upper bound 2048]")
+        with pytest.raises(ConfigError, match=bound) as err:
+            parse_config(_write(tmp_path, text.format(2049)))
+        assert (err.value.key, err.value.section) == ("n", "bu")
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = MINIMAL_DECAY.replace("t_end = 100", "t_end = 100\nslope_bnd = 1e-9")
         with pytest.raises(ConfigError) as err:
@@ -135,6 +146,21 @@ class TestParseConfig:
             "blowup",
             "invariant_region",
         }
+
+
+class TestGates:
+    @pytest.mark.parametrize("gate,expected,tol,inside,outside", [
+        (harness.at_most(1e-9), "<=1e-09", 1e-9, 1e-9, 1.0000001e-9),
+        (harness.at_least(-1e-10), ">=-1e-10", 1e-10, -1e-10, -1.0000001e-10),
+        (harness.equals(1), "==1", 0.0, 1.0, 0.0),
+        (harness.within(-1.075, -0.925, 0.075), "in[-1.075,-0.925]", 0.075, -0.925, -0.9),
+        # 0.1 + 0.2 is 0.30000000000000004; the text carries 15 digits
+        (harness.within(0.1 + 0.2, 1.7, 1.4), "in[0.3,1.7]", 1.4, 1.7, 0.29),
+    ])
+    def test_gate_text_tol_and_decision(self, gate, expected, tol, inside, outside):
+        assert (gate.expected, gate.tol) == (expected, tol)
+        assert gate.passes(inside) and not gate.passes(outside)
+        assert not gate.passes(math.nan)
 
 
 class TestConfigDocs:
@@ -260,7 +286,7 @@ class TestCli:
         assert code == 2
         assert "key 'domain'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("domain", ["0,1e300", "0,1e-300"])
+    @pytest.mark.parametrize("domain", ["0,1e300", "0,1e-300", "0,5e-324"])
     def test_eig_extreme_domain_exit_two(self, tmp_path, capsys, domain):
         code = cli.main(
             ["eig", "--s", "0.9", "--n", "8", "--domain", domain, "--out", str(tmp_path)]
@@ -391,6 +417,19 @@ class TestBlowupRecords:
         assert record.name == "containment_a0.5_f1.2" and not record.passed
         assert record.expected.endswith(";finding:inconclusive")
 
+    def test_ladder_out_of_step_budget_keeps_the_other_records(self, monkeypatch):
+        # the ladder's third rung would pass the step budget: one inconclusive
+        # containment record, not one campaign_error for the whole campaign
+        monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
+        campaign = self._campaign(1.0)
+        campaign.params.update(n=32, h0_factors=(1.6,))
+        frag, _ = run_campaign(campaign)
+        assert [r.name for r in frag] == [
+            "logistic_T_y0_0.5", "logistic_T_y0_1", "logistic_T_y0_2", "containment_a1_f1.6",
+        ]
+        assert all(r.passed for r in frag[:3])
+        assert frag[3].expected.endswith(";finding:inconclusive") and not frag[3].passed
+
     def test_stability_names_each_non_blowup_arm(self, monkeypatch):
         findings = iter([
             BlowupFinding(status="blowup", t_star=0.1, estimates=(0.1, 0.1)),
@@ -402,3 +441,75 @@ class TestBlowupRecords:
         stability = next(r for r in frag if r.name.startswith("stability_"))
         assert stability.name == "stability_a1_f1.2" and not stability.passed
         assert stability.expected == "<=0.05;dt:inconclusive;n:none"
+
+
+# Every other key small, so each case of the sweep costs at most about 0.2 s.
+_SWEEP_SMALL = {
+    "invariant_region": {"alphas": "1", "s_values": "0.5", "n": "8", "dt": "0.5", "t_end": "1",
+                         "comparison_pairs": "1"},
+    "decay": {"alpha": "0.5", "s": "0.5", "n": "8", "dt": "0.5", "t_end": "20"},
+    "blowup": {"alphas": "1", "s": "0.5", "n": "8", "h0_factors": "1.6"},
+    "eigen_convergence": {"s_values": "0.5", "oracle_n": "8", "probes": "1"},
+}
+
+# Accepted values whose run alone costs seconds to minutes are checked at parse
+# only: n = 4096 (invariant_region, decay) and oracle_n = 4096 build a 4096-node
+# basis or run dense eigh there, which the `large-grid` workload of bench/ and
+# test_operator's largest-grid tests exercise; blowup's n = 2048 also runs its
+# stability arm at n = 4096; 10000 comparison pairs take about 2 minutes.
+_PARSE_ONLY = {
+    ("invariant_region", "n", "4096"), ("decay", "n", "4096"), ("blowup", "n", "2048"),
+    ("eigen_convergence", "oracle_n", "4096"), ("invariant_region", "comparison_pairs", "10000"),
+}
+
+
+def _sweep_cases():
+    """(kind, key, raw, inside): each numeric key at the ends of its bounds,
+    just past them and at 1e+-300; ``inside`` says whether the schema accepts it."""
+    cases = []
+    for kind in _SWEEP_SMALL:
+        for key, (value_type, _, bounds) in CAMPAIGN_SCHEMA[kind].items():
+            if bounds is None:  # profile: test_unknown_profile_rejected
+                continue
+            lo_text, hi_text = (part.strip() for part in bounds.split(","))
+            ends = ((float(lo_text[1:]), lo_text[0] == "[", -1.0),
+                    (float(hi_text[:-1]), hi_text[-1] == "]", 1.0))
+            values = [1e300, 1e-300]
+            for end, closed, sign in ends:
+                if value_type == "int":
+                    values += [int(end), int(end + sign)]
+                    continue
+                values.append(math.nextafter(end, sign * math.inf) if closed else end)
+                if math.isfinite(end):
+                    values.append(end if closed else math.nextafter(end, -sign * math.inf))
+            for v in values:
+                raw = repr(v)
+                if value_type == "domain":
+                    raw = f"0, {raw}" if v > 0 else f"{raw}, 0"
+                # an int key does not parse 1e+-300, so that is a ConfigError too
+                inside = (value_type != "int" or isinstance(v, int)) and all(
+                    v * sign < end * sign or (closed and v == end) for end, closed, sign in ends)
+                cases.append((kind, key, raw, inside))
+    return cases
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,key,raw,inside", _sweep_cases())
+def test_config_sweep_runs_or_fails_typed(tmp_path, kind, key, raw, inside):
+    # The contract: every value the schema accepts runs, or fails with a typed
+    # FracRDError that names its cause; every other value is a ConfigError
+    # naming the key.  A numpy warning on the way is an error.
+    options = {**_SWEEP_SMALL[kind], key: raw}
+    text = f"[c]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+    if not inside:
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text))
+        assert (err.value.key, err.value.section) == (key, "c")
+        return
+    (campaign,) = parse_config(_write(tmp_path, text))
+    if (kind, key, raw) in _PARSE_ONLY:
+        return
+    frag, _ = run_campaign(campaign)
+    assert frag and all(isinstance(r.passed, bool) for r in frag)
+    if frag[0].name == "campaign_error":
+        assert len(frag) == 1 and "\n" not in frag[0].expected

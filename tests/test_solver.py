@@ -444,6 +444,22 @@ class TestBlowupRuns:
         assert r.blowup is None
         assert r.inconclusive == "step budget exhausted in adaptive regime"
 
+    def test_ladder_out_of_step_budget_is_inconclusive(self, monkeypatch):
+        # the first rung takes 416 uniform steps and the second 832; a third
+        # would pass the budget, and the two estimates differ by more than 1%
+        cfg = self._alpha_one_blowup()
+        assert cfg.n_steps == 416
+        monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
+        finding = detect_blowup(cfg)
+        assert (finding.status, finding.t_star) == ("inconclusive", None)
+        assert len(finding.estimates) == 2
+
+    def test_ladder_out_of_halvings_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_REFINEMENTS", 0)
+        finding = detect_blowup(self._alpha_one_blowup())
+        assert (finding.status, finding.t_star) == ("inconclusive", None)
+        assert len(finding.estimates) == 1
+
 
 class TestDetectBlowup:
     def test_bounded_run_reports_none(self):
