@@ -6,7 +6,8 @@ Usage, from the root of a checkout, with one BLAS thread:
 
 For each n it prints, in microseconds per call, the step-matrix solve
 ``solver._matrix_step`` (one product with ((w + 1) I + A)^-1), the basis
-solve ``solver._implicit_step`` (two products with V), a bare n x n
+solve ``solver._implicit_step`` (two products with V), each returning u and
+its finiteness check u @ u, a bare n x n
 matrix-vector product for scale, and the build of the step matrix
 ``solver._step_matrix``.  Each figure is the best of 7 repeats; the last
 line is one JSON object with the same numbers.

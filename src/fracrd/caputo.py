@@ -24,8 +24,13 @@ d^(1-alpha) * expm1((1-alpha) * log1p(tau/d)), which keeps every weight
 accurate to a few ulps however old its interval is.
 
 History.  One class, ``L1History``, owns the committed history of every L1
-run here and in ``solver``, and ``L1History.memory(t_new)`` is the only
-memory sum.  It does not keep the increments of a uniform mesh.  On
+run here and in ``solver``, and ``L1History.step(t_new)`` is the only place
+that weighs an interval: it returns the weight w of the new interval
+(t_last, t_new] and the memory sum, so the derivative at t_new is
+w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt while
+the state is not frozen is a uniform step, w = scale; any other step has
+w = tau^(-alpha)/Gamma(2-alpha).  The history does not keep the increments
+of a uniform mesh.  On
 x in [1, N], in units of the uniform step dt, the kernel x^(-alpha) is a sum
 of Q decaying exponentials (sum-of-exponentials, SOE; Jiang, Zhang, Zhang &
 Zhang, Commun. Comput. Phys. 21 (2017) 650): a Gauss-Jacobi rule on
@@ -173,12 +178,6 @@ def _soe_modes(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
-def _is_uniform(step: float, dt: float) -> bool:
-    """Whether an interval of length ``step`` counts as a uniform step of ``dt``
-    (``L1History`` makes the same test inline)."""
-    return abs(step - dt) <= _UNIFORM_RTOL * dt
-
-
 def _grown(buf: np.ndarray) -> np.ndarray:
     """``buf`` copied into a zero array with twice as many rows."""
     out = np.zeros((2 * buf.shape[0],) + buf.shape[1:])
@@ -189,12 +188,12 @@ def _grown(buf: np.ndarray) -> np.ndarray:
 class L1History:
     """The committed history y^0 ... y^(n-1) of one L1 run of order alpha.
 
-    ``dt`` is the uniform step and ``n_steps * dt`` the horizon: the memory
-    sum is defined for t_last < t_new <= n_steps * dt.  The last value is
-    kept as is (a float or a field); the increments are kept as Q SOE state
-    vectors plus the exact increments of the newest intervals, ``_rows`` in
-    that order, with the times of the exact intervals' ends in
-    ``_tail_times`` (see the module docstring).
+    ``dt`` is the uniform step and ``n_steps * dt`` the horizon: a step is
+    defined for t_last < t_new <= n_steps * dt.  The last value is kept as
+    is (a float or a field); the increments are kept as Q SOE state vectors
+    plus the exact increments of the newest intervals, ``_rows`` in that
+    order, with the times of the exact intervals' ends in ``_tail_times``
+    (see the module docstring).
     """
 
     def __init__(self, y0, alpha: float, dt: float, n_steps: int):
@@ -202,13 +201,14 @@ class L1History:
         if n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {n_steps}")
         self.alpha, self.dt, self.scale = alpha, dt, weights.scale
+        self._gamma2 = math.gamma(2.0 - alpha)
         self.last = y0
-        self.count = 1
         self.t_last = 0.0
         self._t_max = n_steps * dt * (1.0 + 1e-12)
         self._uniform_tol = _UNIFORM_RTOL * dt
         self._frozen = False
         if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
+            self._zeros = np.broadcast_to(0.0, np.shape(y0))  # read-only
             return
         s, c = _soe_modes(alpha, n_steps)
         q = self._q = len(s)
@@ -228,19 +228,20 @@ class L1History:
         self._fold_decay = np.multiply.outer(np.exp(-_FOLD * s), np.ones(np.shape(y0)))
         self._fold_mix = np.exp(-np.outer(s, np.arange(_FOLD - 1.0, -1.0, -1.0)))
 
-    def __len__(self):
-        return self.count
+    def _uniform(self, tau: float) -> bool:
+        """Whether tau is within ``_UNIFORM_RTOL`` of dt, the state not frozen."""
+        return not self._frozen and abs(tau - self.dt) <= self._uniform_tol
 
     def append(self, value, t: float) -> None:
-        step = t - self.t_last
+        if not self._uniform(t - self.t_last):
+            self._frozen = True
         last = self.last
-        self.last, self.count, self.t_last = value, self.count + 1, t
+        self.last, self.t_last = value, t
         if self.alpha == 1.0:
             return
         q, k = self._q, self._tail
         # the arrays fill up only once frozen; until then the tail folds at _FOLD + 1
-        if self._frozen or abs(step - self.dt) > self._uniform_tol:
-            self._frozen = True
+        if self._frozen:
             if q + k == len(self._rows):
                 self._rows = _grown(self._rows)
             if k + 1 == len(self._tail_times):
@@ -265,27 +266,30 @@ class L1History:
         self._tail_times[:2] = self._tail_times[_FOLD : _FOLD + 2]
         self._tail = 1
 
-    def memory(self, t_new: float):
-        """History part of the L1 sum at t_new: each committed interval's
-        step-time weight times its increment, scale included."""
+    def step(self, t_new: float) -> tuple:
+        """(w, memory) of the L1 step to t_new: the weight w of the new
+        interval and the history part of the sum, each committed interval's
+        step-time weight times its increment, scale included.  The memory of
+        alpha = 1 is a read-only zero of the value's shape."""
         t_last = self.t_last
         if not t_last < t_new <= self._t_max:
-            raise DomainError(
-                f"memory at t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]"
-            )
+            raise DomainError(f"step to t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]")
+        tau = t_new - t_last
+        uniform = self._uniform(tau)
+        w = self.scale if uniform else tau ** (-self.alpha) / self._gamma2
         if self.alpha == 1.0:
-            return np.zeros(np.shape(self.last))
+            return w, self._zeros
         q, k = self._q, self._tail
-        if not self._frozen and abs(t_new - t_last - self.dt) <= self._uniform_tol:
+        if uniform:
             total = self._tail_weights[k] @ self._rows[q : q + k]
             total += self._state_part[k]
-            return total
+            return w, total
         times = self._tail_times[: k + 1]
         weights = np.empty(q + k)
         np.exp(self._rates * ((times[0] - t_new) / self.dt), out=weights[:q])
         weights[:q] *= self._soe_weights
         weights[q:] = _nonuniform_history_weights(self.alpha, times, t_new)
-        return weights @ self._rows[: q + k]
+        return w, weights @ self._rows[: q + k]
 
 
 def solve_linear_fode(
@@ -306,10 +310,9 @@ def solve_linear_fode(
     y = np.empty(n_steps + 1)
     y[0] = y0
     history = L1History(y[0], alpha, dt, n_steps)
-    scale = history.scale
-    coef = scale + rate  # b0 = 1
     for n in range(1, n_steps + 1):
-        y[n] = (scale * y[n - 1] - history.memory(n * dt)) / coef
+        w, memory = history.step(n * dt)
+        y[n] = (w * history.last - memory) / (w + rate)
         history.append(y[n], n * dt)
     times = dt * np.arange(n_steps + 1)
     return ScalarTrace(times=times, values=y)
@@ -340,27 +343,24 @@ def solve_logistic_fode(
     if not 0 < dt <= t_end:
         raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     floor = DT_FLOOR_REL * t_end
-    g2 = math.gamma(2.0 - alpha)
 
     history = L1History(y0, alpha, dt, math.ceil(t_end / dt))
     times, values = [0.0], [y0]
-    t_last, y_last = 0.0, y0
     cur_dt = dt
     blow_time = None
     eps_end = 1e-12 * t_end
-    while t_last < t_end - eps_end:
-        if len(history) > _MAX_LOGISTIC_STEPS:
+    while history.t_last < t_end - eps_end:
+        if len(times) > _MAX_LOGISTIC_STEPS:
             raise ConvergenceError("step budget exhausted before t_end or blow-up")
-        t_new = min(t_last + cur_dt, t_end)
-        step = t_new - t_last
-        w_new = step ** (-alpha) / g2
-        coef = w_new - 1.0
+        t_new = min(history.t_last + cur_dt, t_end)
+        w, memory = history.step(t_new)
+        coef = w - 1.0
         if coef <= 0:
             cur_dt *= 0.5
             _check_floor(cur_dt, floor)
             continue
-        hist = float(history.memory(t_new))
-        y_new = (w_new * y_last - hist + y_last * y_last) / coef
+        y_last = history.last
+        y_new = (w * y_last - float(memory) + y_last * y_last) / coef
         increment_ok = (y_new - y_last) <= 0.5 * max(y_last, 1e-12)
         if y_new < y_last or not increment_ok:
             cur_dt *= 0.5
@@ -369,7 +369,6 @@ def solve_logistic_fode(
         history.append(y_new, t_new)
         times.append(t_new)
         values.append(y_new)
-        t_last, y_last = t_new, y_new
         if y_new >= BLOW_THRESHOLD:
             blow_time = t_new
             break

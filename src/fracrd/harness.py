@@ -41,8 +41,8 @@ text and its ``tol``; NaN fails every gate:
   ``-alpha * (2 -/+ 0.15)`` with tol its half-width ``0.15 * alpha``, and
   ``containment_*`` the blow-up bracket with tol its width.
 
-A record's note (``;finding:...``, ``;dt:...``, ``;n:...``) follows
-``expected`` and fails the record.
+A record's note (``;finding:...``, ``;dt:...``, ``;n:...``, ``;error:...``)
+follows ``expected`` and fails the record.
 
 Reports are plain text, one record per line, sorted by campaign/name/params;
 wall times are excluded from the canonical form used for determinism checks.
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -60,8 +61,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh
 
-from .caputo import solve_linear_fode, solve_logistic_fode
-from .errors import ConfigError, DomainError, FracRDError
+from .caputo import BLOW_THRESHOLD, solve_linear_fode, solve_logistic_fode
+from .errors import ConfigError, DomainError, FracRDError, UnsupportedParameterError
 from .fraclap import (
     Grid1D,
     assemble_regional,
@@ -461,13 +462,16 @@ def _run_decay(campaign) -> tuple:
 
     t0 = time.perf_counter()
     e0 = result.energy[0]
-    worst = 0.0
-    for t, e in zip(result.times, result.energy):
-        envelope = e0 * ml_eval(MLParams(alpha=alpha, z=-result.lambda1 * t**alpha))
-        if envelope > 0:
-            worst = max(worst, e / envelope)
+    worst, note = 0.0, ""
+    try:
+        for t, e in zip(result.times, result.energy):
+            envelope = e0 * ml_eval(MLParams(alpha=alpha, z=-result.lambda1 * t**alpha))
+            if envelope > 0:
+                worst = max(worst, e / envelope)
+    except UnsupportedParameterError:  # lambda1 * t^alpha past ml_eval's range
+        worst, note = math.nan, ";error:UnsupportedParameterError"
     frag.append(_record(name, "envelope", f"alpha:{alpha:g};lambda1:{result.lambda1:.15g}",
-                        worst, at_most(1.05), t0))
+                        worst, at_most(1.05), t0, note))
     return frag, traces
 
 
@@ -477,7 +481,9 @@ def scaled_blowup_config(p, alpha, factor):
     ``p`` holds a blowup campaign's ``domain``, ``s``, ``n``, ``dt`` and
     ``width``.  The data are a Gaussian bump of that width, scaled to the
     target mass; t_end is 1.5 times the upper end of the blow-up window.
-    Returns ``(config, bracket)``; the bracket carries h0.
+    Returns ``(config, bracket)``; the bracket carries h0.  Raises DomainError
+    when h0 overflows, when the scaled data are not below ``BLOW_THRESHOLD``,
+    or when the window is too short for a step of t_end / 400.
     """
     a, b = p["domain"]
     cfg = SimConfig(
@@ -495,9 +501,26 @@ def scaled_blowup_config(p, alpha, factor):
             f"the grid; it cannot be scaled to h0 = {factor:g} * (1 + lambda1)"
         )
     h0_target = factor * (1.0 + lam1)
+    if not math.isfinite(h0_target):
+        raise DomainError(
+            f"h0 = factor * (1 + lambda1) = {factor:g} * {1.0 + lam1:.6g} overflows at "
+            f"alpha = {alpha:g}; no blow-up window can be formed"
+        )
     amplitude = h0_target / h0_unit
+    u0_max = amplitude * float(unit.max())
+    if not u0_max < BLOW_THRESHOLD:
+        raise DomainError(
+            f"h0 factor {factor:g} scales the data to max u0 = {u0_max:g}, not below the "
+            f"blow-up threshold {BLOW_THRESHOLD:g}"
+        )
     bracket = blowup_bracket(h0_target, alpha, lam1)
     t_end = 1.5 * bracket.upper
+    if not t_end / 400.0 >= sys.float_info.min:
+        raise DomainError(
+            f"blow-up window [{bracket.lower:g}, {bracket.upper:g}] at alpha = {alpha:g}, "
+            f"h0 = {h0_target:g} underflows: its step t_end / 400 is below the smallest "
+            "normal double"
+        )
     dt = min(p["dt"], t_end / 400.0)
     cfg = replace(
         cfg,

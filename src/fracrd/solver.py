@@ -30,38 +30,37 @@ and blow-up is declared when max u crosses ``caputo.BLOW_THRESHOLD``, with the
 step size halved adaptively once max u exceeds 10*(1 + lambda1).
 
 Stepping.  ``run`` is one loop over committed steps in two regimes.  The
-uniform regime steps to t = k*dt with the weight ``scale`` of the uniform
-mesh and records every output stride.  The first time max u exceeds
-10*(1 + lambda1) the loop turns adaptive: it steps to min(t_last + dt', t_end)
-with the weight dt_eff^(-alpha)/Gamma(2-alpha) of the step actually taken,
-records every committed step, and rejects a step and halves dt' when max u
-grows by more than half.  At the grid sizes the campaigns use (n = 128, 256)
-a step is a few tens of kflop, so each one does its arithmetic and little
-else, the same in both regimes:
+uniform regime steps to t = k*dt and records every output stride.  The first
+time max u exceeds 10*(1 + lambda1) the loop turns adaptive: it steps to
+min(t_last + dt', t_end), records every committed step, and rejects a step
+and halves dt' when max u grows by more than half.  Each regime only picks
+t_new; ``caputo.L1History.step(t_new)`` returns the weight w of the step
+actually taken and the memory sum.  At the grid sizes the campaigns use
+(n = 128, 256) a step is a few tens of kflop, so each one does its
+arithmetic and little else, the same in both regimes:
 
-* one right-hand side, u_last*(w + u_last) - memory(t_new), and one solve.
+* one right-hand side, u_last*(w + u_last) - memory, and one solve.
   A step of the uniform size w = ``scale`` (every uniform step, and the
-  adaptive steps before the first halving, which the history also weighs as
-  uniform) is one product with the step matrix ((w + 1) I + A)^-1, formed
-  once per run from the eigenbasis A = V diag(lam) V^T cached per operator,
-  when the run has at least n steps to pay for its n-product build.  Any
+  adaptive steps before the first halving) is one product with the step
+  matrix ((w + 1) I + A)^-1, formed once per run from the eigenbasis
+  A = V diag(lam) V^T cached per operator, when the run has at least n
+  steps to pay for its n-product build.  Any
   other step solves in the eigenbasis, u = V ((V^T rhs) / (w + 1 + lam)),
   two products and one division for any w, so a step of a new size needs no
   new factor.  At n = 128 with one BLAS thread the step-matrix solve takes
-  4.1 us and the basis solve 8.0 us (13 and 25 us at n = 256), each with
-  its one finiteness check of the solution, u @ u; a failure raises
-  StepFailureError naming the cause;
+  4.1 us and the basis solve 8.0 us (13 and 25 us at n = 256).  Each
+  returns u and u @ u, its one finiteness check of the solution; a failure
+  raises StepFailureError naming the cause;
 * one history object, ``caputo.L1History``, which keeps the uniform mesh as
   Q sum-of-exponentials state vectors and at most 32 intervals kept exact;
-  on the uniform mesh ``memory(t_new)`` is one matrix-vector product over
+  on the uniform mesh ``step(t_new)`` is one matrix-vector product over
   the exact intervals plus the state's share, formed when the intervals
   were folded into the state, so a uniform step costs the same at any
   index; in the adaptive regime the state is frozen and every new interval
   stays exact, with weights from the step times;
 * at most one ``max u`` per step, shared by the rejection test, the blow-up
-  test and the adaptive trigger.  After a step-matrix solve in the uniform
-  regime, sqrt(u @ u) >= max u stands in for it while it stays below half
-  of both thresholds;
+  test and the adaptive trigger.  In the uniform regime sqrt(u @ u) >= max u
+  stands in for it while it stays below half of both thresholds;
 * monitors that copy a recorded field into a block and reduce E, H, min u
   and max u a block at a time.
 
@@ -76,7 +75,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History, _is_uniform
+from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -325,9 +324,11 @@ def _check_finite(u: np.ndarray, rhs: np.ndarray, mat: np.ndarray, name: str) ->
     raise StepFailureError(f"linear solve gave a non-finite field: {cause}")
 
 
-def _implicit_step(lam: np.ndarray, v: np.ndarray, w: float, rhs: np.ndarray) -> np.ndarray:
+def _implicit_step(
+    lam: np.ndarray, v: np.ndarray, w: float, rhs: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Solve ((w + 1) I + A) u = rhs for A = V diag(lam) V^T, lam ascending,
-    as u = V ((V^T rhs) / (w + 1 + lam)).
+    as u = V ((V^T rhs) / (w + 1 + lam)); return u and u @ u.
 
     Raises StepFailureError before the solve when w + 1 + min lam <= 0 (the
     step matrix is not positive definite), and after it when u is not
@@ -337,9 +338,10 @@ def _implicit_step(lam: np.ndarray, v: np.ndarray, w: float, rhs: np.ndarray) ->
     u = v @ ((rhs @ v) / (lam + _definite_shift(lam, w)))
     # u @ u is finite when every entry is, short of overflow past 1e154,
     # and one BLAS call is cheaper than an elementwise test
-    if not math.isfinite(u @ u):
+    norm2 = u @ u
+    if not math.isfinite(norm2):
         _check_finite(u, rhs, v, "eigenbasis")
-    return u
+    return u, norm2
 
 
 def _step_matrix(lam: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
@@ -431,12 +433,11 @@ def run(
     alpha, t_end = config.alpha, config.t_end
     n_steps = config.n_steps
     dt = cur_dt = config.effective_dt
-    g2 = math.gamma(2.0 - alpha)
     floor = DT_FLOOR_REL * t_end
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
     history = L1History(u0, alpha, dt, n_steps)
-    memory, append, scale = history.memory, history.append, history.scale
+    step, append, scale = history.step, history.append, history.scale
     # A step of the uniform size is one product with the step matrix, once
     # the run has enough steps to pay for its build
     step_matrix = _step_matrix(lam, v, scale) if n_steps >= config.n else None
@@ -445,8 +446,8 @@ def run(
     monitors = _Monitors(grid.h, e1, record_fields)
     monitors.record(0.0, u0)
     adaptive_trigger = 10.0 * (1.0 + lam1)
-    # max u <= sqrt(u @ u), which the step-matrix solve returns: while that
-    # bound stays below half of both thresholds, u_max holds it, not the max
+    # max u <= sqrt(u @ u), which each step solve returns: while that bound
+    # stays below half of both thresholds, u_max holds it, not the max
     bound_norm2 = (0.5 * min(adaptive_trigger, BLOW_THRESHOLD)) ** 2
     adaptive, k, k_switch = False, 0, 0  # k: committed steps
     blowup = inconclusive = None
@@ -456,22 +457,20 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         while history.t_last < t_stop:
             if not adaptive:
-                t_new, w = (k + 1) * dt, scale
+                t_new = (k + 1) * dt
             else:
                 if k - k_switch >= _MAX_ADAPTIVE_STEPS:
                     inconclusive = "step budget exhausted in adaptive regime"
                     break
                 t_new = min(history.t_last + cur_dt, t_end)
-                tau = t_new - history.t_last
-                # before the first halving the history weighs the step as uniform
-                w = scale if cur_dt == dt and _is_uniform(tau, dt) else tau ** (-alpha) / g2
+            w, memory = step(t_new)
             u_last = history.last
             rhs = u_last * (w + u_last)
-            rhs -= memory(t_new)
+            rhs -= memory
             if w == scale and step_matrix is not None:
                 u_new, norm2 = _matrix_step(step_matrix, rhs)
             else:
-                u_new, norm2 = _implicit_step(lam, v, w, rhs), math.inf
+                u_new, norm2 = _implicit_step(lam, v, w, rhs)
             if adaptive or not norm2 < bound_norm2:
                 max_new = float(u_new.max())
             else:

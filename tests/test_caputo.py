@@ -9,7 +9,6 @@ from fracrd.caputo import (
     _UNIFORM_RTOL,
     BLOW_THRESHOLD,
     L1History,
-    _is_uniform,
     _nonuniform_history_weights,
     _soe_modes,
     l1_weights,
@@ -132,7 +131,7 @@ def _drive(alpha, times, values, dt, n_steps, checks):
         if m in checks:
             trial = times[m - 1] + 0.37 * (times[m] - times[m - 1])
             for t_new in (times[m], trial):
-                got = history.memory(t_new)
+                got = history.step(t_new)[1]
                 ref, magnitude = exact_memory(alpha, times[:m], values[:m], t_new)
                 assert np.shape(got) == np.shape(ref)
                 if alpha == 1.0:
@@ -165,7 +164,7 @@ class TestMemorySum:
         history = L1History(values[0], alpha, dt, self.N)
         for n in range(1, self.N):
             if n in (1, 2, 3, 33, 34, self.N // 2, self.N - 1):
-                got = history.memory(n * dt)
+                got = history.step(n * dt)[1]
                 ref = w.scale * self._loop_sum(w.b, diffs, n)
                 assert np.shape(got) == ref.shape
                 # relative to the sum of |terms|, so sign cancellation cannot hide an error
@@ -192,11 +191,11 @@ class TestMemorySum:
     def test_step_index_beyond_weights(self, alpha):
         history = L1History(np.zeros(3), alpha, 0.1, 4)
         with pytest.raises(DomainError, match="outside"):
-            history.memory(0.5)
-        assert np.shape(history.memory(0.4)) == (3,)
+            history.step(0.5)[1]
+        assert np.shape(history.step(0.4)[1]) == (3,)
         history.append(np.ones(3), 0.1)
         with pytest.raises(DomainError, match="outside"):
-            history.memory(0.1)
+            history.step(0.1)[1]
 
 
 class TestSOE:
@@ -248,7 +247,7 @@ class TestSOE:
             for m in range(1, n):
                 got.append(values[m], m * dt)
             ref, magnitude = uniform_memory(alpha, dt, values[:n])
-            assert abs(got.memory(n * dt) - ref) <= 1e-12 * magnitude
+            assert abs(got.step(n * dt)[1] - ref) <= 1e-12 * magnitude
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     def test_repeat_runs_bit_identical(self, alpha):
@@ -259,7 +258,7 @@ class TestSOE:
             history = L1History(values[0], alpha, 0.25, 600)
             out = []
             for m in range(1, 601):
-                out.append(history.memory(times[m]))
+                out.append(history.step(times[m])[1])
                 history.append(values[m], times[m])
             return np.array(out)
 
@@ -282,30 +281,45 @@ class TestL1History:
         history = L1History(values[0], 0.6, 0.1, 800)
         for m in range(1, n + 1):
             history.append(values[m], times[m])
-        assert len(history) == n + 1
         assert history.t_last == times[-1]
         assert np.array_equal(history.last, values[-1])
         t_new = times[-1] + 0.05
         ref, magnitude = exact_memory(0.6, times, values, t_new)
-        assert np.all(np.abs(history.memory(t_new) - ref) <= 1e-13 * magnitude)
+        assert np.all(np.abs(history.step(t_new)[1] - ref) <= 1e-13 * magnitude)
 
-    def test_uniform_step_tolerance_is_shared(self):
-        # memory and append test a step inline; the solver's step weight uses
-        # _is_uniform.  All three must draw the line at the same place.
-        dt = 0.25
+    def test_step_weight_follows_the_uniform_test(self):
+        # a step within _UNIFORM_RTOL of dt weighs scale and reads the uniform
+        # memory sum; any other step, and every step once the state is frozen,
+        # weighs tau^(-alpha)/Gamma(2-alpha) and reads the step-time sum
+        alpha, dt = 0.5, 0.25
         inside, outside = dt * (1.0 + 0.5 * _UNIFORM_RTOL), dt * (1.0 + 2.0 * _UNIFORM_RTOL)
-        assert _is_uniform(inside, dt) and not _is_uniform(outside, dt)
-        history = L1History(np.zeros(3), 0.5, dt, 100)
+        history = L1History(np.zeros(3), alpha, dt, 100)
         for m in range(1, _FOLD + 9):  # past one fold
             history.append(np.full(3, float(m * m)), m * dt)
         t = history.t_last
-        uniform = history.memory(t + dt)
-        assert np.array_equal(history.memory(t + inside), uniform)
-        assert not np.array_equal(history.memory(t + outside), uniform)
+        w, uniform = history.step(t + dt)
+        assert w == history.scale
+        w_in, memory_in = history.step(t + inside)
+        assert w_in == history.scale and np.array_equal(memory_in, uniform)
+        w_out, memory_out = history.step(t + outside)
+        assert w_out == (t + outside - t) ** -alpha / math.gamma(2.0 - alpha)
+        assert not np.array_equal(memory_out, uniform)
         history.append(np.full(3, 1.0), t + inside)
         assert not history._frozen
         history.append(np.full(3, 2.0), history.t_last + outside)
         assert history._frozen
+        t = history.t_last
+        w, _ = history.step(t + dt)
+        assert w == (t + dt - t) ** -alpha / math.gamma(2.0 - alpha)
+
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_alpha_one_memory_is_a_read_only_zero(self, shape):
+        history = L1History(np.ones(shape), 1.0, 0.1, 10)
+        history.append(np.full(shape, 2.0), 0.1)
+        w, memory = history.step(0.2)
+        assert w == history.scale == 1.0 / 0.1
+        assert memory.shape == shape and np.all(memory == 0.0)
+        assert not memory.flags.writeable
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
     def test_memory_matches_uniform_sum_on_uniform_mesh(self, alpha):
@@ -314,7 +328,7 @@ class TestL1History:
         history = L1History(fields[0], alpha, dt, n)
         for m in range(1, n):
             history.append(fields[m], m * dt)
-        got = history.memory(n * dt)
+        got = history.step(n * dt)[1]
         ref, magnitude = uniform_memory(alpha, dt, fields)
         assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
 

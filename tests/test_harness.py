@@ -442,6 +442,45 @@ class TestBlowupRecords:
         assert stability.name == "stability_a1_f1.2" and not stability.passed
         assert stability.expected == "<=0.05;dt:inconclusive;n:none"
 
+    @pytest.mark.parametrize("alpha,factor,message", [
+        # (Gamma(alpha + 1) / h0)^(1/alpha) rounds to 0 below alpha ~ 1e-3
+        (1e-3, 1.6, r"blow-up window \[0, .*\] at alpha = 0.001, h0 = .* underflows"),
+        # factor * (1 + lambda1) is past the double range
+        (1.0, 1.79e308, r"h0 = factor \* \(1 \+ lambda1\) = 1.79e\+308 \* .* overflows"),
+    ])
+    def test_window_out_of_range_is_a_named_campaign_error(self, alpha, factor, message):
+        campaign = self._campaign(alpha)
+        campaign.params.update(s=0.5, h0_factors=(factor,))
+        (record,), _ = run_campaign(campaign)
+        assert record.name == "campaign_error" and not record.passed
+        assert re.search(message, record.expected)
+
+    @pytest.mark.parametrize("factor", [1e9, 1e160])
+    def test_data_past_the_threshold_is_a_named_campaign_error(self, factor):
+        # before, 1e9 ended the ladder inconclusive at t* = dt and 1e160 read
+        # "the right-hand side is not finite"
+        campaign = self._campaign(0.8)
+        campaign.params.update(s=0.5, h0_factors=(factor,))
+        (record,), _ = run_campaign(campaign)
+        assert record.name == "campaign_error" and not record.passed
+        assert re.search(rf"h0 factor {re.escape(f'{factor:g}')} scales the data to max u0 = "
+                         r".*, not below the blow-up threshold 1e\+08", record.expected)
+
+
+def test_envelope_outside_ml_eval_range_fails_only_its_record():
+    # lambda1 ~ 1e12 on a domain of width 2.2e-16: E_alpha(-lambda1 t^alpha)
+    # leaves ml_eval's range, and the other decay records stay
+    params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["decay"].items()}
+    params.update(alpha=0.5, s=0.4, n=16, dt=0.5, t_end=20.0,
+                  domain=(1.0, 1.0000000000000002))
+    frag, _ = run_campaign(Campaign(name="d", kind="decay", params=params))
+    records = {r.name: r for r in frag}
+    assert sorted(records) == ["envelope", "l1_monotone", "l1_order", "slope"]
+    envelope = records["envelope"]
+    assert math.isnan(envelope.measured) and not envelope.passed
+    assert envelope.expected == "<=1.05;error:UnsupportedParameterError"
+    assert records["l1_monotone"].passed and records["l1_order"].passed
+
 
 # Every other key small, so each case of the sweep costs at most about 0.2 s.
 _SWEEP_SMALL = {

@@ -117,8 +117,9 @@ class TestSolve:
         for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
             expected = np.linalg.solve((w + 1.0) * np.eye(n) + a, rhs)
-            u = _implicit_step(lam, v, w, rhs)
+            u, norm2 = _implicit_step(lam, v, w, rhs)
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert norm2 == u @ u
 
     @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
     def test_basis_is_orthonormal_and_ascending(self, n):
@@ -250,11 +251,11 @@ class TestRun:
         h, e1 = cfg.grid.h, pair.e1.values
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
         history = L1History(u, cfg.alpha, cfg.effective_dt, cfg.n_steps)
-        w = history.scale
         rows = [(0.0, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max())]
         for k in range(1, cfg.n_steps + 1):
             t = k * cfg.effective_dt
-            u = _implicit_step(lam, v, w, w * u - history.memory(t) + u * u)
+            w, memory = history.step(t)
+            u, _ = _implicit_step(lam, v, w, w * u - memory + u * u)
             history.append(u, t)
             rows.append((t, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max()))
         expected = np.array(rows).T
