@@ -27,8 +27,9 @@ History.  One class, ``L1History``, owns the committed history of every L1
 run here and in ``solver``, and ``L1History.step(t_new)`` is the only place
 that weighs an interval: it returns the weight w of the new interval
 (t_last, t_new] and the memory sum, so the derivative at t_new is
-w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt while
-the state is not frozen is a uniform step, w = scale; any other step has
+w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt, or
+within 2 ulp of t_new (the rounding of k*dt), while the state is not frozen
+is a uniform step, w = scale; any other step has
 w = tau^(-alpha)/Gamma(2-alpha).  The history does not keep the increments
 of a uniform mesh.  On
 x in [1, N], in units of the uniform step dt, the kernel x^(-alpha) is a sum
@@ -228,12 +229,16 @@ class L1History:
         self._fold_decay = np.multiply.outer(np.exp(-_FOLD * s), np.ones(np.shape(y0)))
         self._fold_mix = np.exp(-np.outer(s, np.arange(_FOLD - 1.0, -1.0, -1.0)))
 
-    def _uniform(self, tau: float) -> bool:
-        """Whether tau is within ``_UNIFORM_RTOL`` of dt, the state not frozen."""
-        return not self._frozen and abs(tau - self.dt) <= self._uniform_tol
+    def _uniform(self, tau: float, t_new: float) -> bool:
+        """Whether tau, the step to t_new, is within ``_UNIFORM_RTOL`` of dt
+        or within 2 ulp of t_new, the state not frozen.  From a few million
+        steps on, the rounding of t_new = k*dt and t_last, up to ulp(t_new),
+        passes the first."""
+        off = abs(tau - self.dt)
+        return not self._frozen and (off <= self._uniform_tol or off <= 2.0 * math.ulp(t_new))
 
     def append(self, value, t: float) -> None:
-        if not self._uniform(t - self.t_last):
+        if not self._uniform(t - self.t_last, t):
             self._frozen = True
         last = self.last
         self.last, self.t_last = value, t
@@ -275,7 +280,7 @@ class L1History:
         if not t_last < t_new <= self._t_max:
             raise DomainError(f"step to t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]")
         tau = t_new - t_last
-        uniform = self._uniform(tau)
+        uniform = self._uniform(tau, t_new)
         w = self.scale if uniform else tau ** (-self.alpha) / self._gamma2
         if self.alpha == 1.0:
             return w, self._zeros

@@ -463,11 +463,12 @@ def _run_decay(campaign) -> tuple:
     t0 = time.perf_counter()
     e0 = result.energy[0]
     worst, note = 0.0, ""
+    z = np.array([-result.lambda1 * t**alpha for t in result.times])
     try:
-        for t, e in zip(result.times, result.energy):
-            envelope = e0 * ml_eval(MLParams(alpha=alpha, z=-result.lambda1 * t**alpha))
-            if envelope > 0:
-                worst = max(worst, e / envelope)
+        envelope = e0 * ml_eval(MLParams(alpha=alpha, z=z))
+        positive = envelope > 0
+        # fmax skips a NaN ratio, as the running max of a scalar loop did
+        worst = float(np.fmax.reduce(result.energy[positive] / envelope[positive], initial=0.0))
     except UnsupportedParameterError:  # lambda1 * t^alpha past ml_eval's range
         worst, note = math.nan, ";error:UnsupportedParameterError"
     frag.append(_record(name, "envelope", f"alpha:{alpha:g};lambda1:{result.lambda1:.15g}",

@@ -312,6 +312,20 @@ class TestL1History:
         w, _ = history.step(t + dt)
         assert w == (t + dt - t) ** -alpha / math.gamma(2.0 - alpha)
 
+    def test_uniform_test_absorbs_the_rounding_of_k_dt(self):
+        # with dt = 2e-3/3, (k+1)*dt - k*dt first misses dt by more than
+        # _UNIFORM_RTOL at k = 6,144,002, inside a 1e7-step run; the history
+        # is placed there directly, with no 6M-step loop
+        dt, k = 2e-3 / 3, 6_144_002
+        assert abs(((k + 1) * dt - k * dt) - dt) > _UNIFORM_RTOL * dt
+        history = L1History(0.0, 0.5, dt, 10_000_000)
+        history.t_last = k * dt
+        for m in (k + 1, k + 2):
+            w, _ = history.step(m * dt)
+            assert w == history.scale
+            history.append(1.0, m * dt)
+            assert not history._frozen
+
     @pytest.mark.parametrize("shape", [(), (4,)])
     def test_alpha_one_memory_is_a_read_only_zero(self, shape):
         history = L1History(np.ones(shape), 1.0, 0.1, 10)

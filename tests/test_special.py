@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import fracrd
 from fracrd.errors import DomainError, UnsupportedParameterError
 from fracrd.harness import load_oracle_table
-from fracrd.special import MLParams, ml_eval
+from fracrd.special import _Z_MIN, MLParams, _rule, ml_eval
 
 
 class TestMLParams:
@@ -69,29 +69,35 @@ class TestMLEval:
     def test_quadrature_against_reference(self):
         # Dense grid over the spectral-quadrature regime, out to z = -1e12;
         # alpha near 1 puts a sharp kernel resonance on the integration path,
-        # and at 48.5 nats it sits just past the end of the u range.
+        # and from 48 nats on it sits past the end of the fixed u range.
         from fracrd import mlref
 
+        points = []
         for alpha in (0.25, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0 - 1e-7):
             zs = [-float(nats) ** alpha for nats in np.geomspace(3.0, 36.0, 13)]
             zs.append(-(48.5**alpha))
             if alpha > 0.25:  # mlref takes seconds at alpha 0.25, z = -1e12
                 zs.append(-1e12)
-            for z in zs:
-                ref = float(mlref.ml_reference(alpha, z, digits=25))
-                val = ml_eval(MLParams(alpha=alpha, z=z))
-                assert abs(val - ref) <= 1e-12 * abs(ref), (alpha, z)
+            points += [(alpha, z) for z in zs]
+        alpha = 1.0 - 1e-10  # the resonance holds 3e-10 of the value at 48.7 nats
+        points += [(alpha, -(nats**alpha)) for nats in (48.7, 60.0, 80.5)]
+        for alpha, z in points:
+            ref = float(mlref.ml_reference(alpha, z, digits=25))
+            val = ml_eval(MLParams(alpha=alpha, z=z))
+            assert abs(val - ref) <= 1e-12 * abs(ref), (alpha, z)
 
     def test_mid_regime_threads_bit_identical(self):
-        points = [
-            MLParams(alpha=alpha, z=-(float(nats) ** alpha))
-            for alpha in (0.5, 0.8, 0.99)
-            for nats in np.concatenate((np.linspace(3.5, 35.5, 40), np.geomspace(36.0, 1e6, 20)))
-        ]
+        nats = np.concatenate((np.linspace(3.5, 35.5, 40), np.geomspace(36.0, 1e6, 20)))
+        arrays = [MLParams(alpha=alpha, z=-(nats**alpha)) for alpha in (0.5, 0.8, 0.99)]
+        points = [MLParams(alpha=p.alpha, z=float(z)) for p in arrays for z in p.z]
         serial = [ml_eval(p) for p in points]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(ml_eval, points))
+            threaded_arrays = list(pool.map(ml_eval, arrays * 4))
         assert threaded == serial
+        # each array call, on any thread, gives the serial float calls' bits
+        for k, values in enumerate(threaded_arrays):
+            assert values.tolist() == serial[(k % 3) * len(nats) : (k % 3 + 1) * len(nats)]
 
     def test_runtime_imports_without_mpmath(self):
         code = (
@@ -128,6 +134,63 @@ class TestMLEval:
     @given(alpha=st.floats(0.25, 1.0), z=st.floats(0.0, 50.0))
     def test_positive_on_negative_axis(self, alpha, z):
         assert ml_eval(MLParams(alpha=alpha, z=-z)) > 0.0
+
+
+class TestMLEvalArray:
+    # Points in every branch: the series (nats <= 3, and z >= 0), the one
+    # rule, the graded resonance panels (alpha 0.99 below 31 nats, 0.9999
+    # below 81) and alpha = 1.
+    NATS = np.concatenate(([0.0, 0.5, 2.9, 3.0], np.geomspace(3.01, 1e6, 40)))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.99, 0.9999, 1.0])
+    def test_elements_equal_float_calls(self, alpha):
+        z = np.concatenate((-(self.NATS**alpha), [0.7, 5.0]))
+        z = z[z >= _Z_MIN]
+        values = ml_eval(MLParams(alpha=alpha, z=z))
+        assert values.shape == z.shape
+        assert values.tolist() == [ml_eval(MLParams(alpha=alpha, z=float(v))) for v in z]
+
+    def test_accuracy_against_reference(self):
+        # both sides of the 3-nat seam and z = -1e12, through one array call
+        from fracrd import mlref
+
+        for alpha in (0.3, 0.5, 0.9, 0.99, 0.9999):
+            z = np.array([-((3.0 * 0.99) ** alpha), -((3.0 * 1.01) ** alpha), -1e12])
+            values = ml_eval(MLParams(alpha=alpha, z=z))
+            for zi, val, tol in zip(z, values, (1e-10, 1e-10, 1e-12)):
+                ref = float(mlref.ml_reference(alpha, float(zi), digits=25))
+                assert abs(val - ref) <= tol * abs(ref), (alpha, zi)
+
+    def test_bad_element_raises_the_float_error(self):
+        with pytest.raises(DomainError, match="finite"):
+            MLParams(alpha=0.5, z=np.array([-1.0, math.nan, -2.0]))
+        with pytest.raises(DomainError, match="finite"):
+            MLParams(alpha=0.5, z=math.nan)
+        for bad in (6.0, -2e12):
+            with pytest.raises(UnsupportedParameterError, match=f"z={bad}"):
+                ml_eval(MLParams(alpha=0.5, z=np.array([-1.0, -40.0, bad, -3.0])))
+            with pytest.raises(UnsupportedParameterError, match=f"z={bad}"):
+                ml_eval(MLParams(alpha=0.5, z=bad))
+
+    def test_empty_and_zero_dimensional(self):
+        empty = ml_eval(MLParams(alpha=0.5, z=np.array([])))
+        assert empty.shape == (0,)
+        for z in (-1.0, -40.0):
+            value = ml_eval(MLParams(alpha=0.5, z=np.array(z)))
+            assert value.shape == () and value == ml_eval(MLParams(alpha=0.5, z=z))
+
+    def test_params_keep_a_read_only_copy(self):
+        z = np.array([-1.0, -40.0])
+        params = MLParams(alpha=0.5, z=z)
+        z[1] = math.nan
+        assert not params.z.flags.writeable and params.z[1] == -40.0
+        assert np.all(np.isfinite(ml_eval(params)))
+
+    def test_rule_cache_is_bounded_and_read_only(self):
+        ml_eval(MLParams(alpha=0.6, z=-40.0))
+        assert _rule.cache_info().maxsize is not None
+        for array in _rule(0.6):
+            assert not array.flags.writeable
 
 
 
