@@ -12,9 +12,8 @@ and one array call over the same 2,000 points:
 * ``graded``: alpha 0.99, nats from 3 to 31, the per-point graded panels
   around the kernel resonance.
 
-Each point's ``MLParams`` is built outside the timed loop.  Each figure is
-the best of 5 repeats; the last line is one JSON object with the same
-numbers.
+Each point's float z is formed outside the timed loop.  Each figure is the
+best of 5 repeats; the last line is one JSON object with the same numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import timeit
 
 import numpy as np
 
-from fracrd.special import MLParams, _rule, ml_eval
+from fracrd.special import _rule, ml_eval
 
 POINTS = 2000
 BRANCHES = {
@@ -43,12 +42,11 @@ def main() -> None:
     out = {}
     for branch, (alpha, nats) in BRANCHES.items():
         z = -(nats**alpha)
-        floats = [MLParams(alpha=alpha, z=float(v)) for v in z]
-        array = MLParams(alpha=alpha, z=z)
+        floats = z.tolist()
         _rule(alpha)  # the rule is built once per alpha, outside the timing
         row = {
-            "float_us": best_us(lambda: [ml_eval(p) for p in floats], POINTS),
-            "array_us": best_us(lambda: ml_eval(array), POINTS),
+            "float_us": best_us(lambda: [ml_eval(alpha, v) for v in floats], POINTS),
+            "array_us": best_us(lambda: ml_eval(alpha, z), POINTS),
         }
         out[branch] = {k: round(x, 2) for k, x in row.items()}
         print(f"{branch} (alpha {alpha:g}): " + ", ".join(f"{k} {x:.2f}" for k, x in out[branch].items()))

@@ -12,7 +12,6 @@ checks boundedness, algebraic energy decay, and finite-time blow-up brackets.
 from .caputo import L1Weights, ScalarTrace, l1_weights, solve_linear_fode, solve_logistic_fode
 from .fraclap import (
     EigenPair,
-    Field,
     Grid1D,
     OperatorMatrix,
     assemble_regional,
@@ -38,7 +37,6 @@ __all__ = [
     "solve_linear_fode",
     "solve_logistic_fode",
     "Grid1D",
-    "Field",
     "OperatorMatrix",
     "EigenPair",
     "assemble_regional",

@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import FracRDError
 from .fraclap import Grid1D, assemble_regional, dump_eigenpair, principal_eigenpair
 from .harness import _parse_value, default_campaigns, parse_config, run_campaigns, write_outputs
-from .special import MLParams, ml_eval
+from .special import ml_eval
 
 
 def _default_out() -> str:
@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ml_eval(args) -> int:
-    value = ml_eval(MLParams(alpha=args.alpha, z=args.z))
+    value = ml_eval(args.alpha, args.z)
     print(f"{value:.15g}")
     return 0
 
@@ -65,7 +65,7 @@ def _cmd_eig(args) -> int:
     out_dir = Path(args.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"e1_s{args.s:g}_n{args.n}.csv"
-    dump_eigenpair(pair, csv_path)
+    dump_eigenpair(pair, grid, csv_path)
     print(f"wrote {csv_path}")
     return 0
 

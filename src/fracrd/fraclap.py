@@ -57,7 +57,9 @@ over A checks it finite and equal to its mirror image and takes ||A||_1;
 then one inverse-iteration loop runs on the Cholesky factor of the
 ceil(n/2) mirror-even block B = Q^T A Q, one LAPACK ``potrs`` solve per
 iteration, and stops on a backward-error bound, 16 * eps * ||A||_1, met by
-the residual on A itself.  ``mirror_eigenbasis`` uses the same fold for the
+the residual on A itself; it returns lambda1 and e1 as a plain array of
+the values at the interior nodes, which ``dump_eigenpair`` writes against
+the grid's nodes.  ``mirror_eigenbasis`` uses the same fold for the
 full eigendecomposition A = V diag(lam) V^T on which the solver takes its
 implicit steps: ``eigh`` of the even block and of the floor(n/2) mirror-odd
 block.  Dense ``eigh`` of A itself serves only as the independent oracle
@@ -123,23 +125,6 @@ class Grid1D:
         return self.a + self.h * np.arange(1, self.n + 1)
 
 
-@dataclass
-class Field:
-    """Nodal values of a grid function at the interior nodes."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise DomainError(
-                f"field has {self.values.shape} values for a grid with n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field values must be finite")
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense symmetric positive-semidefinite discretization of the operator.
@@ -156,15 +141,16 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenpair: smallest eigenvalue with positive eigenvector
-    rescaled to unit discrete integral h * sum(e1) = 1.
+    """Principal eigenpair: smallest eigenvalue with positive eigenvector,
+    the array of its values at the grid's interior nodes, rescaled to unit
+    discrete integral h * sum(e1) = 1.
 
     ``residual`` is the backward error at which inverse iteration stopped,
     ||A w - lambda1 w|| for the unit iterate w = e1 / ||e1||; it is at most
     16 * eps * ||A||_1."""
 
     lambda1: float
-    e1: Field
+    e1: np.ndarray
     residual: float
 
 
@@ -443,11 +429,12 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     is sign-fixed (largest-magnitude entry positive), checked positive,
     rescaled to h * sum(e1) = 1, and is mirror-symmetric bit for bit.
 
-    Raises DomainError when grid and matrix differ in size or A is not
-    centrosymmetric; ConvergenceError when A is not finite or not positive
-    definite, when an iterate's norm underflows to 0 or overflows (the scale
-    of A is too far from 1), when the bound is not met within 100
-    iterations, or when the limit is not a positive eigenpair.
+    Raises DomainError when grid and matrix differ in size, when A is not
+    centrosymmetric, or when the rescaled e1 overflows (a cell width near
+    the bottom of the double range); ConvergenceError when A is not finite
+    or not positive definite, when an iterate's norm underflows to 0 or
+    overflows (the scale of A is too far from 1), when the bound is not met
+    within 100 iterations, or when the limit is not a positive eigenpair.
     """
     if grid.n != op.dim:
         raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
@@ -491,14 +478,19 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
         w = -w
     if np.min(w) <= 0:
         raise ConvergenceError("principal eigenvector is not strictly positive")
-    e1 = w / (grid.h * np.sum(w))
-    return EigenPair(lambda1=lam, e1=Field(grid=grid, values=e1), residual=residual)
+    with np.errstate(over="ignore"):  # reported as the typed error below
+        e1 = w / (grid.h * np.sum(w))
+    if not np.isfinite(e1).all():
+        raise DomainError(
+            f"principal eigenvector scaled to h * sum(e1) = 1 overflows at cell width "
+            f"h = {grid.h:g} on the domain ({grid.a:g}, {grid.b:g})"
+        )
+    return EigenPair(lambda1=lam, e1=e1, residual=residual)
 
 
-def dump_eigenpair(pair: EigenPair, path) -> None:
-    """Two-column CSV ``x, e1`` at the interior nodes."""
-    xs = pair.e1.grid.nodes()
+def dump_eigenpair(pair: EigenPair, grid: Grid1D, path) -> None:
+    """Two-column CSV ``x, e1`` at the interior nodes of the pair's grid."""
     with open(path, "w") as fh:
         fh.write("x,e1\n")
-        for x, v in zip(xs, pair.e1.values):
+        for x, v in zip(grid.nodes(), pair.e1):
             fh.write(f"{x:.15g},{v:.15g}\n")

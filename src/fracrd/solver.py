@@ -21,13 +21,14 @@ Monitored functionals (discrete integrals with weight h):
     E(t) = h * sum u_i^2          (squared L2 norm),
     H(t) = h * sum u_i * e1_i     (projection on the principal eigenfunction),
 
-plus the running min/max of u.  When the weighted mass H(0) reaches 1 +
-lambda1 the run carries the two-sided blow-up window
+plus the running min/max of u.  Blow-up is declared when max u crosses
+``caputo.BLOW_THRESHOLD``, with the step size halved adaptively once max u
+exceeds 10*(1 + lambda1).  When the weighted mass H(0) reaches 1 + lambda1,
+``blowup_bracket`` gives the two-sided blow-up window
 
-    (Gamma(alpha+1) / (4*(H0 + 1/2)))^(1/alpha) <= T* <= (Gamma(alpha+1)/H0)^(1/alpha)
+    (Gamma(alpha+1) / (4*(H0 + 1/2)))^(1/alpha) <= T* <= (Gamma(alpha+1)/H0)^(1/alpha);
 
-and blow-up is declared when max u crosses ``caputo.BLOW_THRESHOLD``, with the
-step size halved adaptively once max u exceeds 10*(1 + lambda1).
+``harness.scaled_blowup_config`` forms it for the runs it builds.
 
 Stepping.  ``run`` is one loop over committed steps in two regimes.  The
 uniform regime steps to t = k*dt and records every output stride.  The first
@@ -271,10 +272,8 @@ class SimulationResult:
     umin: np.ndarray
     umax: np.ndarray
     blowup: BlowupEvent | None
-    bracket: BlowupBracket | None
     decay_slope: float | None
     lambda1: float
-    h0: float
     config: SimConfig
     inconclusive: str | None = None
     fields: list | None = None
@@ -389,7 +388,8 @@ def _operator(
     op = assemble_regional(grid, s)
     pair = principal_eigenpair(op, grid)  # checks A finite and centrosymmetric
     lam, v = mirror_eigenbasis(op.entries)
-    lam.flags.writeable = v.flags.writeable = False  # shared by every caller
+    # shared by every caller
+    lam.flags.writeable = v.flags.writeable = pair.e1.flags.writeable = False
     return pair, lam, v
 
 
@@ -418,7 +418,6 @@ def run(
     grid = config.grid
     eigenpair, lam, v = _get_operator(config)
     lam1 = eigenpair.lambda1
-    e1 = eigenpair.e1.values
 
     if u0_override is not None:
         u0 = np.asarray(u0_override, dtype=float)
@@ -429,7 +428,6 @@ def run(
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial data must be finite")
 
-    h0 = float(grid.h * np.sum(u0 * e1))
     alpha, t_end = config.alpha, config.t_end
     n_steps = config.n_steps
     dt = cur_dt = config.effective_dt
@@ -443,7 +441,7 @@ def run(
     step_matrix = _step_matrix(lam, v, scale) if n_steps >= config.n else None
 
     u_max = float(u0.max())
-    monitors = _Monitors(grid.h, e1, record_fields)
+    monitors = _Monitors(grid.h, eigenpair.e1, record_fields)
     monitors.record(0.0, u0)
     adaptive_trigger = 10.0 * (1.0 + lam1)
     # max u <= sqrt(u @ u), which each step solve returns: while that bound
@@ -495,8 +493,6 @@ def run(
             if not adaptive and u_max > adaptive_trigger:
                 adaptive, k_switch = True, k
 
-    bracket = blowup_bracket(h0, alpha, lam1) if h0 >= 1.0 + lam1 else None
-
     times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = None
     if blowup is None and inconclusive is None:
@@ -509,10 +505,8 @@ def run(
         umin=umin,
         umax=umax,
         blowup=blowup,
-        bracket=bracket,
         decay_slope=decay_slope,
         lambda1=lam1,
-        h0=h0,
         config=config,
         inconclusive=inconclusive,
         fields=monitors.fields,

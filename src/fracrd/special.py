@@ -1,8 +1,9 @@
 """One-parameter Mittag-Leffler evaluation.
 
-``ml_eval`` is the workhorse: it evaluates E_alpha(z) = sum_m z^m/Gamma(alpha*m+1)
-in double precision, for a float z or an array of them, by switching on the
-cancellation exponent nats = x**(1/alpha), x = -z, between two regimes,
+``ml_eval(alpha, z)`` is the workhorse: it evaluates
+E_alpha(z) = sum_m z^m/Gamma(alpha*m+1) in double precision, for a float z
+or an array of them, by switching on the cancellation exponent
+nats = x**(1/alpha), x = -z, between two regimes,
 
 * the direct series for nonnegative z and for nats <= ``_F64_MAX_NATS``,
   where the alternating terms cancel mildly (at most e^3 of the sum), and
@@ -18,6 +19,8 @@ they are built once per alpha, and applied to 32 values of x at a time.
 Only where a sharp kernel resonance sits on the integration path (alpha
 near 1) does the quadrature grade its panels per point.  An array call
 evaluates each element exactly as a float call would, bit for bit.
+``ml_eval`` takes alpha and z as plain values and makes every check of its
+arguments itself.
 
 Measured against ``fracrd.mlref`` (25 digits) on 947 points, 21 alphas from
 0.25 to 1 - 2^-53 with nats from 3 to z = ``_Z_MIN``, the rule's worst
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,32 +58,6 @@ _SERIES_RTOL = 1e-16
 
 # Rows of x that one block of the rule evaluates at once.
 _BLOCK = 32
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Arguments of the one-parameter Mittag-Leffler function E_alpha(z).
-
-    ``z`` is a float or an array of floats; anything but a float is kept as
-    a read-only float array.
-    """
-
-    alpha: float
-    z: float | np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if isinstance(self.z, (int, float)):
-            finite = math.isfinite(self.z)
-        else:
-            z = np.array(self.z, dtype=float)
-            z.setflags(write=False)
-            object.__setattr__(self, "z", z)
-            finite = bool(np.isfinite(z).all())
-        if not finite:
-            bad = next(v for v in np.ravel(self.z).tolist() if not math.isfinite(v))
-            raise DomainError(f"z must be finite, got {bad}")
 
 
 def _tail_ratio_bound(alpha: float, x: float, m: int) -> float:
@@ -221,15 +197,18 @@ def _rule_eval(alpha: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ml_eval(params: MLParams) -> float | np.ndarray:
+def ml_eval(alpha: float, z) -> float | np.ndarray:
     """Evaluate E_alpha(z) for the validated parameter box.
 
-    ``params.z`` is a float, for which a float is returned, or an array,
-    for which an array of its shape is returned; each element is the value
-    a float call returns.  Raises UnsupportedParameterError outside alpha
-    in [0.25, 1] or z in [_Z_MIN, 5], naming the first element outside.
+    For an int or float z a float is returned; for anything else (an
+    array, a list) an array of its shape, each element the value a float
+    call returns.  The caller's array is read, never written or returned.
+    Raises DomainError for alpha outside (0, 1] or a non-finite z, and
+    UnsupportedParameterError for alpha below 0.25 or z outside
+    [_Z_MIN, 5]; an error about z names its first element at fault.
     """
-    alpha, z = params.alpha, params.z
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     if alpha < _ALPHA_MIN:
         raise UnsupportedParameterError(
             f"alpha={alpha} below validated minimum {_ALPHA_MIN}"
@@ -241,7 +220,10 @@ def ml_eval(params: MLParams) -> float | np.ndarray:
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     rule = []  # elements left to the one rule
     for i, v in enumerate(zs.tolist()):
-        if not _Z_MIN <= v <= _Z_MAX:
+        if not _Z_MIN <= v <= _Z_MAX:  # a non-finite z anywhere is named first
+            bad = next((u for u in zs.tolist() if not math.isfinite(u)), None)
+            if bad is not None:
+                raise DomainError(f"z must be finite, got {bad}")
             raise UnsupportedParameterError(f"z={v} outside validated range [{_Z_MIN}, {_Z_MAX}]")
         if alpha == 1.0:
             out[i] = math.exp(v)
@@ -255,6 +237,6 @@ def ml_eval(params: MLParams) -> float | np.ndarray:
             rule.append(i)
     if rule:
         out[rule] = _rule_eval(alpha, -zs[rule])
-    if isinstance(z, np.ndarray):
-        return out.reshape(np.shape(z))
-    return float(out[0])
+    if isinstance(z, (int, float)):
+        return float(out[0])
+    return out.reshape(np.shape(z))

@@ -16,7 +16,7 @@ from fracrd.caputo import (
     solve_logistic_fode,
 )
 from fracrd.errors import ConvergenceError, DomainError
-from fracrd.special import MLParams, ml_eval
+from fracrd.special import ml_eval
 
 
 class TestWeights:
@@ -359,12 +359,12 @@ class TestLinearFode:
         assert trace.values[-1] == pytest.approx(math.exp(-1.0), abs=3e-4)
 
     def test_half_alpha_matches_mittag_leffler(self):
-        exact = ml_eval(MLParams(alpha=0.5, z=-1.0))
+        exact = ml_eval(0.5, -1.0)
         trace = solve_linear_fode(0.5, 1.0, 1.0, 2.0**-10, 1.0)
         assert trace.values[-1] == pytest.approx(exact, abs=5e-4)
 
     def test_error_decreases_under_halving(self):
-        exact = ml_eval(MLParams(alpha=0.5, z=-1.0))
+        exact = ml_eval(0.5, -1.0)
         errs = [
             abs(solve_linear_fode(0.5, 1.0, 1.0, 2.0**-k, 1.0).values[-1] - exact)
             for k in (6, 8, 10)

@@ -78,6 +78,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b"])
+    def test_path_separator_in_campaign_name_rejected(self, tmp_path, name):
+        # the name becomes part of a trace file name under the output directory
+        bad = MINIMAL_DECAY.replace("[decay-small]", f"[{name}]")
+        with pytest.raises(ConfigError, match="must not contain") as err:
+            parse_config(_write(tmp_path, bad))
+        assert err.value.section == name
+
     @pytest.mark.parametrize("kind,required,line,message", [
         ("ml_table", "", "tol = 1e-10", "unknown key"),
         ("decay", "alpha = 0.5\ns = 0.4\n", "slope_band = 0.15", "unknown key"),
@@ -395,6 +403,20 @@ class TestCli:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot parse configuration: {cause}")
+
+    @pytest.mark.parametrize("name", ["a/b", "../escaped"])
+    def test_run_path_separator_in_campaign_name_exit_two(self, tmp_path, capsys, name):
+        # rejected before the valid campaign ahead of it runs: nothing is written
+        cfg = _write(tmp_path, MINIMAL_DECAY + MINIMAL_DECAY.replace("[decay-small]", f"[{name}]"))
+        out = tmp_path / "out"
+        code = cli.main(["run", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: [{name}] a campaign name must not contain '/' or '\\': it names "
+            "the campaign's output files"
+        ]
+        assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["campaigns.ini"]
 
     def test_run_unknown_campaign_filter(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINIMAL_DECAY)

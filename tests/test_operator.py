@@ -208,9 +208,9 @@ class TestApply:
     def test_eigenpair_is_fixed_direction(self, op64):
         grid, op = op64
         pair = principal_eigenpair(op, grid)
-        out = op.entries @ pair.e1.values
-        assert np.allclose(out, pair.lambda1 * pair.e1.values, rtol=0,
-                           atol=2e-10 * pair.lambda1 * np.max(pair.e1.values))
+        out = op.entries @ pair.e1
+        assert np.allclose(out, pair.lambda1 * pair.e1, rtol=0,
+                           atol=2e-10 * pair.lambda1 * np.max(pair.e1))
 
 
 class TestEigenpair:
@@ -226,8 +226,8 @@ class TestEigenpair:
     def test_normalization_and_positivity(self, op64):
         grid, op = op64
         pair = principal_eigenpair(op, grid)
-        assert abs(grid.h * pair.e1.values.sum() - 1.0) <= 1e-12
-        assert pair.e1.values.min() > 0
+        assert abs(grid.h * pair.e1.sum() - 1.0) <= 1e-12
+        assert pair.e1.min() > 0
         assert pair.residual <= backward_error_bound(op)
 
     def test_fine_grid_matches_dense_within_backward_error(self):
@@ -246,7 +246,7 @@ class TestEigenpair:
         grid = Grid1D(0.0, 1.0, 4096)
         op = assemble_regional(grid, 0.9)
         pair = principal_eigenpair(op, grid)
-        e1 = pair.e1.values
+        e1 = pair.e1
         residual = np.linalg.norm(op.entries @ e1 - pair.lambda1 * e1) / np.linalg.norm(e1)
         assert residual <= backward_error_bound(op)
         assert e1.min() > 0
@@ -261,7 +261,7 @@ class TestEigenpair:
         lam_dense = eigh(op.entries, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert abs(pair.lambda1 - lam_dense) <= 2.0 * backward_error_bound(op)
         assert pair.residual <= backward_error_bound(op)
-        e1 = pair.e1.values
+        e1 = pair.e1
         assert np.array_equal(e1, e1[::-1])
 
     def test_not_centrosymmetric_is_named(self):
@@ -285,6 +285,14 @@ class TestEigenpair:
         op = OperatorMatrix(a)
         with pytest.raises(ConvergenceError, match="non-finite entries"):
             principal_eigenpair(op, grid)
+
+    def test_eigenvector_overflow_is_named(self):
+        # an operator paired with a grid of subnormal cell width: e1 = w / (h * sum w)
+        # leaves the double range
+        op = assemble_regional(Grid1D(0.0, 1.0, 8), 0.5)
+        assert np.isfinite(principal_eigenpair(op, Grid1D(0.0, 1e-308, 8)).e1).all()
+        with pytest.raises(DomainError, match=r"e1\) = 1 overflows at cell width h = 1.11111e-310"):
+            principal_eigenpair(op, Grid1D(0.0, 1e-309, 8))
 
     def test_grid_size_mismatch_is_named(self):
         op = assemble_regional(Grid1D(0.0, 1.0, 8), 0.5)
@@ -361,7 +369,7 @@ def test_dumps(tmp_path, op64):
     grid, op = op64
     pair = principal_eigenpair(op, grid)
     epath = tmp_path / "e1.csv"
-    dump_eigenpair(pair, epath)
+    dump_eigenpair(pair, grid, epath)
     lines = epath.read_text().splitlines()
     assert lines[0] == "x,e1"
     assert len(lines) == 65

@@ -12,45 +12,54 @@ from hypothesis import given, settings, strategies as st
 import fracrd
 from fracrd.errors import DomainError, UnsupportedParameterError
 from fracrd.harness import load_oracle_table
-from fracrd.special import _Z_MIN, MLParams, _rule, ml_eval
-
-
-class TestMLParams:
-    def test_alpha_range(self):
-        with pytest.raises(DomainError):
-            MLParams(alpha=0.0, z=1.0)
-        with pytest.raises(DomainError):
-            MLParams(alpha=1.5, z=1.0)
-
-    def test_finite_z(self):
-        with pytest.raises(DomainError):
-            MLParams(alpha=0.5, z=math.inf)
+from fracrd.special import _Z_MIN, _rule, ml_eval
 
 
 class TestMLEval:
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_alpha_outside_domain_raises(self, alpha):
+        for z in (-1.0, np.array([-1.0, -40.0])):
+            with pytest.raises(DomainError, match="alpha must be in"):
+                ml_eval(alpha, z)
+
+    def test_alpha_below_validated_minimum_raises(self):
+        with pytest.raises(UnsupportedParameterError, match="alpha=0.1 below"):
+            ml_eval(0.1, -1.0)
+        # alpha is checked before z
+        with pytest.raises(UnsupportedParameterError, match="alpha=0.2 below"):
+            ml_eval(0.2, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_raises(self, bad):
+        with pytest.raises(DomainError, match=f"z must be finite, got {bad}"):
+            ml_eval(0.5, bad)
+        # the first non-finite element is named, before any range error
+        with pytest.raises(DomainError, match=f"z must be finite, got {bad}"):
+            ml_eval(0.5, np.array([6.0, -1.0, bad, math.nan]))
+
     def test_at_zero(self):
         for alpha in (0.25, 0.5, 0.7, 1.0):
-            assert ml_eval(MLParams(alpha=alpha, z=0.0)) == 1.0
+            assert ml_eval(alpha, 0.0) == 1.0
 
     def test_alpha_one_is_exp(self):
-        assert ml_eval(MLParams(alpha=1.0, z=-1.0)) == pytest.approx(
+        assert ml_eval(1.0, -1.0) == pytest.approx(
             math.exp(-1.0), rel=1e-15
         )
         for z in (-50.0, -20.0, -3.3, 0.7, 5.0):
-            assert ml_eval(MLParams(alpha=1.0, z=z)) == pytest.approx(
+            assert ml_eval(1.0, z) == pytest.approx(
                 math.exp(z), rel=1e-12
             )
 
     def test_half_alpha_erfc_identity(self):
         # E_{1/2}(z) = exp(z^2) erfc(-z); at z = -1 this is e * erfc(1)
-        val = ml_eval(MLParams(alpha=0.5, z=-1.0))
+        val = ml_eval(0.5, -1.0)
         assert val == pytest.approx(0.4275835762, abs=1e-9)
         assert val == pytest.approx(math.exp(1.0) * math.erfc(1.0), rel=1e-12)
 
     def test_against_frozen_oracle_table(self):
         worst = 0.0
         for alpha, z, ref in load_oracle_table():
-            val = ml_eval(MLParams(alpha=alpha, z=z))
+            val = ml_eval(alpha, z)
             worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
         assert worst <= 1e-10
 
@@ -63,7 +72,7 @@ class TestMLEval:
             for factor in (0.99, 1.01):
                 z = -((3.0 * factor) ** alpha)
                 ref = float(mlref.ml_reference(alpha, z, digits=25))
-                val = ml_eval(MLParams(alpha=alpha, z=z))
+                val = ml_eval(alpha, z)
                 assert abs(val - ref) <= 1e-10 * abs(ref), (alpha, z)
 
     def test_quadrature_against_reference(self):
@@ -83,17 +92,17 @@ class TestMLEval:
         points += [(alpha, -(nats**alpha)) for nats in (48.7, 60.0, 80.5)]
         for alpha, z in points:
             ref = float(mlref.ml_reference(alpha, z, digits=25))
-            val = ml_eval(MLParams(alpha=alpha, z=z))
+            val = ml_eval(alpha, z)
             assert abs(val - ref) <= 1e-12 * abs(ref), (alpha, z)
 
     def test_mid_regime_threads_bit_identical(self):
         nats = np.concatenate((np.linspace(3.5, 35.5, 40), np.geomspace(36.0, 1e6, 20)))
-        arrays = [MLParams(alpha=alpha, z=-(nats**alpha)) for alpha in (0.5, 0.8, 0.99)]
-        points = [MLParams(alpha=p.alpha, z=float(z)) for p in arrays for z in p.z]
-        serial = [ml_eval(p) for p in points]
+        arrays = [(alpha, -(nats**alpha)) for alpha in (0.5, 0.8, 0.99)]
+        points = [(alpha, float(v)) for alpha, z in arrays for v in z]
+        serial = [ml_eval(*p) for p in points]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(ml_eval, points))
-            threaded_arrays = list(pool.map(ml_eval, arrays * 4))
+            threaded = list(pool.map(ml_eval, *zip(*points)))
+            threaded_arrays = list(pool.map(ml_eval, *zip(*arrays * 4)))
         assert threaded == serial
         # each array call, on any thread, gives the serial float calls' bits
         for k, values in enumerate(threaded_arrays):
@@ -112,11 +121,11 @@ class TestMLEval:
 
     def test_outside_box_rejected(self):
         with pytest.raises(UnsupportedParameterError):
-            ml_eval(MLParams(alpha=0.2, z=-1.0))
+            ml_eval(0.2, -1.0)
         with pytest.raises(UnsupportedParameterError):
-            ml_eval(MLParams(alpha=0.5, z=6.0))
+            ml_eval(0.5, 6.0)
         with pytest.raises(UnsupportedParameterError):
-            ml_eval(MLParams(alpha=0.5, z=-2e12))
+            ml_eval(0.5, -2e12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,14 +135,12 @@ class TestMLEval:
     )
     def test_complete_monotone_decay(self, alpha, t1, gap):
         t2 = t1 + gap
-        assert ml_eval(MLParams(alpha=alpha, z=-t1)) > ml_eval(
-            MLParams(alpha=alpha, z=-t2)
-        )
+        assert ml_eval(alpha, -t1) > ml_eval(alpha, -t2)
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0.25, 1.0), z=st.floats(0.0, 50.0))
     def test_positive_on_negative_axis(self, alpha, z):
-        assert ml_eval(MLParams(alpha=alpha, z=-z)) > 0.0
+        assert ml_eval(alpha, -z) > 0.0
 
 
 class TestMLEvalArray:
@@ -146,9 +153,9 @@ class TestMLEvalArray:
     def test_elements_equal_float_calls(self, alpha):
         z = np.concatenate((-(self.NATS**alpha), [0.7, 5.0]))
         z = z[z >= _Z_MIN]
-        values = ml_eval(MLParams(alpha=alpha, z=z))
+        values = ml_eval(alpha, z)
         assert values.shape == z.shape
-        assert values.tolist() == [ml_eval(MLParams(alpha=alpha, z=float(v))) for v in z]
+        assert values.tolist() == [ml_eval(alpha, float(v)) for v in z]
 
     def test_accuracy_against_reference(self):
         # both sides of the 3-nat seam and z = -1e12, through one array call
@@ -156,38 +163,51 @@ class TestMLEvalArray:
 
         for alpha in (0.3, 0.5, 0.9, 0.99, 0.9999):
             z = np.array([-((3.0 * 0.99) ** alpha), -((3.0 * 1.01) ** alpha), -1e12])
-            values = ml_eval(MLParams(alpha=alpha, z=z))
+            values = ml_eval(alpha, z)
             for zi, val, tol in zip(z, values, (1e-10, 1e-10, 1e-12)):
                 ref = float(mlref.ml_reference(alpha, float(zi), digits=25))
                 assert abs(val - ref) <= tol * abs(ref), (alpha, zi)
 
     def test_bad_element_raises_the_float_error(self):
         with pytest.raises(DomainError, match="finite"):
-            MLParams(alpha=0.5, z=np.array([-1.0, math.nan, -2.0]))
+            ml_eval(0.5, np.array([-1.0, math.nan, -2.0]))
         with pytest.raises(DomainError, match="finite"):
-            MLParams(alpha=0.5, z=math.nan)
+            ml_eval(0.5, math.nan)
         for bad in (6.0, -2e12):
             with pytest.raises(UnsupportedParameterError, match=f"z={bad}"):
-                ml_eval(MLParams(alpha=0.5, z=np.array([-1.0, -40.0, bad, -3.0])))
+                ml_eval(0.5, np.array([-1.0, -40.0, bad, -3.0]))
             with pytest.raises(UnsupportedParameterError, match=f"z={bad}"):
-                ml_eval(MLParams(alpha=0.5, z=bad))
+                ml_eval(0.5, bad)
 
     def test_empty_and_zero_dimensional(self):
-        empty = ml_eval(MLParams(alpha=0.5, z=np.array([])))
+        empty = ml_eval(0.5, np.array([]))
         assert empty.shape == (0,)
         for z in (-1.0, -40.0):
-            value = ml_eval(MLParams(alpha=0.5, z=np.array(z)))
-            assert value.shape == () and value == ml_eval(MLParams(alpha=0.5, z=z))
+            value = ml_eval(0.5, np.array(z))
+            assert value.shape == () and value == ml_eval(0.5, z)
 
-    def test_params_keep_a_read_only_copy(self):
-        z = np.array([-1.0, -40.0])
-        params = MLParams(alpha=0.5, z=z)
-        z[1] = math.nan
-        assert not params.z.flags.writeable and params.z[1] == -40.0
-        assert np.all(np.isfinite(ml_eval(params)))
+    def test_input_is_unchanged_and_result_is_new(self):
+        for z in (np.array([-1.0, -40.0, 2.0]), np.array([[-1.0], [-40.0]]), np.array(-1.0)):
+            before = z.copy()
+            values = ml_eval(0.5, z)
+            assert np.array_equal(z, before)
+            assert values is not z and not np.shares_memory(values, z)
+            values[...] = 0.0  # the result may be written without touching z
+            assert np.array_equal(z, before)
+        read_only = np.array([-1.0, -40.0])
+        read_only.setflags(write=False)
+        assert ml_eval(0.5, read_only).flags.writeable
+
+    def test_list_and_int_inputs(self):
+        values = ml_eval(0.5, [-1.0, -40.0])
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert values.tolist() == [ml_eval(0.5, -1.0), ml_eval(0.5, -40.0)]
+        assert isinstance(ml_eval(0.5, [[-1]]), np.ndarray)
+        value = ml_eval(0.5, -1)
+        assert type(value) is float and value == ml_eval(0.5, -1.0)
 
     def test_rule_cache_is_bounded_and_read_only(self):
-        ml_eval(MLParams(alpha=0.6, z=-40.0))
+        ml_eval(0.6, -40.0)
         assert _rule.cache_info().maxsize is not None
         for array in _rule(0.6):
             assert not array.flags.writeable
@@ -212,7 +232,7 @@ class TestDecayEnvelope:
             alpha = float(alpha)
             for z in zs:
                 lower, upper = self.bounds(alpha, float(z))
-                val = ml_eval(MLParams(alpha=alpha, z=-float(z)))
+                val = ml_eval(alpha, -float(z))
                 assert lower * (1.0 - tol) <= val <= upper * (1.0 + tol), (alpha, z)
 
     def test_constant_at_least_one(self):
@@ -220,13 +240,13 @@ class TestDecayEnvelope:
         # (1+z) E_alpha(-z) is 1 at z = 0 and below 1 after.
         zs = np.geomspace(1e-6, 1e4, 200)
         for alpha in (0.3, 0.5, 0.8, 0.95):
-            assert ml_eval(MLParams(alpha=alpha, z=0.0)) == 1.0
-            assert max((1.0 + z) * ml_eval(MLParams(alpha=alpha, z=-z)) for z in zs) < 1.0
+            assert ml_eval(alpha, 0.0) == 1.0
+            assert max((1.0 + z) * ml_eval(alpha, -z) for z in zs) < 1.0
 
     def test_envelope_at_nine(self):
         # E_{1/2}(-9) = e^81 erfc(9) must sit between the bounds
         exact = math.exp(81.0) * math.erfc(9.0)
-        val = ml_eval(MLParams(alpha=0.5, z=-9.0))
+        val = ml_eval(0.5, -9.0)
         assert val == pytest.approx(exact, rel=1e-10)
         lower, upper = self.bounds(0.5, 9.0)
         assert lower <= val <= upper
