@@ -9,7 +9,7 @@ time steppers, operator assembly, coupled solver, and a campaign harness that
 checks boundedness, algebraic energy decay, and finite-time blow-up brackets.
 """
 
-from .caputo import L1Weights, ScalarTrace, l1_weights, solve_linear_fode, solve_logistic_fode
+from .caputo import L1Weights, ScalarTrace, l1_weights, solve_linear_fode
 from .fraclap import (
     EigenPair,
     Grid1D,
@@ -35,7 +35,6 @@ __all__ = [
     "ScalarTrace",
     "l1_weights",
     "solve_linear_fode",
-    "solve_logistic_fode",
     "Grid1D",
     "OperatorMatrix",
     "EigenPair",

@@ -6,12 +6,13 @@ t_n = n*dt as
     D^alpha y(t_n) ~ scale * sum_{j=0}^{n-1} b_j (y^(n-j) - y^(n-j-1)),
     b_j = (j+1)^(1-alpha) - j^(1-alpha),   scale = dt^(-alpha)/Gamma(2-alpha),
 
-which reduces to backward Euler at alpha = 1.  Two comparison equations are
-solved with it: the linear decay equation D^alpha y = -rate*y (implicit) and
-the quadratic growth equation D^alpha y = y*(y+1) (linear part implicit,
-square explicit) whose solutions reach infinity in finite time for y0 > 0.
+which reduces to backward Euler at alpha = 1.  The linear decay equation
+D^alpha y = -rate*y is solved with it here (implicit).  The quadratic growth
+equation D^alpha y = y*(y+1), whose solutions reach infinity in finite time
+for y0 > 0, is the PDE step of ``solver`` with one mode of eigenvalue -2 and
+runs through that stepping loop.
 
-The blow-up solvers refine their own step as the solution grows; the memory
+That loop refines its step as the solution grows towards blow-up; the memory
 sum then lives on a piecewise-uniform mesh, so it evaluates the L1 weights
 from the actual step times,
 
@@ -25,7 +26,8 @@ accurate to a few ulps however old its interval is.
 
 History.  One class, ``L1History``, owns the committed history of every L1
 run here and in ``solver``, and ``L1History.step(t_new)`` is the only place
-that weighs an interval: it returns the weight w of the new interval
+that weighs an interval (``append`` also tests whether a step is uniform, to
+freeze the state): it returns the weight w of the new interval
 (t_last, t_new] and the memory sum, so the derivative at t_new is
 w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt, or
 within 2 ulp of t_new (the rounding of k*dt), while the state is not frozen
@@ -64,11 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
 DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
-_MAX_LOGISTIC_STEPS = 500_000  # committed steps of one solve_logistic_fode call
 
 # Sum-of-exponentials kernel (see the module docstring).
 _SOE_JACOBI = 6  # Gauss-Jacobi nodes on s in [0, 1/N]
@@ -321,68 +322,3 @@ def solve_linear_fode(
         history.append(y[n], n * dt)
     times = dt * np.arange(n_steps + 1)
     return ScalarTrace(times=times, values=y)
-
-
-def solve_logistic_fode(
-    alpha: float,
-    y0: float,
-    dt: float,
-    t_end: float,
-) -> tuple[ScalarTrace, float | None]:
-    """Semi-implicit L1 solution of D^alpha y = y*(y+1) with blow-up capture.
-
-    The linear +y term is implicit, the square explicit from the previous
-    value, so each step is one scalar division.  A step is rejected and the
-    step size halved when the implicit coefficient closes, the relative
-    increment exceeds 1/2, or monotonicity would break; near blow-up this
-    resolves the threshold crossing to a fraction of the local growth time.
-
-    Returns the computed trace and the first time y >= BLOW_THRESHOLD, or
-    None when t_end is reached first.  Raises ConvergenceError when the step
-    falls below ``DT_FLOOR_REL * t_end`` before either.
-    """
-    if y0 < 0:
-        raise DomainError(f"y0 must be >= 0, got {y0}")
-    if y0 >= BLOW_THRESHOLD:
-        raise DomainError(f"y0 must be below the blow-up threshold {BLOW_THRESHOLD:g}, got {y0}")
-    if not 0 < dt <= t_end:
-        raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    floor = DT_FLOOR_REL * t_end
-
-    history = L1History(y0, alpha, dt, math.ceil(t_end / dt))
-    times, values = [0.0], [y0]
-    cur_dt = dt
-    blow_time = None
-    eps_end = 1e-12 * t_end
-    while history.t_last < t_end - eps_end:
-        if len(times) > _MAX_LOGISTIC_STEPS:
-            raise ConvergenceError("step budget exhausted before t_end or blow-up")
-        t_new = min(history.t_last + cur_dt, t_end)
-        w, memory = history.step(t_new)
-        coef = w - 1.0
-        if coef <= 0:
-            cur_dt *= 0.5
-            _check_floor(cur_dt, floor)
-            continue
-        y_last = history.last
-        y_new = (w * y_last - float(memory) + y_last * y_last) / coef
-        increment_ok = (y_new - y_last) <= 0.5 * max(y_last, 1e-12)
-        if y_new < y_last or not increment_ok:
-            cur_dt *= 0.5
-            _check_floor(cur_dt, floor)
-            continue
-        history.append(y_new, t_new)
-        times.append(t_new)
-        values.append(y_new)
-        if y_new >= BLOW_THRESHOLD:
-            blow_time = t_new
-            break
-    trace = ScalarTrace(times=np.array(times), values=np.array(values, dtype=float))
-    return trace, blow_time
-
-
-def _check_floor(cur_dt: float, floor: float) -> None:
-    if cur_dt < floor:
-        raise ConvergenceError(
-            f"step size collapsed below floor {floor:g} without crossing the threshold"
-        )

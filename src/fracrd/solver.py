@@ -23,22 +23,28 @@ Monitored functionals (discrete integrals with weight h):
 
 plus the running min/max of u.  Blow-up is declared when max u crosses
 ``caputo.BLOW_THRESHOLD``, with the step size halved adaptively once max u
-exceeds 10*(1 + lambda1).  When the weighted mass H(0) reaches 1 + lambda1,
-``blowup_bracket`` gives the two-sided blow-up window
+exceeds 10*(1 + lambda1), or from the start when max u0 already does.  When
+the weighted mass H(0) reaches 1 + lambda1, ``blowup_bracket`` gives the
+two-sided blow-up window
 
     (Gamma(alpha+1) / (4*(H0 + 1/2)))^(1/alpha) <= T* <= (Gamma(alpha+1)/H0)^(1/alpha);
 
 ``harness.scaled_blowup_config`` forms it for the runs it builds.
 
-Stepping.  ``run`` is one loop over committed steps in two regimes.  The
-uniform regime steps to t = k*dt and records every output stride.  The first
-time max u exceeds 10*(1 + lambda1) the loop turns adaptive: it steps to
-min(t_last + dt', t_end), records every committed step, and rejects a step
-and halves dt' when max u grows by more than half.  Each regime only picks
-t_new; ``caputo.L1History.step(t_new)`` returns the weight w of the step
-actually taken and the memory sum.  At the grid sizes the campaigns use
-(n = 128, 256) a step is a few tens of kflop, so each one does its
-arithmetic and little else, the same in both regimes:
+Stepping.  ``run`` builds the cached operator and the initial field and
+hands them to ``_march``, the package's one stepping loop.  The scalar
+blow-up oracle D^alpha y = y*(y+1) of ``harness`` runs through the same
+loop as one mode, lam = [-2], V = [[1]]: w + 1 + lam is then the w - 1 of
+that equation.  The loop goes over committed steps in two regimes.  The
+uniform regime steps to t = k*dt and records every output stride.  The
+loop turns adaptive the first time max u exceeds 10*(1 + lam[0]), or starts
+adaptive when max u0 already does: it steps to min(t_last + dt', t_end),
+records every committed step, and rejects a step and halves dt' when max u
+grows by more than half.  Each regime only picks t_new;
+``caputo.L1History.step(t_new)`` returns the weight w of the step actually
+taken and the memory sum.  At the grid sizes the campaigns use (n = 128,
+256) a step is a few tens of kflop, so each one does its arithmetic and
+little else, the same in both regimes:
 
 * one right-hand side, u_last*(w + u_last) - memory, and one solve.
   A step of the uniform size w = ``scale`` (every uniform step, and the
@@ -406,18 +412,12 @@ def run(
 ) -> SimulationResult:
     """Advance the scheme to t_end or blow-up and collect the monitors.
 
-    Records E, H and the field bounds every output stride (at most ~2000
-    entries) of the uniform mesh.  Once max u exceeds 10*(1+lambda1) the run
-    switches to adaptive stepping: every committed step is recorded, the L1
-    memory weights are evaluated from the actual step times, and a step is
-    rejected and the step size halved whenever the relative growth of max u
-    exceeds 1/2.  The adaptive regime ends the run unresolved after
-    ``_MAX_ADAPTIVE_STEPS`` committed steps or once its step falls below
-    ``DT_FLOOR_REL * t_end``.
+    Builds the cached operator and the checked initial field, runs them
+    through ``_march``, and fits the decay slope of a run that neither blew
+    up nor ended unresolved.
     """
     grid = config.grid
     eigenpair, lam, v = _get_operator(config)
-    lam1 = eigenpair.lambda1
 
     if u0_override is not None:
         u0 = np.asarray(u0_override, dtype=float)
@@ -428,9 +428,57 @@ def run(
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial data must be finite")
 
-    alpha, t_end = config.alpha, config.t_end
-    n_steps = config.n_steps
-    dt = cur_dt = config.effective_dt
+    monitors, blowup, inconclusive = _march(
+        lam, v, eigenpair.e1, grid.h, u0, config.alpha, config.effective_dt,
+        config.n_steps, config.t_end, record_fields,
+    )
+    times, energy, h_func, umin, umax = monitors.columns()
+    decay_slope = None
+    if blowup is None and inconclusive is None:
+        decay_slope = _maybe_decay_slope(times, energy, config)
+
+    return SimulationResult(
+        times=times,
+        energy=energy,
+        h_functional=h_func,
+        umin=umin,
+        umax=umax,
+        blowup=blowup,
+        decay_slope=decay_slope,
+        lambda1=eigenpair.lambda1,
+        config=config,
+        inconclusive=inconclusive,
+        fields=monitors.fields,
+        field_times=monitors.field_times,
+    )
+
+
+def _march(
+    lam: np.ndarray,
+    v: np.ndarray,
+    e1: np.ndarray,
+    h: float,
+    u0: np.ndarray,
+    alpha: float,
+    dt: float,
+    n_steps: int,
+    t_end: float,
+    record_fields: bool = False,
+) -> tuple[_Monitors, BlowupEvent | None, str | None]:
+    """Step D^alpha u + A u + u = u^2, A = V diag(lam) V^T with lam
+    ascending, from u0 to t_end = n_steps * dt or blow-up; return the
+    monitors, the blow-up event and the reason a run ended unresolved.
+
+    Records E, H and the field bounds every output stride (at most ~2000
+    entries) of the uniform mesh.  Once max u exceeds 10*(1 + lam[0]), or
+    from the start when max u0 already does, the loop steps adaptively:
+    every committed step is recorded, the L1 memory weights are evaluated
+    from the actual step times, and a step is rejected and the step size
+    halved whenever the relative growth of max u exceeds 1/2.  The adaptive
+    regime ends the run unresolved after ``_MAX_ADAPTIVE_STEPS`` committed
+    steps or once its step falls below ``DT_FLOOR_REL * t_end``.
+    """
+    cur_dt = dt
     floor = DT_FLOOR_REL * t_end
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
@@ -438,16 +486,16 @@ def run(
     step, append, scale = history.step, history.append, history.scale
     # A step of the uniform size is one product with the step matrix, once
     # the run has enough steps to pay for its build
-    step_matrix = _step_matrix(lam, v, scale) if n_steps >= config.n else None
+    step_matrix = _step_matrix(lam, v, scale) if n_steps >= len(u0) else None
 
     u_max = float(u0.max())
-    monitors = _Monitors(grid.h, eigenpair.e1, record_fields)
+    monitors = _Monitors(h, e1, record_fields)
     monitors.record(0.0, u0)
-    adaptive_trigger = 10.0 * (1.0 + lam1)
+    adaptive_trigger = 10.0 * (1.0 + float(lam[0]))  # a float: np.float64 slows each step
     # max u <= sqrt(u @ u), which each step solve returns: while that bound
     # stays below half of both thresholds, u_max holds it, not the max
     bound_norm2 = (0.5 * min(adaptive_trigger, BLOW_THRESHOLD)) ** 2
-    adaptive, k, k_switch = False, 0, 0  # k: committed steps
+    adaptive, k, k_switch = u_max > adaptive_trigger, 0, 0  # k: committed steps
     blowup = inconclusive = None
 
     # an overflow in a step reaches its finiteness check, which raises the
@@ -492,26 +540,7 @@ def run(
                 break
             if not adaptive and u_max > adaptive_trigger:
                 adaptive, k_switch = True, k
-
-    times, energy, h_func, umin, umax = monitors.columns()
-    decay_slope = None
-    if blowup is None and inconclusive is None:
-        decay_slope = _maybe_decay_slope(times, energy, config)
-
-    return SimulationResult(
-        times=times,
-        energy=energy,
-        h_functional=h_func,
-        umin=umin,
-        umax=umax,
-        blowup=blowup,
-        decay_slope=decay_slope,
-        lambda1=lam1,
-        config=config,
-        inconclusive=inconclusive,
-        fields=monitors.fields,
-        field_times=monitors.field_times,
-    )
+    return monitors, blowup, inconclusive
 
 
 def _maybe_decay_slope(times, energy, config):

@@ -13,9 +13,9 @@ from fracrd.caputo import (
     _soe_modes,
     l1_weights,
     solve_linear_fode,
-    solve_logistic_fode,
 )
-from fracrd.errors import ConvergenceError, DomainError
+from fracrd.errors import DomainError
+from fracrd.solver import _march
 from fracrd.special import ml_eval
 
 
@@ -396,11 +396,21 @@ class TestLinearFode:
             solve_linear_fode(0.5, 1.0, 1.0, 2.0, 1.0)
 
 
+def _logistic(alpha, y0, dt, t_end):
+    """D^alpha y = y (y + 1) through the solver's stepping loop, as one mode
+    of eigenvalue -2: times, recorded values, blow-up event, unresolved reason."""
+    n_steps = round(t_end / dt)
+    monitors, blowup, inconclusive = _march(np.array([-2.0]), np.eye(1), np.ones(1), 1.0,
+                                            np.array([y0]), alpha, t_end / n_steps, n_steps, t_end)
+    times, _, _, _, values = monitors.columns()
+    return times, values, blowup, inconclusive
+
+
 class TestLogisticFode:
     def test_zero_is_fixed_point(self):
-        trace, blow = solve_logistic_fode(0.5, 0.0, 0.01, 1.0)
-        assert np.all(trace.values == 0.0)
-        assert blow is None
+        _, values, blowup, inconclusive = _logistic(0.5, 0.0, 0.01, 1.0)
+        assert np.all(values == 0.0)
+        assert blowup is None and inconclusive is None
 
     @pytest.mark.parametrize("y0", [1.0, 2.0])
     def test_alpha_one_blow_time_under_refinement(self, y0):
@@ -408,31 +418,28 @@ class TestLogisticFode:
         estimates = []
         dt = exact / 100.0
         for _ in range(8):
-            _, blow = solve_logistic_fode(1.0, y0, dt, 10.0 * exact)
-            assert blow is not None
-            estimates.append(blow)
-            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < 2.5e-3 * blow:
+            _, _, blowup, _ = _logistic(1.0, y0, dt, 10.0 * exact)
+            assert blowup is not None
+            estimates.append(blowup.t_star_numeric)
+            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < 2.5e-3 * estimates[-1]:
                 break
             dt *= 0.5
         assert estimates[-1] == pytest.approx(exact, rel=0.01)
 
     def test_trace_strictly_increasing(self):
-        trace, blow = solve_logistic_fode(0.7, 0.5, 0.01, 2.0)
-        assert blow is not None
-        assert np.all(np.diff(trace.values) > 0)
+        # every committed step is recorded: the run starts above its trigger -10
+        _, values, blowup, _ = _logistic(0.7, 0.5, 0.01, 2.0)
+        assert blowup is not None and values[-1] >= BLOW_THRESHOLD
+        assert len(values) > 100
+        assert np.all(np.diff(values) > 0)
 
     def test_no_blowup_when_horizon_short(self):
-        trace, blow = solve_logistic_fode(0.5, 0.01, 0.001, 0.05)
-        assert blow is None
-        assert trace.times[-1] == pytest.approx(0.05, rel=1e-9)
+        times, _, blowup, inconclusive = _logistic(0.5, 0.01, 0.001, 0.05)
+        assert blowup is None and inconclusive is None
+        assert times[-1] == pytest.approx(0.05, rel=1e-9)
 
     def test_floor_collapse_reported(self):
         # at alpha 0.5 the threshold lies below the step floor DT_FLOOR_REL * t_end
-        with pytest.raises(ConvergenceError, match="floor 2e-14"):
-            solve_logistic_fode(0.5, 1.0, 0.01, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            solve_logistic_fode(0.5, -1.0, 0.01, 1.0)
-        with pytest.raises(DomainError, match="blow-up threshold"):
-            solve_logistic_fode(0.5, BLOW_THRESHOLD, 0.01, 1.0)
+        _, _, blowup, inconclusive = _logistic(0.5, 1.0, 0.01, 2.0)
+        assert blowup is None
+        assert inconclusive.startswith("step size collapsed below floor 2e-14")

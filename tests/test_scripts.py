@@ -1,7 +1,9 @@
-"""Every script under scripts/ imports against the current package.
+"""Every script under scripts/ imports against the current package, and
+every name the package exports resolves on it.
 
 A script is loaded as a module, so its imports run but its ``main`` does
-not; a script that imports a removed name fails here.
+not; a script that imports a removed name, or an ``__all__`` entry left
+behind by one, fails here.
 """
 
 import importlib.util
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fracrd
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -24,3 +28,8 @@ def test_script_imports(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("name", fracrd.__all__)
+def test_package_export_resolves(name):
+    assert hasattr(fracrd, name)

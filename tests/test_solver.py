@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrd import solver
-from fracrd.caputo import BLOW_THRESHOLD, L1History, solve_logistic_fode
+from fracrd.caputo import BLOW_THRESHOLD, L1History
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
 from fracrd.harness import CAMPAIGN_SCHEMA, Campaign, run_campaign, scaled_blowup_config
@@ -270,6 +271,14 @@ class TestRun:
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    def test_data_above_the_trigger_start_adaptive(self):
+        # max u0 = 20 > 10 (1 + lambda1): the first full step grows max u by
+        # more than half, so it is rejected and the run commits dt / 2
+        cfg = SimConfig(alpha=1.0, s=0.4, a=0.0, b=1.0, n=32, dt=0.05, t_end=1.0,
+                        profile="constant", profile_params={"amplitude": 20.0})
+        r = run(cfg)
+        assert r.times[1] == 0.025
+
     def test_zero_data(self):
         cfg = SimConfig(alpha=0.8, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=1.0,
                         profile="constant", profile_params={"amplitude": 0.0})
@@ -474,7 +483,7 @@ class TestDetectBlowup:
         finding = detect_blowup(cfg)
         assert finding.status == "blowup"
         shifted = 3.0 - (1.0 + pair.lambda1)
-        _, t_oracle = solve_logistic_fode(1.0, shifted, 1e-3, 2.0)
+        t_oracle = math.log(1.0 + 1.0 / shifted)  # blow-up time of y' = y (y + 1)
         assert abs(finding.t_star - t_oracle) <= 0.1 * t_oracle
 
 
