@@ -26,8 +26,9 @@ accurate to a few ulps however old its interval is.
 
 History.  One class, ``L1History``, owns the committed history of every L1
 run here and in ``solver``, and ``L1History.step(t_new)`` is the only place
-that weighs an interval (``append`` also tests whether a step is uniform, to
-freeze the state): it returns the weight w of the new interval
+that weighs an interval (``append`` takes step's test of whether the
+interval is uniform, to freeze the state, and tests anew only when no step
+to its time came just before): it returns the weight w of the new interval
 (t_last, t_new] and the memory sum, so the derivative at t_new is
 w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt, or
 within 2 ulp of t_new (the rounding of k*dt), while the state is not frozen
@@ -209,6 +210,7 @@ class L1History:
         self._t_max = n_steps * dt * (1.0 + 1e-12)
         self._uniform_tol = _UNIFORM_RTOL * dt
         self._frozen = False
+        self._stepped_to = None  # t_new of the last step, until the next append
         if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
             self._zeros = np.broadcast_to(0.0, np.shape(y0))  # read-only
             return
@@ -239,7 +241,12 @@ class L1History:
         return not self._frozen and (off <= self._uniform_tol or off <= 2.0 * math.ulp(t_new))
 
     def append(self, value, t: float) -> None:
-        if not self._uniform(t - self.t_last, t):
+        if t == self._stepped_to:  # the verdict step(t) reached for this interval
+            uniform = self._stepped_uniform
+        else:
+            uniform = self._uniform(t - self.t_last, t)
+        self._stepped_to = None
+        if not uniform:
             self._frozen = True
         last = self.last
         self.last, self.t_last = value, t
@@ -282,6 +289,7 @@ class L1History:
             raise DomainError(f"step to t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]")
         tau = t_new - t_last
         uniform = self._uniform(tau, t_new)
+        self._stepped_to, self._stepped_uniform = t_new, uniform  # append(value, t_new) reuses it
         w = self.scale if uniform else tau ** (-self.alpha) / self._gamma2
         if self.alpha == 1.0:
             return w, self._zeros

@@ -18,7 +18,9 @@ Campaign kinds:
                            scalar quadratic-growth equation at alpha = 1,
                            solved by the PDE stepping loop with one mode,
                            and the two-sided blow-up-time bracket with
-                           refinement stability,
+                           refinement stability; every blow-up time is the
+                           settled Aitken limit of a dt-halving ladder
+                           (``solver.settled_limit``),
 * ``invariant_region``  -- bounds preservation for data in [0,1] and the
                            discrete comparison principle on random ordered
                            pairs.
@@ -80,10 +82,9 @@ from .solver import (
     detect_blowup,
     initial_field,
     run,
+    settled_limit,
 )
 from .special import ml_eval
-
-_PROBE_SEED = 20240601  # fixed so repeated campaigns are bit-identical
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,6 @@ CAMPAIGN_SCHEMA = {
         "cauchy_s": ("float", 0.9, "(0, 1)"),
         "domain": ("domain", (0.0, 1.0), "(-inf, inf)"),
         "oracle_n": ("int", 64, "[2, 4096]"),
-        # a probe is one product with A, about 10 ms at oracle_n = 4096: 1e4 probes
-        # about 2 minutes
-        "probes": ("int", 100, "[1, 10000]"),
     },
 }
 
@@ -388,12 +386,8 @@ def _run_eigen_convergence(campaign) -> tuple:
                         at_most(1e-12), t0))
 
     t0 = time.perf_counter()
-    rng = np.random.default_rng(_PROBE_SEED)
-    worst_quad = math.inf
-    for _ in range(p["probes"]):
-        v = rng.standard_normal(grid.n)
-        worst_quad = min(worst_quad, float(v @ (op.entries @ v)) / float(v @ v))
-    frag.append(_record(name, "psd_probes", f"probes:{p['probes']}", worst_quad,
+    lam_min = float(eigh(op.entries, eigvals_only=True, subset_by_index=[0, 0])[0])
+    frag.append(_record(name, "psd_probes", f"n:{p['oracle_n']};s:{p['cauchy_s']:g}", lam_min,
                         at_least(-1e-10), t0))
 
     t0 = time.perf_counter()
@@ -556,13 +550,14 @@ def _run_blowup(campaign) -> tuple:
             n_steps = round(t_end / dt)
             _, blowup, _ = _march(lam, basis, e1, 1.0, np.array([y0]), 1.0,
                                   t_end / n_steps, n_steps, t_end)
-            t_star = math.nan if blowup is None else blowup.t_star_numeric
-            estimates.append(t_star)
-            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < 2.5e-3 * estimates[-1]:
+            estimates.append(math.nan if blowup is None else blowup.t_star_numeric)
+            limit = settled_limit(estimates)
+            if limit is not None:
                 break
             dt *= 0.5
+        error = math.nan if limit is None else abs(limit - exact) / exact  # NaN fails the gate
         frag.append(_record(name, f"logistic_T_y0_{y0:g}", f"alpha:1;y0:{y0:g}",
-                            abs(estimates[-1] - exact) / exact, at_most(0.01), t0))
+                            error, at_most(0.01), t0))
 
     for alpha in p["alphas"]:
         for factor in p["h0_factors"]:
@@ -641,7 +636,7 @@ def _run_invariant_region(campaign) -> tuple:
                     traces[f"{name}_{profile}_a{alpha:g}_s{s:g}"] = result
 
     t0 = time.perf_counter()
-    rng = np.random.default_rng(_PROBE_SEED)
+    rng = np.random.default_rng(20240601)  # fixed so repeated campaigns are bit-identical
     worst = 0.0
     alphas_cycle = p["alphas"]
     for k in range(p["comparison_pairs"]):

@@ -290,10 +290,12 @@ class SimulationResult:
 class BlowupFinding:
     """Outcome of step-refined blow-up detection.
 
-    status is 'blowup' (t_star trusted to the requested refinement),
-    'none' (the run stayed bounded to t_end), or 'inconclusive' (the step
-    collapsed to the floor before the threshold was crossed, or the dt
-    ladder ran out of halvings or of step budget before t_star settled).
+    status is 'blowup' (t_star is the settled Aitken limit of the ladder,
+    ``settled_limit``), 'none' (the run stayed bounded to t_end), or
+    'inconclusive' (the step collapsed to the floor before the threshold
+    was crossed, or the dt ladder ran out of halvings or of step budget
+    before its limits settled).  estimates holds the raw crossing times of
+    the rungs, coarsest first.
     """
 
     status: str
@@ -560,7 +562,7 @@ def _maybe_decay_slope(times, energy, config):
 
 # --- analysis operations -------------------------------------------------------
 
-_REL_CHANGE = 0.01  # detect_blowup: accepted relative move of t_star under one halving
+_REL_CHANGE = 0.01  # settled_limit: accepted relative gap of two successive limits
 _MAX_REFINEMENTS = 12  # detect_blowup: dt halvings before giving up
 
 
@@ -582,14 +584,43 @@ def blowup_bracket(h0: float, alpha: float, lambda1: float) -> BlowupBracket:
     return BlowupBracket(h0=h0, lower=lower, upper=upper, admissible=h0 >= 1.0 + lambda1)
 
 
-def detect_blowup(config: SimConfig) -> BlowupFinding:
-    """Run with successively halved dt until the crossing time stabilizes.
+def settled_limit(estimates) -> float | None:
+    """The Aitken limit of a dt ladder's crossing times, once it has settled.
 
-    The reported t_star moves by less than 1% under one further halving,
-    within 12 halvings.  A bounded run reports 'none' immediately.  A dt-floor
-    collapse, a ladder that does not settle within 12 halvings, and a halving
-    that would pass the ``_MAX_STEPS`` budget report 'inconclusive' with the
-    estimates so far, rather than silently dropping the event.
+    With d_k = t_k - t_(k-1), the Aitken delta-squared limit of the last
+    three times (Aitken, Proc. R. Soc. Edinburgh 46 (1926) 289) is
+    A_k = t_k - d_k^2 / (d_k - d_(k-1)), defined only when
+    0 < d_k / d_(k-1) < 1, so the differences keep their sign and shrink.
+    It is exact for an error c * r^k.  The crossing times converge at order
+    0.6 to 1 in dt, so a raw time that moves by 1% under one halving can
+    still lie about 1% off the limit.
+    The ladder has settled when it has at least 4 times and the limits of
+    its last two triples both exist and differ by less than ``_REL_CHANGE``
+    relative; A_k is returned then and None otherwise.  A NaN time never
+    settles.
+    """
+    if len(estimates) < 4:
+        return None
+    limits = []
+    for t0, t1, t2 in (estimates[-4:-1], estimates[-3:]):
+        d_prev, d = t1 - t0, t2 - t1
+        if not (d_prev != 0.0 and 0.0 < d / d_prev < 1.0):
+            return None
+        limits.append(t2 - d * d / (d - d_prev))
+    prev, cur = limits
+    return cur if abs(cur - prev) < _REL_CHANGE * abs(cur) else None
+
+
+def detect_blowup(config: SimConfig) -> BlowupFinding:
+    """Run with successively halved dt until the crossing times settle.
+
+    t_star is ``settled_limit`` of the ladder's crossing times, the Aitken
+    limit of the last three, once it agrees with the limit one rung
+    earlier within 1%; ``estimates`` keeps the raw crossing times.  A
+    bounded run reports 'none' immediately.  A dt-floor collapse, a ladder
+    that does not settle within 12 halvings, and a halving that would pass
+    the ``_MAX_STEPS`` budget report 'inconclusive' with the estimates so
+    far, rather than silently dropping the event.
     """
     estimates = []
     cfg = config
@@ -600,10 +631,9 @@ def detect_blowup(config: SimConfig) -> BlowupFinding:
         if result.blowup is None:
             return BlowupFinding(status="none", t_star=None, estimates=tuple(estimates))
         estimates.append(result.blowup.t_star_numeric)
-        if len(estimates) >= 2:
-            prev, cur = estimates[-2], estimates[-1]
-            if abs(cur - prev) < _REL_CHANGE * abs(cur):
-                return BlowupFinding(status="blowup", t_star=cur, estimates=tuple(estimates))
+        limit = settled_limit(estimates)
+        if limit is not None:
+            return BlowupFinding(status="blowup", t_star=limit, estimates=tuple(estimates))
         if not cfg.t_end / (cfg.dt * 0.5) <= _MAX_STEPS:
             break
         cfg = replace(cfg, dt=cfg.dt * 0.5)

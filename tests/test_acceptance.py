@@ -5,10 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 appear; the same checks are produced as report records by ``fracrd run --all``.
 """
 
+import collections
 import time
 
 import pytest
 
+from fracrd import harness, solver
 from fracrd.harness import Campaign, default_campaigns, run_campaign, run_campaigns
 
 _BY_NAME = {c.name: c for c in default_campaigns()}
@@ -39,8 +41,25 @@ def decay_results():
 
 
 @pytest.fixture(scope="module")
-def blowup_result():
-    return _timed(_BY_NAME["blowup"])
+def blowup_calls():
+    """Calls of solver.run and solver._march that ``blowup_result`` made."""
+    return collections.Counter()
+
+
+@pytest.fixture(scope="module")
+def blowup_result(blowup_calls):
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            blowup_calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    march = counted("_march", solver._march)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "run", counted("run", solver.run))  # each rung of detect_blowup
+        mp.setattr(solver, "_march", march)  # run's loop
+        mp.setattr(harness, "_march", march)  # each logistic_T_* rung
+        return _timed(_BY_NAME["blowup"])
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +183,17 @@ def test_criterion_7_bracket_containment(blowup_result):
         detail + f"; max refinement drift={max(r.measured for r in stable):.3f} (<=0.05); "
         f"runtime={elapsed:.1f}s",
     )
+
+
+def test_blowup_ladders_stop_when_their_limits_settle(blowup_result, blowup_calls):
+    # The Aitken stop rule of solver.settled_limit takes 75 PDE runs over the
+    # 18 detect_blowup ladders and 13 rungs over the three logistic_T_*
+    # ladders; the rule it replaced, a 1% move of the raw crossing time,
+    # took 82 and 21.  A stop rule that needs more rungs fails here.
+    frag, _ = blowup_result
+    assert all(r.passed for r in frag)
+    assert blowup_calls["run"] <= 75
+    assert blowup_calls["_march"] - blowup_calls["run"] <= 13
 
 
 def test_criterion_8_comparison_principle(invariant_result):

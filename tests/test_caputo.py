@@ -15,7 +15,7 @@ from fracrd.caputo import (
     solve_linear_fode,
 )
 from fracrd.errors import DomainError
-from fracrd.solver import _march
+from fracrd.solver import _march, settled_limit
 from fracrd.special import ml_eval
 
 
@@ -326,6 +326,25 @@ class TestL1History:
             history.append(1.0, m * dt)
             assert not history._frozen
 
+    def test_append_reuses_the_uniform_test_of_its_step(self, monkeypatch):
+        # one uniform test per committed step: append(value, t) takes the
+        # verdict of step(t); with no step to t just before it, append tests
+        history = L1History(0.0, 0.5, 0.1, 100)
+        tested = []
+        uniform = history._uniform
+        monkeypatch.setattr(history, "_uniform", lambda tau, t: tested.append(t) or uniform(tau, t))
+        history.step(0.1)
+        history.append(1.0, 0.1)
+        assert tested == [0.1]
+        history.step(0.25)
+        history.append(2.0, 0.2)  # not the time of the last step
+        assert tested == [0.1, 0.25, 0.2]
+        history.append(3.0, 0.3)
+        assert tested == [0.1, 0.25, 0.2, 0.3]
+        history.step(0.45)  # off dt: append freezes the state on step's verdict
+        history.append(4.0, 0.45)
+        assert tested == [0.1, 0.25, 0.2, 0.3, 0.45] and history._frozen
+
     @pytest.mark.parametrize("shape", [(), (4,)])
     def test_alpha_one_memory_is_a_read_only_zero(self, shape):
         history = L1History(np.ones(shape), 1.0, 0.1, 10)
@@ -414,6 +433,7 @@ class TestLogisticFode:
 
     @pytest.mark.parametrize("y0", [1.0, 2.0])
     def test_alpha_one_blow_time_under_refinement(self, y0):
+        # the dt ladder of the logistic_T_* records, stopped by the same rule
         exact = math.log(1.0 + 1.0 / y0)
         estimates = []
         dt = exact / 100.0
@@ -421,10 +441,11 @@ class TestLogisticFode:
             _, _, blowup, _ = _logistic(1.0, y0, dt, 10.0 * exact)
             assert blowup is not None
             estimates.append(blowup.t_star_numeric)
-            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < 2.5e-3 * estimates[-1]:
+            limit = settled_limit(estimates)
+            if limit is not None:
                 break
             dt *= 0.5
-        assert estimates[-1] == pytest.approx(exact, rel=0.01)
+        assert limit == pytest.approx(exact, rel=0.01)
 
     def test_trace_strictly_increasing(self):
         # every committed step is recorded: the run starts above its trigger -10

@@ -510,7 +510,7 @@ _SWEEP_SMALL = {
                          "comparison_pairs": "1"},
     "decay": {"alpha": "0.5", "s": "0.5", "n": "8", "dt": "0.5", "t_end": "20"},
     "blowup": {"alphas": "1", "s": "0.5", "n": "8", "h0_factors": "1.6"},
-    "eigen_convergence": {"s_values": "0.5", "oracle_n": "8", "probes": "1"},
+    "eigen_convergence": {"s_values": "0.5", "oracle_n": "8"},
 }
 
 # Accepted values whose run alone costs seconds to minutes are checked at parse

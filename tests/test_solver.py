@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fracrd.solver import (
     detect_blowup,
     initial_field,
     run,
+    settled_limit,
 )
 from fracrd.special import ml_eval
 
@@ -466,7 +468,63 @@ class TestBlowupRuns:
         assert len(finding.estimates) == 1
 
 
+def _with_fourth_limit(limit):
+    """Four times whose first three have the Aitken limit 1 and whose last
+    three have ``limit``."""
+    t1, t2, t3 = (1.0 + 0.1 * 0.5**k for k in range(3))
+    x, d3 = limit - t3, t3 - t2  # limit - t3 = -d4 d3 / (d4 - d3), solved for d4
+    return [t1, t2, t3, t3 + x * d3 / (x + d3)]
+
+
+class TestSettledLimit:
+    def test_geometric_ladder_settles_on_its_limit_at_rung_four(self):
+        times = [0.3 + 0.05 * 0.6**k for k in range(4)]
+        assert settled_limit(times) == pytest.approx(0.3, rel=1e-12)
+        falling = [0.3 - 0.05 * 0.6**k for k in range(4)]
+        assert settled_limit(falling) == pytest.approx(0.3, rel=1e-12)
+
+    def test_fewer_than_four_times_do_not_settle(self):
+        times = [0.3 + 0.05 * 0.6**k for k in range(4)]
+        for k in range(4):
+            assert settled_limit(times[:k]) is None
+
+    @pytest.mark.parametrize("times", [
+        [1.0, 0.9, 0.95, 0.93],  # the differences change sign
+        [1.0, 0.9, 0.85, 0.82, 0.83],
+        [1.0, 0.9, 0.7, 0.3],  # they grow
+        [2.0, 1.5, 1.0, 0.5],  # they do not shrink
+        [1.0, 1.0, 1.0, 1.0],  # no difference at all
+        [1.0, 0.9, math.nan, 0.87],  # a rung with no crossing
+    ])
+    def test_differences_that_do_not_shrink_in_one_sign_do_not_settle(self, times):
+        assert settled_limit(times) is None
+
+    def test_limits_must_agree_within_one_percent(self):
+        times = _with_fourth_limit(1.0098)
+        assert settled_limit(times) == pytest.approx(1.0098, rel=1e-12)
+        assert settled_limit(_with_fourth_limit(1.0102)) is None
+        assert settled_limit(_with_fourth_limit(0.98)) is None
+
+    def test_only_the_last_four_times_count(self):
+        times = [0.3 + 0.05 * 0.6**k for k in range(4)]
+        assert settled_limit([5.0, -2.0] + times) == settled_limit(times)
+
+
 class TestDetectBlowup:
+    def test_t_star_is_the_limit_and_estimates_the_raw_times(self):
+        cfg = TestBlowupRuns._alpha_one_blowup()
+        finding = detect_blowup(cfg)
+        assert finding.status == "blowup"
+        estimates = finding.estimates
+        assert len(estimates) >= 4
+        assert finding.t_star == settled_limit(estimates)
+        assert settled_limit(estimates[:-1]) is None  # the first settled rung
+        for k, t in enumerate(estimates):
+            assert run(replace(cfg, dt=cfg.dt * 0.5**k)).blowup.t_star_numeric == t
+        # the times fall towards the limit, and the limit lies past the last
+        assert all(np.diff(estimates) < 0)
+        assert finding.t_star < estimates[-1]
+
     def test_bounded_run_reports_none(self):
         cfg = SimConfig(alpha=0.8, s=0.5, a=0.0, b=1.0, n=32, dt=0.1, t_end=5.0,
                         profile="sine", profile_params={"amplitude": 0.9})
