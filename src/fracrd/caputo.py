@@ -53,9 +53,6 @@ interval off the uniform mesh (an adaptive halving, a short last step)
 freezes the state; from then on every interval stays exact, and the frozen
 state only decays with the time since the freeze.  Alpha = 1 keeps no
 memory at all.
-
-A run counts as blown up once its value reaches ``BLOW_THRESHOLD``, and ends
-unresolved once its adaptive step falls below ``DT_FLOOR_REL * t_end``.
 """
 
 from __future__ import annotations
@@ -68,9 +65,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
-
-BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
-DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
 
 # Sum-of-exponentials kernel (see the module docstring).
 _SOE_JACOBI = 6  # Gauss-Jacobi nodes on s in [0, 1/N]

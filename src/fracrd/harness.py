@@ -18,9 +18,10 @@ Campaign kinds:
                            scalar quadratic-growth equation at alpha = 1,
                            solved by the PDE stepping loop with one mode,
                            and the two-sided blow-up-time bracket with
-                           refinement stability; every blow-up time is the
-                           settled Aitken limit of a dt-halving ladder
-                           (``solver.settled_limit``),
+                           refinement stability; every blow-up time comes
+                           from the one dt-halving ladder,
+                           ``solver._dt_ladder``, as its settled Aitken
+                           limit,
 * ``invariant_region``  -- bounds preservation for data in [0,1] and the
                            discrete comparison principle on random ordered
                            pairs.
@@ -65,7 +66,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh
 
-from .caputo import BLOW_THRESHOLD, solve_linear_fode
+from .caputo import solve_linear_fode
 from .errors import ConfigError, DomainError, FracRDError, UnsupportedParameterError
 from .fraclap import (
     Grid1D,
@@ -74,15 +75,16 @@ from .fraclap import (
     principal_eigenpair,
 )
 from .solver import (
+    BLOW_THRESHOLD,
     PROFILES,
     SimConfig,
+    _dt_ladder,
     _get_operator,
     _march,
     blowup_bracket,
     detect_blowup,
     initial_field,
     run,
-    settled_limit,
 )
 from .special import ml_eval
 
@@ -532,32 +534,33 @@ def scaled_blowup_config(p, alpha, factor):
     return cfg, bracket
 
 
+def _logistic_crossing(alpha, y0, t_end):
+    """crossing(dt) for ``solver._dt_ladder`` of D^alpha y = y (y + 1),
+    y(0) = y0, to t_end: the PDE step with one mode of eigenvalue -2."""
+    lam, basis, e1, u0 = np.array([-2.0]), np.eye(1), np.ones(1), np.array([y0])
+
+    def crossing(dt):
+        _, t_star, unresolved = _march(lam, basis, e1, 1.0, u0, alpha, dt, t_end)
+        return t_star, unresolved
+
+    return crossing
+
+
 def _run_blowup(campaign) -> tuple:
     p = campaign.params
     name = campaign.name
     frag = []
     traces = {}
 
-    # D^1 y = y (y + 1) is the PDE step with one mode of eigenvalue -2
-    lam, basis, e1 = np.array([-2.0]), np.eye(1), np.ones(1)
     for y0 in (0.5, 1.0, 2.0):
         t0 = time.perf_counter()
         exact = math.log(1.0 + 1.0 / y0)
-        t_end = 10.0 * exact
-        estimates = []
-        dt = exact / 50.0
-        for _ in range(10):
-            n_steps = round(t_end / dt)
-            _, blowup, _ = _march(lam, basis, e1, 1.0, np.array([y0]), 1.0,
-                                  t_end / n_steps, n_steps, t_end)
-            estimates.append(math.nan if blowup is None else blowup.t_star_numeric)
-            limit = settled_limit(estimates)
-            if limit is not None:
-                break
-            dt *= 0.5
-        error = math.nan if limit is None else abs(limit - exact) / exact  # NaN fails the gate
+        finding = _dt_ladder(_logistic_crossing(1.0, y0, 10.0 * exact), exact / 50.0,
+                             10.0 * exact)
+        error = abs(finding.t_star - exact) / exact if finding.status == "blowup" else math.nan
+        note = "" if finding.status == "blowup" else f";finding:{finding.status}"
         frag.append(_record(name, f"logistic_T_y0_{y0:g}", f"alpha:1;y0:{y0:g}",
-                            error, at_most(0.01), t0))
+                            error, at_most(0.01), t0, note))
 
     for alpha in p["alphas"]:
         for factor in p["h0_factors"]:
@@ -587,13 +590,13 @@ def _run_blowup(campaign) -> tuple:
     return frag, traces
 
 
-_INVARIANT_PROFILES = (
-    ("constant", {"amplitude": 0.5}),
-    ("constant", {"amplitude": 1.0}),
-    ("sine", {"amplitude": 1.0}),
-    ("parabola", {"amplitude": 0.9}),
-    ("plateau", {"amplitude": 0.9, "steepness": 20.0}),
-    ("step", {"amplitude": 1.0, "lo": 0.25, "hi": 0.75}),
+_INVARIANT_PROFILES = (  # (profile, amplitude)
+    ("constant", 0.5),
+    ("constant", 1.0),
+    ("sine", 1.0),
+    ("parabola", 0.9),
+    ("plateau", 0.9),
+    ("step", 1.0),
 )
 
 
@@ -615,20 +618,19 @@ def _run_invariant_region(campaign) -> tuple:
     frag = []
     traces = {}
 
-    for profile, params in _INVARIANT_PROFILES:
+    for profile, amp in _INVARIANT_PROFILES:
         for alpha in p["alphas"]:
             for s in p["s_values"]:
                 t0 = time.perf_counter()
                 cfg = SimConfig(
                     alpha=alpha, s=s, a=a, b=b, n=p["n"], dt=p["dt"], t_end=p["t_end"],
-                    profile=profile, profile_params=params,
+                    profile=profile, profile_params={"amplitude": amp},
                 )
                 result = run(cfg)
                 violation = max(
                     float(np.max(result.umax) - 1.0), float(-np.min(result.umin)), 0.0
                 )
                 # run records the blown field, so a blow-up reads umax >= 1e8
-                amp = params.get("amplitude", 1.0)
                 tag = f"profile:{profile}({amp:g});alpha:{alpha:g};s:{s:g}"
                 frag.append(_record(name, f"bounds_{profile}{amp:g}_a{alpha:g}_s{s:g}", tag,
                                     violation, at_most(1e-8), t0))

@@ -22,7 +22,7 @@ Monitored functionals (discrete integrals with weight h):
     H(t) = h * sum u_i * e1_i     (projection on the principal eigenfunction),
 
 plus the running min/max of u.  Blow-up is declared when max u crosses
-``caputo.BLOW_THRESHOLD``, with the step size halved adaptively once max u
+``BLOW_THRESHOLD``, with the step size halved adaptively once max u
 exceeds 10*(1 + lambda1), or from the start when max u0 already does.  When
 the weighted mass H(0) reaches 1 + lambda1, ``blowup_bracket`` gives the
 two-sided blow-up window
@@ -36,7 +36,8 @@ hands them to ``_march``, the package's one stepping loop.  The scalar
 blow-up oracle D^alpha y = y*(y+1) of ``harness`` runs through the same
 loop as one mode, lam = [-2], V = [[1]]: w + 1 + lam is then the w - 1 of
 that equation.  The loop goes over committed steps in two regimes.  The
-uniform regime steps to t = k*dt and records every output stride.  The
+uniform regime takes round(t_end/dt) steps of t_end/round(t_end/dt), to
+t = k*dt with that dt, and records every output stride.  The
 loop turns adaptive the first time max u exceeds 10*(1 + lam[0]), or starts
 adaptive when max u0 already does: it steps to min(t_last + dt', t_end),
 records every committed step, and rejects a step and halves dt' when max u
@@ -72,6 +73,11 @@ little else, the same in both regimes:
   and max u a block at a time.
 
 A uniform step at n = 128 takes about 15 us in all at best, one BLAS thread.
+
+A run counts as blown up once its value (max u for a field) reaches
+``BLOW_THRESHOLD``, and ends unresolved once its adaptive step falls below
+``DT_FLOOR_REL * t_end``.  ``_dt_ladder`` is the one dt-halving ladder of
+a crossing time, for ``detect_blowup`` and ``harness``'s one-mode oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .caputo import BLOW_THRESHOLD, DT_FLOOR_REL, L1History
+from .caputo import L1History
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -92,9 +98,12 @@ from .fraclap import (
     principal_eigenpair,
 )
 
+BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
+DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
+
 # --- initial-data profiles --------------------------------------------------
 # All profiles are expressed in the relative coordinate xr = (x-a)/(b-a) and
-# scaled by 'amplitude', so configs stay portable across domains.
+# scaled by 'amplitude' (gauss also takes 'width'), so configs stay portable.
 
 
 def _profile_constant(xr, p):
@@ -110,26 +119,21 @@ def _profile_parabola(xr, p):
 
 
 def _profile_plateau(xr, p):
-    steep = p.get("steepness", 20.0)
-    return p.get("amplitude", 1.0) * np.minimum(1.0, steep * xr * (1.0 - xr))
+    return p.get("amplitude", 1.0) * np.minimum(1.0, 20.0 * xr * (1.0 - xr))
 
 
 def _profile_gauss(xr, p):
-    center = p.get("center", 0.5)
     width = p.get("width", 0.1)
     with np.errstate(over="ignore"):  # a square past the double range is exp(-inf) = 0
-        return p.get("amplitude", 1.0) * np.exp(-(((xr - center) / width) ** 2))
+        return p.get("amplitude", 1.0) * np.exp(-(((xr - 0.5) / width) ** 2))
 
 
 def _profile_step(xr, p):
-    lo, hi = p.get("lo", 0.25), p.get("hi", 0.75)
-    return p.get("amplitude", 1.0) * ((xr >= lo) & (xr <= hi)).astype(float)
+    return p.get("amplitude", 1.0) * ((xr >= 0.25) & (xr <= 0.75)).astype(float)
 
 
 def _profile_hat(xr, p):
-    center = p.get("center", 0.5)
-    half = p.get("halfwidth", 0.25)
-    return p.get("amplitude", 1.0) * np.clip(1.0 - np.abs(xr - center) / half, 0.0, None)
+    return p.get("amplitude", 1.0) * np.clip(1.0 - np.abs(xr - 0.5) / 0.25, 0.0, None)
 
 
 PROFILES = {
@@ -146,6 +150,10 @@ PROFILES = {
 def initial_field(grid: Grid1D, profile: str, params: dict) -> np.ndarray:
     if profile not in PROFILES:
         raise DomainError(f"unknown profile '{profile}' (have {sorted(PROFILES)})")
+    keys = {"amplitude", "width"} if profile == "gauss" else {"amplitude"}
+    if not keys.issuperset(params):
+        raise DomainError(f"profile '{profile}' takes only {', '.join(sorted(keys))}, "
+                          f"got {', '.join(sorted(set(params) - keys))}")
     xr = (grid.nodes() - grid.a) / (grid.b - grid.a)
     values = PROFILES[profile](xr, params)
     if not np.all(np.isfinite(values)):
@@ -156,7 +164,7 @@ def initial_field(grid: Grid1D, profile: str, params: dict) -> np.ndarray:
 # --- configuration and results ----------------------------------------------
 
 
-_MAX_STEPS = 10_000_000  # SimConfig: uniform steps of one run, about 3 minutes at n = 128
+_MAX_STEPS = 10_000_000  # SimConfig, _dt_ladder: uniform steps of one run, ~3 minutes at n = 128
 
 
 @dataclass(frozen=True)
@@ -188,15 +196,6 @@ class SimConfig:
         if self.profile not in PROFILES:
             raise DomainError(f"unknown profile '{self.profile}'")
         Grid1D(self.a, self.b, self.n)  # validates the grid spec
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
-
-    @property
-    def effective_dt(self) -> float:
-        """Requested dt adjusted so the uniform mesh ends exactly at t_end."""
-        return self.t_end / self.n_steps
 
     @property
     def grid(self) -> Grid1D:
@@ -264,12 +263,6 @@ class BlowupBracket:
     admissible: bool
 
 
-@dataclass(frozen=True)
-class BlowupEvent:
-    t_star_numeric: float
-    terminal_max: float
-
-
 @dataclass
 class SimulationResult:
     times: np.ndarray
@@ -277,7 +270,7 @@ class SimulationResult:
     h_functional: np.ndarray
     umin: np.ndarray
     umax: np.ndarray
-    blowup: BlowupEvent | None
+    blowup: float | None  # the time max u crossed BLOW_THRESHOLD, umax[-1] its value
     decay_slope: float | None
     lambda1: float
     config: SimConfig
@@ -288,14 +281,13 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class BlowupFinding:
-    """Outcome of step-refined blow-up detection.
+    """Outcome of a dt ladder, ``_dt_ladder``.
 
     status is 'blowup' (t_star is the settled Aitken limit of the ladder,
-    ``settled_limit``), 'none' (the run stayed bounded to t_end), or
-    'inconclusive' (the step collapsed to the floor before the threshold
-    was crossed, or the dt ladder ran out of halvings or of step budget
-    before its limits settled).  estimates holds the raw crossing times of
-    the rungs, coarsest first.
+    ``settled_limit``), 'none' (a run stayed bounded to t_end), or
+    'inconclusive' (a run ended unresolved, or the ladder ran out of
+    halvings or of step budget before its limits settled).  estimates holds
+    the raw crossing times of the rungs, coarsest first.
     """
 
     status: str
@@ -431,8 +423,7 @@ def run(
         raise DomainError("initial data must be finite")
 
     monitors, blowup, inconclusive = _march(
-        lam, v, eigenpair.e1, grid.h, u0, config.alpha, config.effective_dt,
-        config.n_steps, config.t_end, record_fields,
+        lam, v, eigenpair.e1, grid.h, u0, config.alpha, config.dt, config.t_end, record_fields,
     )
     times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = None
@@ -463,24 +454,27 @@ def _march(
     u0: np.ndarray,
     alpha: float,
     dt: float,
-    n_steps: int,
     t_end: float,
     record_fields: bool = False,
-) -> tuple[_Monitors, BlowupEvent | None, str | None]:
+) -> tuple[_Monitors, float | None, str | None]:
     """Step D^alpha u + A u + u = u^2, A = V diag(lam) V^T with lam
-    ascending, from u0 to t_end = n_steps * dt or blow-up; return the
-    monitors, the blow-up event and the reason a run ended unresolved.
+    ascending, from u0 to t_end or blow-up; return the monitors, the time
+    max u crossed ``BLOW_THRESHOLD`` (None without a crossing) and the
+    reason a run ended unresolved.
 
-    Records E, H and the field bounds every output stride (at most ~2000
-    entries) of the uniform mesh.  Once max u exceeds 10*(1 + lam[0]), or
-    from the start when max u0 already does, the loop steps adaptively:
-    every committed step is recorded, the L1 memory weights are evaluated
-    from the actual step times, and a step is rejected and the step size
-    halved whenever the relative growth of max u exceeds 1/2.  The adaptive
-    regime ends the run unresolved after ``_MAX_ADAPTIVE_STEPS`` committed
-    steps or once its step falls below ``DT_FLOOR_REL * t_end``.
+    The uniform mesh is round(t_end / dt) steps (at least 1) of equal size,
+    so it ends at t_end for any dt.  Records E, H and the field bounds every
+    output stride (at most ~2000 entries) of that mesh.  Once max u exceeds
+    10*(1 + lam[0]), or from the start when max u0 already does, the loop
+    steps adaptively: every committed step is recorded, the L1 memory
+    weights are evaluated from the actual step times, and a step is rejected
+    and the step size halved whenever the relative growth of max u exceeds
+    1/2.  The adaptive regime ends the run unresolved after
+    ``_MAX_ADAPTIVE_STEPS`` committed steps or once its step falls below
+    ``DT_FLOOR_REL * t_end``.
     """
-    cur_dt = dt
+    n_steps = max(1, round(t_end / dt))
+    dt = cur_dt = t_end / n_steps
     floor = DT_FLOOR_REL * t_end
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
@@ -538,7 +532,7 @@ def _march(
             if adaptive or blown or k % stride == 0 or k == n_steps:
                 monitors.record(t_new, u_new)
             if blown:
-                blowup = BlowupEvent(t_star_numeric=t_new, terminal_max=u_max)
+                blowup = t_new
                 break
             if not adaptive and u_max > adaptive_trigger:
                 adaptive, k_switch = True, k
@@ -563,7 +557,7 @@ def _maybe_decay_slope(times, energy, config):
 # --- analysis operations -------------------------------------------------------
 
 _REL_CHANGE = 0.01  # settled_limit: accepted relative gap of two successive limits
-_MAX_REFINEMENTS = 12  # detect_blowup: dt halvings before giving up
+_MAX_REFINEMENTS = 12  # _dt_ladder: dt halvings before giving up
 
 
 def blowup_bracket(h0: float, alpha: float, lambda1: float) -> BlowupBracket:
@@ -611,33 +605,41 @@ def settled_limit(estimates) -> float | None:
     return cur if abs(cur - prev) < _REL_CHANGE * abs(cur) else None
 
 
-def detect_blowup(config: SimConfig) -> BlowupFinding:
-    """Run with successively halved dt until the crossing times settle.
+def _dt_ladder(crossing, dt: float, t_end: float) -> BlowupFinding:
+    """Call crossing(dt), crossing(dt/2), ... until ``settled_limit`` of the
+    crossing times settles, and report it as 'blowup'.
 
-    t_star is ``settled_limit`` of the ladder's crossing times, the Aitken
-    limit of the last three, once it agrees with the limit one rung
-    earlier within 1%; ``estimates`` keeps the raw crossing times.  A
-    bounded run reports 'none' immediately.  A dt-floor collapse, a ladder
-    that does not settle within 12 halvings, and a halving that would pass
-    the ``_MAX_STEPS`` budget report 'inconclusive' with the estimates so
-    far, rather than silently dropping the event.
+    crossing(dt) runs to t_end on the requested step dt and returns its
+    crossing time (None if it stayed bounded) and why it ended unresolved
+    (None if it did not).  A bounded rung is 'none' at once.  An unresolved
+    rung, no settled limit after ``_MAX_REFINEMENTS`` halvings, and a rung of
+    more than ``_MAX_STEPS`` uniform steps are 'inconclusive'.
     """
     estimates = []
-    cfg = config
     for _ in range(_MAX_REFINEMENTS + 1):
-        result = run(cfg)
-        if result.inconclusive is not None:
+        if not t_end / dt <= _MAX_STEPS:
             break
-        if result.blowup is None:
+        t_star, unresolved = crossing(dt)
+        if unresolved is not None:
+            break
+        if t_star is None:
             return BlowupFinding(status="none", t_star=None, estimates=tuple(estimates))
-        estimates.append(result.blowup.t_star_numeric)
+        estimates.append(t_star)
         limit = settled_limit(estimates)
         if limit is not None:
             return BlowupFinding(status="blowup", t_star=limit, estimates=tuple(estimates))
-        if not cfg.t_end / (cfg.dt * 0.5) <= _MAX_STEPS:
-            break
-        cfg = replace(cfg, dt=cfg.dt * 0.5)
+        dt *= 0.5
     return BlowupFinding(status="inconclusive", t_star=None, estimates=tuple(estimates))
+
+
+def detect_blowup(config: SimConfig) -> BlowupFinding:
+    """``_dt_ladder`` over ``run``, one run per rung, from config.dt."""
+
+    def crossing(dt):
+        result = run(replace(config, dt=dt))
+        return result.blowup, result.inconclusive
+
+    return _dt_ladder(crossing, config.dt, config.t_end)
 
 
 def decay_rate_fit(times, values, window) -> float:

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from fracrd.caputo import (
     _FOLD,
     _UNIFORM_RTOL,
-    BLOW_THRESHOLD,
     L1History,
     _nonuniform_history_weights,
     _soe_modes,
     l1_weights,
     solve_linear_fode,
 )
+from fracrd import solver
 from fracrd.errors import DomainError
-from fracrd.solver import _march, settled_limit
+from fracrd.harness import _logistic_crossing
+from fracrd.solver import BLOW_THRESHOLD, _dt_ladder, _march
 from fracrd.special import ml_eval
 
 
@@ -417,10 +418,9 @@ class TestLinearFode:
 
 def _logistic(alpha, y0, dt, t_end):
     """D^alpha y = y (y + 1) through the solver's stepping loop, as one mode
-    of eigenvalue -2: times, recorded values, blow-up event, unresolved reason."""
-    n_steps = round(t_end / dt)
+    of eigenvalue -2: times, recorded values, crossing time, unresolved reason."""
     monitors, blowup, inconclusive = _march(np.array([-2.0]), np.eye(1), np.ones(1), 1.0,
-                                            np.array([y0]), alpha, t_end / n_steps, n_steps, t_end)
+                                            np.array([y0]), alpha, dt, t_end)
     times, _, _, _, values = monitors.columns()
     return times, values, blowup, inconclusive
 
@@ -431,21 +431,23 @@ class TestLogisticFode:
         assert np.all(values == 0.0)
         assert blowup is None and inconclusive is None
 
-    @pytest.mark.parametrize("y0", [1.0, 2.0])
+    @pytest.mark.parametrize("y0", [0.5, 1.0, 2.0])
     def test_alpha_one_blow_time_under_refinement(self, y0):
-        # the dt ladder of the logistic_T_* records, stopped by the same rule
+        # the ladder of the logistic_T_* records, from dt = exact / 100
         exact = math.log(1.0 + 1.0 / y0)
-        estimates = []
-        dt = exact / 100.0
-        for _ in range(8):
-            _, _, blowup, _ = _logistic(1.0, y0, dt, 10.0 * exact)
-            assert blowup is not None
-            estimates.append(blowup.t_star_numeric)
-            limit = settled_limit(estimates)
-            if limit is not None:
-                break
-            dt *= 0.5
-        assert limit == pytest.approx(exact, rel=0.01)
+        finding = _dt_ladder(_logistic_crossing(1.0, y0, 10.0 * exact), exact / 100.0,
+                             10.0 * exact)
+        assert finding.status == "blowup"
+        assert 4 <= len(finding.estimates) <= solver._MAX_REFINEMENTS + 1
+        assert finding.t_star == pytest.approx(exact, rel=0.01)
+
+    def test_ladder_of_a_bounded_run_is_none(self):
+        finding = _dt_ladder(_logistic_crossing(0.5, 0.01, 0.05), 0.001, 0.05)
+        assert (finding.status, finding.t_star, finding.estimates) == ("none", None, ())
+
+    def test_ladder_of_a_floor_collapse_is_inconclusive(self):
+        finding = _dt_ladder(_logistic_crossing(0.5, 1.0, 2.0), 0.01, 2.0)
+        assert (finding.status, finding.t_star, finding.estimates) == ("inconclusive", None, ())
 
     def test_trace_strictly_increasing(self):
         # every committed step is recorded: the run starts above its trigger -10

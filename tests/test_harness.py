@@ -440,8 +440,10 @@ class TestBlowupRecords:
         assert record.expected.endswith(";finding:inconclusive")
 
     def test_ladder_out_of_step_budget_keeps_the_other_records(self, monkeypatch):
-        # the ladder's third rung would pass the step budget: one inconclusive
-        # containment record, not one campaign_error for the whole campaign
+        # every ladder shares the step budget: the containment ladder's third
+        # rung and each logistic ladder's second (1000 steps) would pass it.
+        # One inconclusive record per ladder, not one campaign_error for the
+        # whole campaign
         monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
         campaign = self._campaign(1.0)
         campaign.params.update(n=32, h0_factors=(1.6,))
@@ -449,8 +451,19 @@ class TestBlowupRecords:
         assert [r.name for r in frag] == [
             "logistic_T_y0_0.5", "logistic_T_y0_1", "logistic_T_y0_2", "containment_a1_f1.6",
         ]
-        assert all(r.passed for r in frag[:3])
-        assert frag[3].expected.endswith(";finding:inconclusive") and not frag[3].passed
+        for record in frag:
+            assert math.isnan(record.measured) and not record.passed
+            assert record.expected.endswith(";finding:inconclusive")
+
+    def test_halving_cap_governs_the_logistic_ladders(self, monkeypatch):
+        # one rung per ladder: no ladder can settle
+        monkeypatch.setattr(solver, "_MAX_REFINEMENTS", 0)
+        frag, _ = run_campaign(self._campaign(1.0))
+        logistic = [r for r in frag if r.name.startswith("logistic_T_")]
+        assert len(logistic) == 3
+        for record in logistic:
+            assert math.isnan(record.measured) and not record.passed
+            assert record.expected == "<=0.01;finding:inconclusive"
 
     def test_stability_names_each_non_blowup_arm(self, monkeypatch):
         findings = iter([

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrd import solver
-from fracrd.caputo import BLOW_THRESHOLD, L1History
+from fracrd.caputo import L1History
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
 from fracrd.harness import CAMPAIGN_SCHEMA, Campaign, run_campaign, scaled_blowup_config
 from fracrd.solver import (
+    BLOW_THRESHOLD,
     SimConfig,
     _get_operator,
     _implicit_step,
@@ -64,6 +65,20 @@ class TestConfig:
         for name in ("constant", "sine", "parabola", "plateau", "gauss", "step", "hat"):
             vals = initial_field(grid, name, {"amplitude": 1.0})
             assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("profile,key", [
+        ("plateau", "steepness"), ("gauss", "center"), ("step", "lo"), ("step", "hi"),
+        ("hat", "halfwidth"), ("sine", "width"),
+    ])
+    def test_profile_names_a_key_it_does_not_take(self, profile, key):
+        grid = Grid1D(0.0, 1.0, 16)
+        with pytest.raises(DomainError, match=f"profile '{profile}' takes only .*, got {key}"):
+            initial_field(grid, profile, {"amplitude": 1.0, key: 0.3})
+        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16, dt=0.1, t_end=1.0,
+                        profile=profile, profile_params={key: 0.3})
+        with pytest.raises(DomainError, match=f"got {key}"):
+            run(cfg)
+        initial_field(grid, "gauss", {"amplitude": 1.0, "width": 0.3})
 
 
 class TestStep:
@@ -255,15 +270,14 @@ class TestRun:
         # matrix; the hand loop solves in the eigenbasis and records every step
         cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=10.0,
                         profile="parabola", profile_params={"amplitude": 0.9})
-        assert cfg.n_steps == 200
         r = run(cfg)
         pair, lam, v = _get_operator(cfg)
         h, e1 = cfg.grid.h, pair.e1
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
-        history = L1History(u, cfg.alpha, cfg.effective_dt, cfg.n_steps)
+        history = L1History(u, cfg.alpha, cfg.dt, 200)
         rows = [(0.0, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max())]
-        for k in range(1, cfg.n_steps + 1):
-            t = k * cfg.effective_dt
+        for k in range(1, 201):
+            t = k * cfg.dt
             w, memory = history.step(t)
             u, _ = _implicit_step(lam, v, w, w * u - memory + u * u)
             history.append(u, t)
@@ -272,6 +286,16 @@ class TestRun:
         got = np.array([r.times, r.energy, r.h_functional, r.umin, r.umax])
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dt,steps", [(0.3, 3), (0.4, 2), (0.7, 1), (1.0 / 3.0, 3)])
+    def test_mesh_of_a_dt_that_does_not_divide_t_end_ends_at_t_end(self, dt, steps):
+        # round(t_end / dt) steps of t_end / round(t_end / dt); every step is
+        # recorded below 2000 steps
+        cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=8, dt=dt, t_end=1.0)
+        r = run(cfg)
+        assert len(r.times) == steps + 1
+        assert r.times[-1] == 1.0
+        np.testing.assert_allclose(np.diff(r.times), 1.0 / steps, rtol=1e-12)
 
     def test_data_above_the_trigger_start_adaptive(self):
         # max u0 = 20 > 10 (1 + lambda1): the first full step grows max u by
@@ -430,7 +454,8 @@ class TestBlowupRuns:
         monkeypatch.setattr(solver, "L1History", SpyHistory)
         r = run(self._alpha_one_blowup())
         assert r.blowup is not None
-        assert r.blowup.terminal_max >= BLOW_THRESHOLD
+        assert r.umax[-1] >= BLOW_THRESHOLD
+        assert r.times[-1] == r.blowup
         trigger = 10.0 * (1.0 + r.lambda1)
         switch = next(i for i, (_, u_max) in enumerate(commits) if u_max > trigger)
         t_switch = commits[switch][0]
@@ -455,7 +480,7 @@ class TestBlowupRuns:
         # the first rung takes 416 uniform steps and the second 832; a third
         # would pass the budget, and the two estimates differ by more than 1%
         cfg = self._alpha_one_blowup()
-        assert cfg.n_steps == 416
+        assert round(cfg.t_end / cfg.dt) == 416
         monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
         finding = detect_blowup(cfg)
         assert (finding.status, finding.t_star) == ("inconclusive", None)
@@ -520,7 +545,7 @@ class TestDetectBlowup:
         assert finding.t_star == settled_limit(estimates)
         assert settled_limit(estimates[:-1]) is None  # the first settled rung
         for k, t in enumerate(estimates):
-            assert run(replace(cfg, dt=cfg.dt * 0.5**k)).blowup.t_star_numeric == t
+            assert run(replace(cfg, dt=cfg.dt * 0.5**k)).blowup == t
         # the times fall towards the limit, and the limit lies past the last
         assert all(np.diff(estimates) < 0)
         assert finding.t_star < estimates[-1]
