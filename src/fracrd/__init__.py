@@ -9,7 +9,7 @@ time steppers, operator assembly, coupled solver, and a campaign harness that
 checks boundedness, algebraic energy decay, and finite-time blow-up brackets.
 """
 
-from .caputo import L1Weights, ScalarTrace, l1_weights, solve_linear_fode
+from .caputo import solve_linear_fode
 from .fraclap import (
     EigenPair,
     Grid1D,
@@ -31,9 +31,6 @@ from .solver import (
 from .special import ml_eval
 
 __all__ = [
-    "L1Weights",
-    "ScalarTrace",
-    "l1_weights",
     "solve_linear_fode",
     "Grid1D",
     "OperatorMatrix",

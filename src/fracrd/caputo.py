@@ -25,16 +25,19 @@ d^(1-alpha) * expm1((1-alpha) * log1p(tau/d)), which keeps every weight
 accurate to a few ulps however old its interval is.
 
 History.  One class, ``L1History``, owns the committed history of every L1
-run here and in ``solver``, and ``L1History.step(t_new)`` is the only place
-that weighs an interval (``append`` takes step's test of whether the
-interval is uniform, to freeze the state, and tests anew only when no step
-to its time came just before): it returns the weight w of the new interval
+run here and in ``solver``, and its mesh: ``L1History(y0, alpha, dt,
+t_end)`` takes round(t_end/dt) uniform steps of t_end/round(t_end/dt), so
+the mesh ends at t_end for any dt.  ``L1History.step(t_new)`` is the only
+place that weighs an interval: it returns the weight w of the new interval
 (t_last, t_new] and the memory sum, so the derivative at t_new is
-w * (y_new - y_last) + memory.  A step within ``_UNIFORM_RTOL`` of dt, or
-within 2 ulp of t_new (the rounding of k*dt), while the state is not frozen
-is a uniform step, w = scale; any other step has
-w = tau^(-alpha)/Gamma(2-alpha).  The history does not keep the increments
-of a uniform mesh.  On
+w * (y_new - y_last) + memory, and keeps its test of whether the interval
+is uniform pending; ``append(value)`` commits y_new on that interval.  A
+step within ``_UNIFORM_RTOL`` of dt, or within 2 ulp of t_new (the rounding
+of k*dt), while the state is not frozen is a uniform step, w = scale; any
+other step has w = tau^(-alpha)/Gamma(2-alpha).  A step is defined for
+t_last < t_new <= t_end, and ``append`` with no step pending raises.
+
+The history does not keep the increments of a uniform mesh.  On
 x in [1, N], in units of the uniform step dt, the kernel x^(-alpha) is a sum
 of Q decaying exponentials (sum-of-exponentials, SOE; Jiang, Zhang, Zhang &
 Zhang, Commun. Comput. Phys. 21 (2017) 650): a Gauss-Jacobi rule on
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -74,53 +76,25 @@ _FOLD = 32  # uniform intervals that enter the SOE state at once
 _UNIFORM_RTOL = 1e-9  # a step within this relative distance of dt is a uniform step
 
 
-@dataclass(frozen=True)
-class L1Weights:
-    """Uniform-mesh L1 convolution weights.
-
-    b[0] = 1 for every alpha; b is strictly decreasing and positive for
-    alpha in (0,1) and degenerates to [1, 0, 0, ...] at alpha = 1.
-    """
-
-    alpha: float
-    dt: float
-    b: np.ndarray
-    scale: float
-
-
-@dataclass(frozen=True)
-class ScalarTrace:
-    """Time series of a scalar quantity on a strictly increasing time axis."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise DomainError("times and values must have equal length")
-        if len(self.times) == 0 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise DomainError("times must increase strictly from 0")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("trace values must be finite")
-
-
 def _power_step(d, tau, alpha: float):
     """(d + tau)^(1-alpha) - d^(1-alpha) for d > 0, without cancellation."""
     return d ** (1.0 - alpha) * np.expm1((1.0 - alpha) * np.log1p(tau / d))
 
 
-def l1_weights(alpha: float, dt: float, n_steps: int) -> L1Weights:
+def l1_weights(alpha: float, n_steps: int) -> np.ndarray:
+    """The uniform-mesh L1 weights b_0 ... b_(n_steps-1).
+
+    b[0] = 1 for every alpha; b is strictly decreasing and positive for
+    alpha in (0,1) and degenerates to [1, 0, 0, ...] at alpha = 1.
+    """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     b = np.empty(n_steps)
     b[0] = 1.0
     b[1:] = _power_step(np.arange(1.0, n_steps), 1.0, alpha)
-    scale = dt ** (-alpha) / math.gamma(2.0 - alpha)
-    return L1Weights(alpha=alpha, dt=dt, b=b, scale=scale)
+    return b
 
 
 def _nonuniform_history_weights(alpha: float, times: np.ndarray, t_new: float) -> np.ndarray:
@@ -183,42 +157,46 @@ def _grown(buf: np.ndarray) -> np.ndarray:
 
 
 class L1History:
-    """The committed history y^0 ... y^(n-1) of one L1 run of order alpha.
+    """The committed history y^0 ... y^(n-1) of one L1 run of order alpha
+    on [0, t_end].
 
-    ``dt`` is the uniform step and ``n_steps * dt`` the horizon: a step is
-    defined for t_last < t_new <= n_steps * dt.  The last value is kept as
-    is (a float or a field); the increments are kept as Q SOE state vectors
-    plus the exact increments of the newest intervals, ``_rows`` in that
-    order, with the times of the exact intervals' ends in ``_tail_times``
-    (see the module docstring).
+    The uniform mesh is ``n_steps`` = round(t_end / dt) steps of ``dt`` =
+    t_end / n_steps; a step is defined for t_last < t_new <= t_end.  The
+    last value is kept as is (a float or a field); the increments are kept
+    as Q SOE state vectors plus the exact increments of the newest
+    intervals, ``_rows`` in that order, with the times of the exact
+    intervals' ends in ``_tail_times`` (see the module docstring).
     """
 
-    def __init__(self, y0, alpha: float, dt: float, n_steps: int):
-        weights = l1_weights(alpha, dt, _FOLD + 1)
-        if n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-        self.alpha, self.dt, self.scale = alpha, dt, weights.scale
+    def __init__(self, y0, alpha: float, dt: float, t_end: float):
+        b = l1_weights(alpha, _FOLD + 1)
+        if not (0.0 < dt <= t_end < math.inf and t_end / dt < math.inf):
+            raise DomainError(f"need 0 < dt <= t_end < inf and a finite t_end / dt, "
+                              f"got dt={dt}, t_end={t_end}")
+        self.n_steps = n_steps = round(t_end / dt)
+        self.alpha, self.dt = alpha, t_end / n_steps
         self._gamma2 = math.gamma(2.0 - alpha)
+        self.scale = self.dt ** (-alpha) / self._gamma2
         self.last = y0
         self.t_last = 0.0
-        self._t_max = n_steps * dt * (1.0 + 1e-12)
-        self._uniform_tol = _UNIFORM_RTOL * dt
+        self._t_max = t_end * (1.0 + 1e-12)
+        self._uniform_tol = _UNIFORM_RTOL * self.dt
         self._frozen = False
-        self._stepped_to = None  # t_new of the last step, until the next append
+        self._pending = None  # (t_new, uniform) of the last step, until append commits it
         if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
             self._zeros = np.broadcast_to(0.0, np.shape(y0))  # read-only
             return
         s, c = _soe_modes(alpha, n_steps)
         q = self._q = len(s)
         self._rates = s
-        self._soe_weights = weights.scale * c
+        self._soe_weights = self.scale * c
         self._rows = np.zeros((q + _FOLD + 1,) + np.shape(y0))
         self._field = np.ndim(y0) > 0
         self._tail_times = np.zeros(_FOLD + 2)  # _tail_times[0]: the state's reference time
         self._tail = 0
         # Entry k: weights of a uniform step with k exact intervals, the state k + 1 steps old.
         self._state_weights = self._soe_weights * np.exp(-np.arange(1.0, _FOLD + 2)[:, None] * s)
-        self._tail_weights = [weights.scale * weights.b[k:0:-1] for k in range(_FOLD + 1)]
+        self._tail_weights = [self.scale * b[k:0:-1] for k in range(_FOLD + 1)]
         # The state changes only at a fold, so its share of the next uniform
         # steps' memory sums is formed there, in one matrix product.
         self._state_part = np.zeros((_FOLD + 1,) + np.shape(y0))
@@ -234,12 +212,12 @@ class L1History:
         off = abs(tau - self.dt)
         return not self._frozen and (off <= self._uniform_tol or off <= 2.0 * math.ulp(t_new))
 
-    def append(self, value, t: float) -> None:
-        if t == self._stepped_to:  # the verdict step(t) reached for this interval
-            uniform = self._stepped_uniform
-        else:
-            uniform = self._uniform(t - self.t_last, t)
-        self._stepped_to = None
+    def append(self, value) -> None:
+        """Commit value as y^n on the interval of the last step."""
+        if self._pending is None:
+            raise DomainError("append needs a step to commit: call step(t_new) first")
+        t, uniform = self._pending
+        self._pending = None
         if not uniform:
             self._frozen = True
         last = self.last
@@ -277,13 +255,14 @@ class L1History:
         """(w, memory) of the L1 step to t_new: the weight w of the new
         interval and the history part of the sum, each committed interval's
         step-time weight times its increment, scale included.  The memory of
-        alpha = 1 is a read-only zero of the value's shape."""
+        alpha = 1 is a read-only zero of the value's shape.  The step stays
+        pending, for ``append`` to commit, until the next step or append."""
         t_last = self.t_last
         if not t_last < t_new <= self._t_max:
             raise DomainError(f"step to t={t_new!r} is outside ({t_last!r}, {self._t_max!r}]")
         tau = t_new - t_last
         uniform = self._uniform(tau, t_new)
-        self._stepped_to, self._stepped_uniform = t_new, uniform  # append(value, t_new) reuses it
+        self._pending = t_new, uniform
         w = self.scale if uniform else tau ** (-self.alpha) / self._gamma2
         if self.alpha == 1.0:
             return w, self._zeros
@@ -302,25 +281,19 @@ class L1History:
 
 def solve_linear_fode(
     alpha: float, rate: float, y0: float, dt: float, t_end: float
-) -> ScalarTrace:
-    """Implicit L1 solution of D^alpha y = -rate*y on [0, t_end].
-
-    The mesh is uniform; when dt does not divide t_end evenly, the step is
-    adjusted to the nearest value that does, so the trace always ends exactly
-    at t_end.
-    """
+) -> np.ndarray:
+    """Implicit L1 solution y^0 ... y^N of D^alpha y = -rate*y on the
+    uniform mesh of ``L1History``, which ends at t_end for any dt."""
     if not rate >= 0:
         raise DomainError(f"rate must be >= 0, got rate={rate}")
-    if not 0 < dt <= t_end:
-        raise DomainError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    n_steps = max(1, int(round(t_end / dt)))
-    dt = t_end / n_steps
+    if not math.isfinite(y0):
+        raise DomainError(f"y0 must be finite, got y0={y0}")
+    history = L1History(y0, alpha, dt, t_end)
+    n_steps, dt = history.n_steps, history.dt
     y = np.empty(n_steps + 1)
     y[0] = y0
-    history = L1History(y[0], alpha, dt, n_steps)
     for n in range(1, n_steps + 1):
         w, memory = history.step(n * dt)
         y[n] = (w * history.last - memory) / (w + rate)
-        history.append(y[n], n * dt)
-    times = dt * np.arange(n_steps + 1)
-    return ScalarTrace(times=times, values=y)
+        history.append(y[n])
+    return y

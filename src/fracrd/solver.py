@@ -36,16 +36,17 @@ hands them to ``_march``, the package's one stepping loop.  The scalar
 blow-up oracle D^alpha y = y*(y+1) of ``harness`` runs through the same
 loop as one mode, lam = [-2], V = [[1]]: w + 1 + lam is then the w - 1 of
 that equation.  The loop goes over committed steps in two regimes.  The
-uniform regime takes round(t_end/dt) steps of t_end/round(t_end/dt), to
-t = k*dt with that dt, and records every output stride.  The
-loop turns adaptive the first time max u exceeds 10*(1 + lam[0]), or starts
-adaptive when max u0 already does: it steps to min(t_last + dt', t_end),
-records every committed step, and rejects a step and halves dt' when max u
-grows by more than half.  Each regime only picks t_new;
-``caputo.L1History.step(t_new)`` returns the weight w of the step actually
-taken and the memory sum.  At the grid sizes the campaigns use (n = 128,
-256) a step is a few tens of kflop, so each one does its arithmetic and
-little else, the same in both regimes:
+uniform regime steps to t = k*dt on the uniform mesh of
+``caputo.L1History``, whose dt divides t_end, and records every output
+stride.  The loop turns adaptive the first time max u exceeds
+10*(1 + lam[0]), or starts adaptive when max u0 already does: it steps to
+min(t_last + dt', t_end), records every committed step, and rejects a step
+and halves dt' when max u grows by more than half.  Each regime only picks
+t_new; ``caputo.L1History.step(t_new)`` returns the weight w of the step
+actually taken and the memory sum, and ``append(u_new)`` commits that
+step.  At the grid sizes the campaigns use (n = 128, 256) a step is a few
+tens of kflop, so each one does its arithmetic and little else, the same
+in both regimes:
 
 * one right-hand side, u_last*(w + u_last) - memory, and one solve.
   A step of the uniform size w = ``scale`` (every uniform step, and the
@@ -222,7 +223,6 @@ class _Monitors:
         self._times = []
         self._reduced = []  # (E, H, min u, max u) arrays, one per reduced block
         self.fields = [] if record_fields else None
-        self.field_times = [] if record_fields else None
 
     def record(self, t: float, u: np.ndarray):
         j = self._filled
@@ -233,7 +233,6 @@ class _Monitors:
             self._reduce()
         if self.fields is not None:
             self.fields.append(u.copy())
-            self.field_times.append(t)
 
     def _reduce(self):
         block, h = self._block[: self._filled], self._h
@@ -275,8 +274,7 @@ class SimulationResult:
     lambda1: float
     config: SimConfig
     inconclusive: str | None = None
-    fields: list | None = None
-    field_times: list | None = None
+    fields: list | None = None  # the field at each entry of times, with record_fields
 
 
 @dataclass(frozen=True)
@@ -442,7 +440,6 @@ def run(
         config=config,
         inconclusive=inconclusive,
         fields=monitors.fields,
-        field_times=monitors.field_times,
     )
 
 
@@ -462,8 +459,8 @@ def _march(
     max u crossed ``BLOW_THRESHOLD`` (None without a crossing) and the
     reason a run ended unresolved.
 
-    The uniform mesh is round(t_end / dt) steps (at least 1) of equal size,
-    so it ends at t_end for any dt.  Records E, H and the field bounds every
+    The uniform mesh is the one ``L1History(u0, alpha, dt, t_end)`` forms,
+    which ends at t_end for any dt.  Records E, H and the field bounds every
     output stride (at most ~2000 entries) of that mesh.  Once max u exceeds
     10*(1 + lam[0]), or from the start when max u0 already does, the loop
     steps adaptively: every committed step is recorded, the L1 memory
@@ -473,13 +470,13 @@ def _march(
     ``_MAX_ADAPTIVE_STEPS`` committed steps or once its step falls below
     ``DT_FLOOR_REL * t_end``.
     """
-    n_steps = max(1, round(t_end / dt))
-    dt = cur_dt = t_end / n_steps
+    history = L1History(u0, alpha, dt, t_end)
+    n_steps, dt = history.n_steps, history.dt
+    step, append, scale = history.step, history.append, history.scale
+    cur_dt = dt
     floor = DT_FLOOR_REL * t_end
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
-    history = L1History(u0, alpha, dt, n_steps)
-    step, append, scale = history.step, history.append, history.scale
     # A step of the uniform size is one product with the step matrix, once
     # the run has enough steps to pay for its build
     step_matrix = _step_matrix(lam, v, scale) if n_steps >= len(u0) else None
@@ -526,7 +523,7 @@ def _march(
                     )
                     break
                 continue
-            append(u_new, t_new)
+            append(u_new)
             k, u_max = k + 1, max_new
             blown = u_max >= BLOW_THRESHOLD
             if adaptive or blown or k % stride == 0 or k == n_steps:

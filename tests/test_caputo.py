@@ -23,49 +23,48 @@ from fracrd.special import ml_eval
 class TestWeights:
     def test_b0_is_one_for_all_alpha(self):
         for alpha in (0.1, 0.5, 0.9, 1.0):
-            assert l1_weights(alpha, 0.1, 4).b[0] == 1.0
+            assert l1_weights(alpha, 4)[0] == 1.0
 
     def test_alpha_one_degenerates_to_backward_euler(self):
-        b = l1_weights(1.0, 0.1, 4).b
+        b = l1_weights(1.0, 4)
         assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
 
     def test_b1_half_alpha(self):
-        b = l1_weights(0.5, 0.1, 4).b
+        b = l1_weights(0.5, 4)
         assert b[1] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
 
     def test_scale(self):
-        w = l1_weights(0.5, 0.25, 3)
-        assert w.scale == pytest.approx(0.25**-0.5 / math.gamma(1.5), rel=1e-15)
+        history = L1History(0.0, 0.5, 0.25, 0.75)
+        assert (history.n_steps, history.dt) == (3, 0.25)
+        assert history.scale == pytest.approx(0.25**-0.5 / math.gamma(1.5), rel=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(0.05, 1.0), n=st.integers(1, 200))
     def test_telescoping(self, alpha, n):
-        b = l1_weights(alpha, 0.1, n).b
+        b = l1_weights(alpha, n)
         assert b.sum() == pytest.approx(n ** (1.0 - alpha), rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(0.05, 0.999), n=st.integers(2, 200))
     def test_strictly_decreasing_positive(self, alpha, n):
-        b = l1_weights(alpha, 0.1, n).b
+        b = l1_weights(alpha, n)
         assert np.all(b > 0)
         assert np.all(np.diff(b) < 0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            l1_weights(0.0, 0.1, 4)
+            l1_weights(0.0, 4)
         with pytest.raises(DomainError):
-            l1_weights(1.2, 0.1, 4)
+            l1_weights(1.2, 4)
         with pytest.raises(DomainError):
-            l1_weights(0.5, -0.1, 4)
-        with pytest.raises(DomainError):
-            l1_weights(0.5, 0.1, 0)
+            l1_weights(0.5, 0)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99])
     def test_matches_mpmath_far_out(self, alpha):
         # b_j as a difference of powers lost ~j ulps; the expm1/log1p form keeps a few
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        b = l1_weights(alpha, 1.0, 200_001).b
+        b = l1_weights(alpha, 200_001)
         one_minus = 1 - mpmath.mpf(alpha)
         for j in (1, 2, 10, 3999, 12_345, 199_999, 200_000):
             ref = mpmath.power(j + 1, one_minus) - mpmath.power(j, one_minus)
@@ -104,9 +103,9 @@ def exact_memory(alpha, times, values, t_new):
 def uniform_memory(alpha, dt, values):
     """scale * sum_{j=1}^{n-1} b_j (y^(n-j) - y^(n-j-1)) at t_n, n = len(values)."""
     n = len(values)
-    w = l1_weights(alpha, dt, n)
+    scale = dt ** (-alpha) / math.gamma(2.0 - alpha)
     incs = np.diff(values, axis=0)
-    coef = w.scale * w.b[n - 1 : 0 : -1]
+    coef = scale * l1_weights(alpha, n)[n - 1 : 0 : -1]
     return coef @ incs, coef @ np.abs(incs)
 
 
@@ -126,12 +125,12 @@ def _drive(alpha, times, values, dt, n_steps, checks):
     """Feed the mesh to an L1History; return the worst error relative to
     sum |terms| over the checked steps, at each step time and at a trial
     time inside the next interval (a rejected step)."""
-    history = L1History(values[0], alpha, dt, n_steps)
+    history = L1History(values[0], alpha, dt, n_steps * dt)
     worst = 0.0
     for m in range(1, len(times)):
         if m in checks:
             trial = times[m - 1] + 0.37 * (times[m] - times[m - 1])
-            for t_new in (times[m], trial):
+            for t_new in (trial, times[m]):  # the step to times[m] is the one appended
                 got = history.step(t_new)[1]
                 ref, magnitude = exact_memory(alpha, times[:m], values[:m], t_new)
                 assert np.shape(got) == np.shape(ref)
@@ -140,7 +139,9 @@ def _drive(alpha, times, values, dt, n_steps, checks):
                     continue
                 magnitude = np.maximum(magnitude, np.finfo(float).tiny)  # 0 before any interval
                 worst = max(worst, float(np.max(np.abs(got - ref) / magnitude)))
-        history.append(values[m], times[m])
+        else:  # step(times[m])'s verdict, without its O(m) memory sum once frozen
+            history._pending = times[m], history._uniform(times[m] - history.t_last, times[m])
+        history.append(values[m])
     return worst
 
 
@@ -158,28 +159,28 @@ class TestMemorySum:
     @pytest.mark.parametrize("width", [None, 7])
     def test_matches_loop_reference(self, alpha, width):
         dt = 0.05
-        w = l1_weights(alpha, dt, self.N)
+        b, scale = l1_weights(alpha, self.N), dt ** (-alpha) / math.gamma(2.0 - alpha)
         shape = (self.N,) if width is None else (self.N, width)
         values = np.random.default_rng(17).uniform(-1.0, 1.0, size=shape)
         diffs = np.concatenate([np.zeros((1,) + shape[1:]), np.diff(values, axis=0)])
-        history = L1History(values[0], alpha, dt, self.N)
+        history = L1History(values[0], alpha, dt, self.N * dt)
         for n in range(1, self.N):
+            got = history.step(n * dt)[1]
             if n in (1, 2, 3, 33, 34, self.N // 2, self.N - 1):
-                got = history.step(n * dt)[1]
-                ref = w.scale * self._loop_sum(w.b, diffs, n)
+                ref = scale * self._loop_sum(b, diffs, n)
                 assert np.shape(got) == ref.shape
                 # relative to the sum of |terms|, so sign cancellation cannot hide an error
-                magnitude = w.scale * self._loop_sum(w.b, np.abs(diffs), n)
+                magnitude = scale * self._loop_sum(b, np.abs(diffs), n)
                 assert np.all(np.abs(got - ref) <= 1e-13 * magnitude)
-            history.append(values[n], n * dt)
+            history.append(values[n])
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.999, 1.0])
     @pytest.mark.parametrize("dt", [0.1, 0.37])
     def test_nonuniform_weights_on_uniform_mesh(self, alpha, dt):
-        w = l1_weights(alpha, dt, self.N)
+        b, scale = l1_weights(alpha, self.N), dt ** (-alpha) / math.gamma(2.0 - alpha)
         for n in range(2, self.N + 1):
             got = _nonuniform_history_weights(alpha, dt * np.arange(n), n * dt)
-            ref = w.scale * w.b[n - 1 : 0 : -1]
+            ref = scale * b[n - 1 : 0 : -1]
             if alpha == 1.0:
                 assert np.all(got == 0.0) and np.all(ref == 0.0)
             else:
@@ -190,11 +191,12 @@ class TestMemorySum:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_step_index_beyond_weights(self, alpha):
-        history = L1History(np.zeros(3), alpha, 0.1, 4)
+        history = L1History(np.zeros(3), alpha, 0.1, 0.4)
         with pytest.raises(DomainError, match="outside"):
             history.step(0.5)[1]
         assert np.shape(history.step(0.4)[1]) == (3,)
-        history.append(np.ones(3), 0.1)
+        history.step(0.1)
+        history.append(np.ones(3))
         with pytest.raises(DomainError, match="outside"):
             history.step(0.1)[1]
 
@@ -204,7 +206,7 @@ class TestSOE:
     @pytest.mark.parametrize("n_steps", [2, 50, 4000, 200_000])
     def test_weights_fit_the_l1_weights(self, alpha, n_steps):
         s, c = _soe_modes(alpha, n_steps)
-        b = l1_weights(alpha, 1.0, n_steps).b
+        b = l1_weights(alpha, n_steps)
         j = np.unique(np.geomspace(1, n_steps - 1, 400).round()).astype(int)
         approx = np.exp(-np.outer(j, s)) @ c
         assert np.max(np.abs(approx / b[j] - 1.0)) <= 1e-12
@@ -217,10 +219,11 @@ class TestSOE:
         assert len(_soe_modes(0.5, 200_000)[0]) <= 140
 
     def test_uniform_history_stays_bounded(self):
-        history = L1History(np.zeros(16), 0.5, 0.25, 5000)
+        history = L1History(np.zeros(16), 0.5, 0.25, 1250.0)
         rows = len(history._rows)
         for m in range(1, 5000):
-            history.append(np.full(16, float(m)), 0.25 * m)
+            history.step(0.25 * m)
+            history.append(np.full(16, float(m)))
         assert len(history._rows) == rows == len(_soe_modes(0.5, 5000)[0]) + _FOLD + 1
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8, 0.99, 1.0])
@@ -244,9 +247,10 @@ class TestSOE:
         worst = _drive(alpha, times, values, dt, n, {1000, 133_334, 133_340, n})
         assert worst <= 1e-12
         if kind == "uniform":
-            got = L1History(values[0], alpha, dt, n)
+            got = L1History(values[0], alpha, dt, n * dt)
             for m in range(1, n):
-                got.append(values[m], m * dt)
+                got.step(m * dt)
+                got.append(values[m])
             ref, magnitude = uniform_memory(alpha, dt, values[:n])
             assert abs(got.step(n * dt)[1] - ref) <= 1e-12 * magnitude
 
@@ -256,17 +260,17 @@ class TestSOE:
             _soe_modes.cache_clear()
             times = _mesh("halvings", 0.25, 600)
             values = np.random.default_rng(3).uniform(0.0, 1.0, size=(601, 5))
-            history = L1History(values[0], alpha, 0.25, 600)
+            history = L1History(values[0], alpha, 0.25, 150.0)
             out = []
             for m in range(1, 601):
                 out.append(history.step(times[m])[1])
-                history.append(values[m], times[m])
+                history.append(values[m])
             return np.array(out)
 
         assert np.array_equal(once(), once())
         assert np.array_equal(
-            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0).values,
-            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0).values,
+            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0),
+            solve_linear_fode(alpha, 1.0, 1.0, 0.01, 20.0),
         )
 
 
@@ -279,9 +283,10 @@ class TestL1History:
         times = np.concatenate([[0.0], np.cumsum(np.geomspace(0.05, 0.2, n))])
         shape = (n + 1,) if width is None else (n + 1, width)
         values = np.random.default_rng(3).uniform(0.0, 1.0, size=shape)
-        history = L1History(values[0], 0.6, 0.1, 800)
+        history = L1History(values[0], 0.6, 0.1, 80.0)
         for m in range(1, n + 1):
-            history.append(values[m], times[m])
+            history.step(times[m])
+            history.append(values[m])
         assert history.t_last == times[-1]
         assert np.array_equal(history.last, values[-1])
         t_new = times[-1] + 0.05
@@ -294,9 +299,10 @@ class TestL1History:
         # weighs tau^(-alpha)/Gamma(2-alpha) and reads the step-time sum
         alpha, dt = 0.5, 0.25
         inside, outside = dt * (1.0 + 0.5 * _UNIFORM_RTOL), dt * (1.0 + 2.0 * _UNIFORM_RTOL)
-        history = L1History(np.zeros(3), alpha, dt, 100)
+        history = L1History(np.zeros(3), alpha, dt, 25.0)
         for m in range(1, _FOLD + 9):  # past one fold
-            history.append(np.full(3, float(m * m)), m * dt)
+            history.step(m * dt)
+            history.append(np.full(3, float(m * m)))
         t = history.t_last
         w, uniform = history.step(t + dt)
         assert w == history.scale
@@ -305,9 +311,11 @@ class TestL1History:
         w_out, memory_out = history.step(t + outside)
         assert w_out == (t + outside - t) ** -alpha / math.gamma(2.0 - alpha)
         assert not np.array_equal(memory_out, uniform)
-        history.append(np.full(3, 1.0), t + inside)
+        history.step(t + inside)
+        history.append(np.full(3, 1.0))
         assert not history._frozen
-        history.append(np.full(3, 2.0), history.t_last + outside)
+        history.step(history.t_last + outside)
+        history.append(np.full(3, 2.0))
         assert history._frozen
         t = history.t_last
         w, _ = history.step(t + dt)
@@ -318,38 +326,52 @@ class TestL1History:
         # _UNIFORM_RTOL at k = 6,144,002, inside a 1e7-step run; the history
         # is placed there directly, with no 6M-step loop
         dt, k = 2e-3 / 3, 6_144_002
+        history = L1History(0.0, 0.5, dt, 10_000_000 * dt)
+        assert (history.n_steps, history.dt) == (10_000_000, dt)
         assert abs(((k + 1) * dt - k * dt) - dt) > _UNIFORM_RTOL * dt
-        history = L1History(0.0, 0.5, dt, 10_000_000)
         history.t_last = k * dt
         for m in (k + 1, k + 2):
             w, _ = history.step(m * dt)
             assert w == history.scale
-            history.append(1.0, m * dt)
-            assert not history._frozen
+            history.append(1.0)
+            assert history.t_last == m * dt and not history._frozen
 
     def test_append_reuses_the_uniform_test_of_its_step(self, monkeypatch):
-        # one uniform test per committed step: append(value, t) takes the
-        # verdict of step(t); with no step to t just before it, append tests
-        history = L1History(0.0, 0.5, 0.1, 100)
+        # one uniform test per step: append(value) commits the last step's
+        # interval on that step's verdict, and tests nothing itself
+        history = L1History(0.0, 0.5, 0.1, 10.0)
         tested = []
         uniform = history._uniform
         monkeypatch.setattr(history, "_uniform", lambda tau, t: tested.append(t) or uniform(tau, t))
         history.step(0.1)
-        history.append(1.0, 0.1)
-        assert tested == [0.1]
-        history.step(0.25)
-        history.append(2.0, 0.2)  # not the time of the last step
-        assert tested == [0.1, 0.25, 0.2]
-        history.append(3.0, 0.3)
-        assert tested == [0.1, 0.25, 0.2, 0.3]
-        history.step(0.45)  # off dt: append freezes the state on step's verdict
-        history.append(4.0, 0.45)
-        assert tested == [0.1, 0.25, 0.2, 0.3, 0.45] and history._frozen
+        history.append(1.0)
+        assert tested == [0.1] and history.t_last == 0.1
+        history.step(0.25)  # a rejected step
+        history.step(0.2)
+        history.append(2.0)
+        assert tested == [0.1, 0.25, 0.2] and history.t_last == 0.2
+        assert not history._frozen
+        history.step(0.35)  # off dt: append freezes the state on step's verdict
+        history.append(3.0)
+        assert tested == [0.1, 0.25, 0.2, 0.35] and history._frozen
+        assert (history.t_last, history.last) == (0.35, 3.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_append_without_a_pending_step_raises(self, alpha):
+        history = L1History(0.0, alpha, 0.1, 1.0)
+        with pytest.raises(DomainError, match="step"):
+            history.append(1.0)
+        history.step(0.1)
+        history.append(1.0)
+        with pytest.raises(DomainError, match="step"):
+            history.append(2.0)
+        assert (history.t_last, history.last) == (0.1, 1.0)
 
     @pytest.mark.parametrize("shape", [(), (4,)])
     def test_alpha_one_memory_is_a_read_only_zero(self, shape):
-        history = L1History(np.ones(shape), 1.0, 0.1, 10)
-        history.append(np.full(shape, 2.0), 0.1)
+        history = L1History(np.ones(shape), 1.0, 0.1, 1.0)
+        history.step(0.1)
+        history.append(np.full(shape, 2.0))
         w, memory = history.step(0.2)
         assert w == history.scale == 1.0 / 0.1
         assert memory.shape == shape and np.all(memory == 0.0)
@@ -359,9 +381,10 @@ class TestL1History:
     def test_memory_matches_uniform_sum_on_uniform_mesh(self, alpha):
         n, dt = 100, 0.1
         fields = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, 3))
-        history = L1History(fields[0], alpha, dt, n)
+        history = L1History(fields[0], alpha, dt, n * dt)
         for m in range(1, n):
-            history.append(fields[m], m * dt)
+            history.step(m * dt)
+            history.append(fields[m])
         got = history.step(n * dt)[1]
         ref, magnitude = uniform_memory(alpha, dt, fields)
         assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
@@ -369,24 +392,22 @@ class TestL1History:
 
 class TestLinearFode:
     def test_zero_rate_preserves_initial_value(self):
-        trace = solve_linear_fode(0.5, 0.0, 3.0, 0.1, 1.0)
-        assert np.all(trace.values == 3.0)
-        assert trace.times[0] == 0.0
-        assert np.all(np.diff(trace.times) > 0)
+        y = solve_linear_fode(0.5, 0.0, 3.0, 0.1, 1.0)
+        assert len(y) == 11 and np.all(y == 3.0)
 
     def test_alpha_one_matches_exp(self):
-        trace = solve_linear_fode(1.0, 1.0, 1.0, 2.0**-10, 1.0)
-        assert trace.values[-1] == pytest.approx(math.exp(-1.0), abs=3e-4)
+        y = solve_linear_fode(1.0, 1.0, 1.0, 2.0**-10, 1.0)
+        assert y[-1] == pytest.approx(math.exp(-1.0), abs=3e-4)
 
     def test_half_alpha_matches_mittag_leffler(self):
         exact = ml_eval(0.5, -1.0)
-        trace = solve_linear_fode(0.5, 1.0, 1.0, 2.0**-10, 1.0)
-        assert trace.values[-1] == pytest.approx(exact, abs=5e-4)
+        y = solve_linear_fode(0.5, 1.0, 1.0, 2.0**-10, 1.0)
+        assert y[-1] == pytest.approx(exact, abs=5e-4)
 
     def test_error_decreases_under_halving(self):
         exact = ml_eval(0.5, -1.0)
         errs = [
-            abs(solve_linear_fode(0.5, 1.0, 1.0, 2.0**-k, 1.0).values[-1] - exact)
+            abs(solve_linear_fode(0.5, 1.0, 1.0, 2.0**-k, 1.0)[-1] - exact)
             for k in (6, 8, 10)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -394,26 +415,38 @@ class TestLinearFode:
     @pytest.mark.parametrize("alpha", [0.5, 0.8])
     def test_matches_exact_history_solver(self, alpha):
         n, dt, rate = 4000, 0.25, 0.3
-        w = l1_weights(alpha, dt, n)
+        b, scale = l1_weights(alpha, n), dt ** (-alpha) / math.gamma(2.0 - alpha)
         y = np.empty(n + 1)
         y[0] = 1.0
         for k in range(1, n + 1):  # the O(n^2) exact memory sum
-            hist = w.b[k - 1 : 0 : -1] @ np.diff(y[:k])
-            y[k] = w.scale * (y[k - 1] - hist) / (w.scale + rate)
-        got = solve_linear_fode(alpha, rate, 1.0, dt, n * dt).values
+            hist = b[k - 1 : 0 : -1] @ np.diff(y[:k])
+            y[k] = scale * (y[k - 1] - hist) / (scale + rate)
+        got = solve_linear_fode(alpha, rate, 1.0, dt, n * dt)
         np.testing.assert_allclose(got, y, rtol=1e-12, atol=0.0)
 
     def test_trace_covers_interval_for_nondividing_dt(self):
-        trace = solve_linear_fode(0.5, 1.0, 1.0, 0.3, 1.0)
-        assert trace.times[0] == 0.0
-        assert trace.times[-1] == 1.0
+        # round(1 / 0.3) = 3 steps of 1/3, bit for bit the run at dt = 1/3
+        y = solve_linear_fode(0.5, 1.0, 1.0, 0.3, 1.0)
+        assert len(y) == 4
+        assert np.array_equal(y, solve_linear_fode(0.5, 1.0, 1.0, 1.0 / 3.0, 1.0))
 
     def test_validation(self):
         for rate in (-1.0, math.nan):
             with pytest.raises(DomainError, match="rate="):
                 solve_linear_fode(0.5, rate, 1.0, 0.1, 1.0)
-        with pytest.raises(DomainError):
-            solve_linear_fode(0.5, 1.0, 1.0, 2.0, 1.0)
+        for y0 in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="y0="):
+                solve_linear_fode(0.5, 1.0, y0, 0.1, 1.0)
+        with pytest.raises(DomainError, match="alpha"):
+            solve_linear_fode(1.5, 1.0, 1.0, 0.1, 1.0)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (2.0, 1.0), (0.1, math.inf),
+        (5e-324, 1e300),  # t_end / dt overflows
+    ])
+    def test_mesh_validation(self, dt, t_end):
+        with pytest.raises(DomainError, match="0 < dt <= t_end < inf"):
+            solve_linear_fode(0.5, 1.0, 1.0, dt, t_end)
 
 
 def _logistic(alpha, y0, dt, t_end):

@@ -89,7 +89,7 @@ class TestStep:
         result = run(cfg, u0_override=u0, record_fields=True)
         a_mat = assemble_regional(cfg.grid, cfg.s).entries
         expected = np.linalg.solve((1.0 / cfg.dt + 1.0) * np.eye(8) + a_mat, u0 / cfg.dt + u0**2)
-        assert result.field_times[1] == cfg.dt
+        assert result.times[1] == cfg.dt
         np.testing.assert_allclose(result.fields[1], expected, rtol=1e-13)
 
     def test_matches_rk4_reference_at_alpha_one(self):
@@ -274,13 +274,13 @@ class TestRun:
         pair, lam, v = _get_operator(cfg)
         h, e1 = cfg.grid.h, pair.e1
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
-        history = L1History(u, cfg.alpha, cfg.dt, 200)
+        history = L1History(u, cfg.alpha, cfg.dt, cfg.t_end)
         rows = [(0.0, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max())]
         for k in range(1, 201):
             t = k * cfg.dt
             w, memory = history.step(t)
             u, _ = _implicit_step(lam, v, w, w * u - memory + u * u)
-            history.append(u, t)
+            history.append(u)
             rows.append((t, h * (u * u).sum(), h * (u * e1).sum(), u.min(), u.max()))
         expected = np.array(rows).T
         got = np.array([r.times, r.energy, r.h_functional, r.umin, r.umax])
@@ -447,9 +447,9 @@ class TestBlowupRuns:
         commits = []
 
         class SpyHistory(L1History):
-            def append(self, value, t):
-                commits.append((t, float(value.max())))
-                super().append(value, t)
+            def append(self, value):
+                super().append(value)
+                commits.append((self.t_last, float(value.max())))
 
         monkeypatch.setattr(solver, "L1History", SpyHistory)
         r = run(self._alpha_one_blowup())
