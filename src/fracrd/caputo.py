@@ -25,11 +25,14 @@ d^(1-alpha) * expm1((1-alpha) * log1p(tau/d)), which keeps every weight
 accurate to a few ulps however old its interval is.
 
 History.  One class, ``L1History``, owns the committed history of every L1
-run here and in ``solver``, and its mesh: ``L1History(y0, alpha, dt,
-t_end)`` takes round(t_end/dt) uniform steps of t_end/round(t_end/dt), so
-the mesh ends at t_end for any dt.  ``L1History.step(t_new)`` is the only
-place that weighs an interval: it returns the weight w of the new interval
-(t_last, t_new] and the memory sum, so the derivative at t_new is
+run here and in ``solver``, and its mesh.  ``uniform_mesh(dt, t_end)`` is
+the one mesh rule: it needs 0 < dt <= t_end < inf and takes
+round(t_end/dt) uniform steps of t_end/round(t_end/dt), so the mesh ends at
+t_end for any dt, and at most ``_MAX_STEPS`` of them.  ``L1History``,
+``solver.SimConfig`` and the dt ladder of ``solver`` all ask it, so a
+scalar run has the step budget of a PDE run.  ``L1History.step(t_new)`` is
+the only place that weighs an interval: it returns the weight w of the new
+interval (t_last, t_new] and the memory sum, so the derivative at t_new is
 w * (y_new - y_last) + memory, and keeps its test of whether the interval
 is uniform pending; ``append(value)`` commits y_new on that interval.  A
 step within ``_UNIFORM_RTOL`` of dt, or within 2 ulp of t_new (the rounding
@@ -74,6 +77,7 @@ _SOE_PANEL = 8  # Gauss-Legendre nodes per panel of width 1 in log s
 _SOE_S_MAX = 30.0  # panels end past s = 30: exp(-30) ~ 1e-13 one step after entry
 _FOLD = 32  # uniform intervals that enter the SOE state at once
 _UNIFORM_RTOL = 1e-9  # a step within this relative distance of dt is a uniform step
+_MAX_STEPS = 10_000_000  # uniform_mesh: uniform steps of one run, ~3 minutes at n = 128
 
 
 def _power_step(d, tau, alpha: float):
@@ -149,6 +153,23 @@ def _soe_modes(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
+def uniform_mesh(dt: float, t_end: float) -> tuple[int, float]:
+    """(n_steps, dt) of the uniform mesh of [0, t_end] for a requested dt:
+    round(t_end / dt) steps of t_end / n_steps, so it ends at t_end.
+
+    Raises DomainError unless 0 < dt <= t_end < inf, and when the mesh has
+    more than ``_MAX_STEPS`` steps (an overflowing t_end / dt included).
+    """
+    if not 0.0 < dt <= t_end < math.inf:
+        raise DomainError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
+    ratio = t_end / dt
+    n_steps = round(ratio) if ratio < _MAX_STEPS + 1 else _MAX_STEPS + 1  # ratio may be inf
+    if n_steps > _MAX_STEPS:
+        raise DomainError(f"t_end / dt = {ratio:.10g} steps exceeds the limit of "
+                          f"{_MAX_STEPS:.0e} uniform steps per run")
+    return n_steps, t_end / n_steps
+
+
 def _grown(buf: np.ndarray) -> np.ndarray:
     """``buf`` copied into a zero array with twice as many rows."""
     out = np.zeros((2 * buf.shape[0],) + buf.shape[1:])
@@ -160,21 +181,19 @@ class L1History:
     """The committed history y^0 ... y^(n-1) of one L1 run of order alpha
     on [0, t_end].
 
-    The uniform mesh is ``n_steps`` = round(t_end / dt) steps of ``dt`` =
-    t_end / n_steps; a step is defined for t_last < t_new <= t_end.  The
-    last value is kept as is (a float or a field); the increments are kept
-    as Q SOE state vectors plus the exact increments of the newest
-    intervals, ``_rows`` in that order, with the times of the exact
-    intervals' ends in ``_tail_times`` (see the module docstring).
+    The uniform mesh, ``n_steps`` steps of ``dt``, is the one
+    ``uniform_mesh(dt, t_end)`` forms, and its DomainError is the
+    history's; a step is defined for t_last < t_new <= t_end.  The last
+    value is kept as is (a float or a field); the increments are kept as Q
+    SOE state vectors plus the exact increments of the newest intervals,
+    ``_rows`` in that order, with the times of the exact intervals' ends in
+    ``_tail_times`` (see the module docstring).
     """
 
     def __init__(self, y0, alpha: float, dt: float, t_end: float):
         b = l1_weights(alpha, _FOLD + 1)
-        if not (0.0 < dt <= t_end < math.inf and t_end / dt < math.inf):
-            raise DomainError(f"need 0 < dt <= t_end < inf and a finite t_end / dt, "
-                              f"got dt={dt}, t_end={t_end}")
-        self.n_steps = n_steps = round(t_end / dt)
-        self.alpha, self.dt = alpha, t_end / n_steps
+        self.n_steps, self.dt = uniform_mesh(dt, t_end)
+        self.alpha = alpha
         self._gamma2 = math.gamma(2.0 - alpha)
         self.scale = self.dt ** (-alpha) / self._gamma2
         self.last = y0
@@ -186,7 +205,7 @@ class L1History:
         if alpha == 1.0:  # memoryless: b_j = 0 for j >= 1
             self._zeros = np.broadcast_to(0.0, np.shape(y0))  # read-only
             return
-        s, c = _soe_modes(alpha, n_steps)
+        s, c = _soe_modes(alpha, self.n_steps)
         q = self._q = len(s)
         self._rates = s
         self._soe_weights = self.scale * c
@@ -283,7 +302,8 @@ def solve_linear_fode(
     alpha: float, rate: float, y0: float, dt: float, t_end: float
 ) -> np.ndarray:
     """Implicit L1 solution y^0 ... y^N of D^alpha y = -rate*y on the
-    uniform mesh of ``L1History``, which ends at t_end for any dt."""
+    uniform mesh of ``L1History``, which ends at t_end for any dt and has
+    at most ``_MAX_STEPS`` steps."""
     if not rate >= 0:
         raise DomainError(f"rate must be >= 0, got rate={rate}")
     if not math.isfinite(y0):

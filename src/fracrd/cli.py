@@ -9,14 +9,12 @@ Subcommands:
 * ``eig --s S --n N --domain a,b``: print lambda1 and write the eigenvector
   CSV.
 
-The output directory defaults to the FRACRD_OUT environment variable, then
-./fracrd_out.
+``run --out`` and ``eig --out`` both default to ./fracrd_out.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -24,10 +22,6 @@ from .errors import FracRDError
 from .fraclap import Grid1D, assemble_regional, dump_eigenpair, principal_eigenpair
 from .harness import _parse_value, default_campaigns, parse_config, run_campaigns, write_outputs
 from .special import ml_eval
-
-
-def _default_out() -> str:
-    return os.environ.get("FRACRD_OUT", "fracrd_out")
 
 
 def _cmd_run(args) -> int:
@@ -62,7 +56,7 @@ def _cmd_eig(args) -> int:
     op = assemble_regional(grid, args.s)
     pair = principal_eigenpair(op, grid)
     print(f"{pair.lambda1:.15g}")
-    out_dir = Path(args.out or _default_out())
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"e1_s{args.s:g}_n{args.n}.csv"
     dump_eigenpair(pair, grid, csv_path)
@@ -80,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run verification campaigns from a config file")
     p_run.add_argument("config", nargs="?", help="campaign configuration file (INI)")
     p_run.add_argument("--all", action="store_true", help="run the built-in default suite")
-    p_run.add_argument("--out", default=_default_out(), help="output directory")
+    p_run.add_argument("--out", default="fracrd_out", help="output directory")
     p_run.add_argument("--campaign", help="run only the named campaign")
     p_run.set_defaults(func=_cmd_run)
 
@@ -93,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--s", type=float, required=True)
     p_eig.add_argument("--n", type=int, required=True)
     p_eig.add_argument("--domain", default="0,1", help="interval endpoints 'a,b'")
-    p_eig.add_argument("--out", help="output directory for the eigenvector CSV")
+    p_eig.add_argument("--out", default="fracrd_out",
+                       help="output directory for the eigenvector CSV")
     p_eig.set_defaults(func=_cmd_eig)
     return parser
 

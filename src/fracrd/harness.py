@@ -79,8 +79,8 @@ from .solver import (
     PROFILES,
     SimConfig,
     _dt_ladder,
-    _get_operator,
     _march,
+    _operator,
     blowup_bracket,
     detect_blowup,
     initial_field,
@@ -483,19 +483,17 @@ def scaled_blowup_config(p, alpha, factor):
     ``p`` holds a blowup campaign's ``domain``, ``s``, ``n``, ``dt`` and
     ``width``.  The data are a Gaussian bump of that width, scaled to the
     target mass; t_end is 1.5 times the upper end of the blow-up window.
-    Returns ``(config, bracket)``; the bracket carries h0.  Raises DomainError
-    when h0 overflows, when the scaled data are not below ``BLOW_THRESHOLD``,
-    or when the window is too short for a step of t_end / 400.
+    The step is min(dt, t_end / 400), so any dt > 0 runs.  Returns
+    ``(config, bracket)``, the one SimConfig built at the end; the bracket
+    carries h0.  Raises DomainError when h0 overflows, when the scaled data
+    are not below ``BLOW_THRESHOLD``, or when the window is too short for a
+    step of t_end / 400.
     """
     a, b = p["domain"]
-    cfg = SimConfig(
-        alpha=alpha, s=p["s"], a=a, b=b, n=p["n"], dt=p["dt"], t_end=1.0,
-        profile="gauss", profile_params={"amplitude": 1.0, "width": p["width"]},
-    )
-    pair = _get_operator(cfg)[0]
+    pair = _operator(a, b, p["n"], p["s"])[0]
     lam1 = pair.lambda1
-    grid = cfg.grid
-    unit = initial_field(grid, cfg.profile, cfg.profile_params)
+    grid = Grid1D(a, b, p["n"])
+    unit = initial_field(grid, "gauss", {"amplitude": 1.0, "width": p["width"]})
     h0_unit = float(grid.h * np.sum(unit * pair.e1))
     if not (h0_unit > 0 and math.isfinite(h0_unit)):
         raise DomainError(
@@ -523,12 +521,9 @@ def scaled_blowup_config(p, alpha, factor):
             f"h0 = {h0_target:g} underflows: its step t_end / 400 is below the smallest "
             "normal double"
         )
-    dt = min(p["dt"], t_end / 400.0)
-    cfg = replace(
-        cfg,
-        t_end=t_end,
-        dt=dt,
-        profile_params={"amplitude": amplitude, "width": p["width"]},
+    cfg = SimConfig(
+        alpha=alpha, s=p["s"], a=a, b=b, n=p["n"], dt=min(p["dt"], t_end / 400.0), t_end=t_end,
+        profile="gauss", profile_params={"amplitude": amplitude, "width": p["width"]},
     )
     return cfg, bracket
 

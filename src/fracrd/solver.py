@@ -89,7 +89,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .caputo import L1History
+from .caputo import L1History, uniform_mesh
 from .errors import ConvergenceError, DomainError, StepFailureError
 from .fraclap import (
     EigenPair,
@@ -165,9 +165,6 @@ def initial_field(grid: Grid1D, profile: str, params: dict) -> np.ndarray:
 # --- configuration and results ----------------------------------------------
 
 
-_MAX_STEPS = 10_000_000  # SimConfig, _dt_ladder: uniform steps of one run, ~3 minutes at n = 128
-
-
 @dataclass(frozen=True)
 class SimConfig:
     alpha: float
@@ -185,15 +182,7 @@ class SimConfig:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.s < 1.0:
             raise DomainError(f"s must be in (0, 1), got {self.s}")
-        if not self.t_end > 0:
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if not 0 < self.dt <= self.t_end:
-            raise DomainError(f"need 0 < dt <= t_end, got dt={self.dt}")
-        if not self.t_end / self.dt <= _MAX_STEPS:
-            raise DomainError(
-                f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds the limit of "
-                f"{_MAX_STEPS:.0e} uniform steps per run"
-            )
+        uniform_mesh(self.dt, self.t_end)  # the mesh and step budget of the run
         if self.profile not in PROFILES:
             raise DomainError(f"unknown profile '{self.profile}'")
         Grid1D(self.a, self.b, self.n)  # validates the grid spec
@@ -272,7 +261,6 @@ class SimulationResult:
     blowup: float | None  # the time max u crossed BLOW_THRESHOLD, umax[-1] its value
     decay_slope: float | None
     lambda1: float
-    config: SimConfig
     inconclusive: str | None = None
     fields: list | None = None  # the field at each entry of times, with record_fields
 
@@ -382,6 +370,8 @@ _MAX_ADAPTIVE_STEPS = 200_000  # run: committed steps after the adaptive switch 
 def _operator(
     a: float, b: float, n: int, s: float
 ) -> tuple[EigenPair, np.ndarray, np.ndarray]:
+    """The principal eigenpair and eigenbasis (lam, V) of A on the grid
+    (a, b, n) at order s: A = V diag(lam) V^T with lam ascending."""
     grid = Grid1D(a, b, n)
     op = assemble_regional(grid, s)
     pair = principal_eigenpair(op, grid)  # checks A finite and centrosymmetric
@@ -389,12 +379,6 @@ def _operator(
     # shared by every caller
     lam.flags.writeable = v.flags.writeable = pair.e1.flags.writeable = False
     return pair, lam, v
-
-
-def _get_operator(config: SimConfig) -> tuple[EigenPair, np.ndarray, np.ndarray]:
-    """The cached principal eigenpair and eigenbasis (lam, V) of a run's
-    grid and s: A = V diag(lam) V^T with lam ascending."""
-    return _operator(config.a, config.b, config.n, config.s)
 
 
 def run(
@@ -406,10 +390,11 @@ def run(
 
     Builds the cached operator and the checked initial field, runs them
     through ``_march``, and fits the decay slope of a run that neither blew
-    up nor ended unresolved.
+    up nor ended unresolved: ``decay_rate_fit`` on (t_end/100, t_end), None
+    when it rejects the trace.
     """
     grid = config.grid
-    eigenpair, lam, v = _get_operator(config)
+    eigenpair, lam, v = _operator(config.a, config.b, config.n, config.s)
 
     if u0_override is not None:
         u0 = np.asarray(u0_override, dtype=float)
@@ -426,7 +411,10 @@ def run(
     times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = None
     if blowup is None and inconclusive is None:
-        decay_slope = _maybe_decay_slope(times, energy, config)
+        try:
+            decay_slope = decay_rate_fit(times, energy, (config.t_end / 100.0, config.t_end))
+        except (DomainError, ConvergenceError):  # a coarse mesh, or E reached 0: no slope
+            pass
 
     return SimulationResult(
         times=times,
@@ -437,7 +425,6 @@ def run(
         blowup=blowup,
         decay_slope=decay_slope,
         lambda1=eigenpair.lambda1,
-        config=config,
         inconclusive=inconclusive,
         fields=monitors.fields,
     )
@@ -536,21 +523,6 @@ def _march(
     return monitors, blowup, inconclusive
 
 
-def _maybe_decay_slope(times, energy, config):
-    """Fit the late-time log-log slope when the horizon spans two decades."""
-    t_lo, t_hi = config.t_end / 100.0, config.t_end
-    positive = times > 0
-    if not np.any(positive):
-        return None
-    first_t = times[positive][0]
-    if t_lo < first_t:
-        return None
-    mask = (times >= t_lo) & (times <= t_hi)
-    if np.count_nonzero(mask) < 8 or np.any(energy[mask] <= 0):
-        return None
-    return decay_rate_fit(times, energy, (t_lo, t_hi))
-
-
 # --- analysis operations -------------------------------------------------------
 
 _REL_CHANGE = 0.01  # settled_limit: accepted relative gap of two successive limits
@@ -609,12 +581,15 @@ def _dt_ladder(crossing, dt: float, t_end: float) -> BlowupFinding:
     crossing(dt) runs to t_end on the requested step dt and returns its
     crossing time (None if it stayed bounded) and why it ended unresolved
     (None if it did not).  A bounded rung is 'none' at once.  An unresolved
-    rung, no settled limit after ``_MAX_REFINEMENTS`` halvings, and a rung of
-    more than ``_MAX_STEPS`` uniform steps are 'inconclusive'.
+    rung, no settled limit after ``_MAX_REFINEMENTS`` halvings, and a rung
+    whose mesh ``caputo.uniform_mesh`` rejects (past the step budget once dt
+    has halved) are 'inconclusive'.
     """
     estimates = []
     for _ in range(_MAX_REFINEMENTS + 1):
-        if not t_end / dt <= _MAX_STEPS:
+        try:
+            uniform_mesh(dt, t_end)
+        except DomainError:
             break
         t_star, unresolved = crossing(dt)
         if unresolved is not None:
@@ -640,14 +615,22 @@ def detect_blowup(config: SimConfig) -> BlowupFinding:
 
 
 def decay_rate_fit(times, values, window) -> float:
-    """Least-squares slope of log(values) against log(times) on the window."""
+    """Least-squares slope of log(values) against log(times) on the window.
+
+    The window (t_lo, t_hi) must span a decade and lie between the first
+    and the last positive recorded time, so a trace that starts at t = 0
+    still needs a record at or before t_lo; DomainError otherwise, and for
+    a value <= 0 in the window.  Fewer than 8 points in the window raise
+    ConvergenceError.
+    """
     t_lo, t_hi = window
     if not (t_lo > 0 and t_hi >= 10.0 * t_lo):
         raise DomainError(f"window must satisfy 0 < t_lo and t_hi >= 10*t_lo, got {window}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if t_lo < np.min(times) or t_hi > np.max(times) + 1e-12 * t_hi:
-        raise DomainError("window must lie inside the recorded time range")
+    positive = times[times > 0]
+    if not (positive.size and positive.min() <= t_lo and t_hi <= positive.max() + 1e-12 * t_hi):
+        raise DomainError(f"window {window} must lie inside the positive recorded times")
     mask = (times >= t_lo) & (times <= t_hi)
     if np.count_nonzero(mask) < 8:
         raise ConvergenceError(

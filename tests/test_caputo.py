@@ -13,7 +13,7 @@ from fracrd.caputo import (
     l1_weights,
     solve_linear_fode,
 )
-from fracrd import solver
+from fracrd import caputo, solver
 from fracrd.errors import DomainError
 from fracrd.harness import _logistic_crossing
 from fracrd.solver import BLOW_THRESHOLD, _dt_ladder, _march
@@ -442,11 +442,23 @@ class TestLinearFode:
 
     @pytest.mark.parametrize("dt,t_end", [
         (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (2.0, 1.0), (0.1, math.inf),
-        (5e-324, 1e300),  # t_end / dt overflows
+        (5e-324, 1e300),  # t_end / dt overflows: past the step limit
     ])
     def test_mesh_validation(self, dt, t_end):
-        with pytest.raises(DomainError, match="0 < dt <= t_end < inf"):
+        in_range = 0 < dt <= t_end < math.inf
+        cause = "exceeds the limit of 1e\\+07 uniform steps" if in_range else "0 < dt <= t_end < inf"
+        with pytest.raises(DomainError, match=cause):
             solve_linear_fode(0.5, 1.0, 1.0, dt, t_end)
+
+    def test_step_limit(self, monkeypatch):
+        # the step budget of a PDE run; before, 1e-300 raised an untyped
+        # ValueError from allocating 1e300 values
+        with pytest.raises(DomainError, match="exceeds the limit of 1e\\+07 uniform steps"):
+            solve_linear_fode(0.5, 1.0, 1.0, 1e-300, 1.0)
+        monkeypatch.setattr(caputo, "_MAX_STEPS", 100)
+        assert len(solve_linear_fode(0.5, 1.0, 1.0, 0.01, 1.0)) == 101
+        with pytest.raises(DomainError, match="t_end / dt = 101 steps exceeds the limit of 1e\\+02"):
+            solve_linear_fode(0.5, 1.0, 1.0, 1.0 / 101.0, 1.0)
 
 
 def _logistic(alpha, y0, dt, t_end):

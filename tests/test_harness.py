@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracrd import cli, harness, solver
+from fracrd import caputo, cli, harness, solver
 from fracrd.errors import ConfigError
 from fracrd.harness import (
     CAMPAIGN_SCHEMA,
@@ -444,7 +444,7 @@ class TestBlowupRecords:
         # rung and each logistic ladder's second (1000 steps) would pass it.
         # One inconclusive record per ladder, not one campaign_error for the
         # whole campaign
-        monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
+        monkeypatch.setattr(caputo, "_MAX_STEPS", 2 * 416)
         campaign = self._campaign(1.0)
         campaign.params.update(n=32, h0_factors=(1.6,))
         frag, _ = run_campaign(campaign)
@@ -454,6 +454,23 @@ class TestBlowupRecords:
         for record in frag:
             assert math.isnan(record.measured) and not record.passed
             assert record.expected.endswith(";finding:inconclusive")
+
+    def test_step_above_one_gives_the_records_of_a_finer_step(self):
+        # the runs step at min(dt, t_end / 400), which is below 0.5 here, so
+        # dt = 2 and dt = 0.5 give the same records.  Before, dt > 1 failed
+        # a throwaway SimConfig on t_end = 1 and the campaign was one
+        # campaign_error
+        lines = {}
+        for dt in (2.0, 0.5):
+            campaign = self._campaign(1.0)
+            campaign.params.update(n=32, h0_factors=(1.6,), dt=dt)
+            frag, _ = run_campaign(campaign)
+            lines[dt] = [r.line(with_wall=False) for r in frag]
+        assert [line.split()[0] for line in lines[2.0]] == [
+            "check=bu/logistic_T_y0_0.5", "check=bu/logistic_T_y0_1", "check=bu/logistic_T_y0_2",
+            "check=bu/containment_a1_f1.6", "check=bu/stability_a1_f1.6",
+        ]
+        assert lines[2.0] == lines[0.5]
 
     def test_halving_cap_governs_the_logistic_ladders(self, monkeypatch):
         # one rung per ladder: no ladder can settle

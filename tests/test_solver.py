@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrd import solver
+from fracrd import caputo, solver
 from fracrd.caputo import L1History
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
@@ -15,10 +15,10 @@ from fracrd.harness import CAMPAIGN_SCHEMA, Campaign, run_campaign, scaled_blowu
 from fracrd.solver import (
     BLOW_THRESHOLD,
     SimConfig,
-    _get_operator,
     _implicit_step,
     _matrix_step,
     _Monitors,
+    _operator,
     _step_matrix,
     blowup_bracket,
     decay_rate_fit,
@@ -52,6 +52,23 @@ class TestConfig:
         SimConfig(**base, dt=1e-4, t_end=1000.0)  # 1e7 steps: at the limit
         with pytest.raises(DomainError, match="exceeds the limit of 1e\\+07 uniform steps"):
             SimConfig(**base, dt=dt, t_end=t_end)
+
+    def test_step_count_is_the_rounded_ratio(self):
+        # t_end / dt = 1e7 + 0.4 is the 1e7 steps of the history; before,
+        # SimConfig tested the ratio itself and refused it
+        dt = 1.0 / (1e7 + 0.4)
+        SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16, dt=dt, t_end=1.0)
+        assert L1History(0.0, 0.5, dt, 1.0).n_steps == 10_000_000
+
+    def test_step_limit_read_from_caputo(self, monkeypatch):
+        monkeypatch.setattr(caputo, "_MAX_STEPS", 100)
+        SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16, dt=0.01, t_end=1.0)
+        with pytest.raises(DomainError, match="exceeds the limit of 1e\\+02 uniform steps"):
+            SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16, dt=1.0 / 101.0, t_end=1.0)
+
+    def test_infinite_t_end_is_named(self):
+        with pytest.raises(DomainError, match="t_end=inf"):
+            SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=16, dt=0.1, t_end=math.inf)
 
     def test_decay_campaign_past_the_step_budget_is_a_failed_record(self):
         params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["decay"].items()}
@@ -218,50 +235,50 @@ class TestMonitors:
 
 class TestOperatorCache:
     @staticmethod
-    def _config(s):
-        return SimConfig(alpha=0.5, s=s, a=0.0, b=1.0, n=8, dt=0.1, t_end=1.0)
+    def _key(s):
+        """(a, b, n, s) of an 8-node grid on [0, 1]."""
+        return 0.0, 1.0, 8, s
 
     def test_hit_returns_same_objects(self):
-        cfg = self._config(0.31)
-        pair, lam, v = _get_operator(cfg)
-        again = _get_operator(cfg)
+        pair, lam, v = _operator(*self._key(0.31))
+        again = _operator(*self._key(0.31))
         assert again[0] is pair and again[1] is lam and again[2] is v
         assert not (lam.flags.writeable or v.flags.writeable)
 
     def test_cached_arrays_reject_writes(self):
         # every run on the grid shares them
-        pair, lam, v = _get_operator(self._config(0.32))
+        pair, lam, v = _operator(*self._key(0.32))
         for array in (pair.e1, lam, v):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
     def test_evicts_least_recently_used(self):
-        size = solver._operator.cache_info().maxsize
-        configs = [self._config(0.1 + 0.01 * k) for k in range(size + 1)]
-        first = [_get_operator(cfg) for cfg in configs[:size]]
-        assert _get_operator(configs[0])[0] is first[0][0]  # now most recently used
-        _get_operator(configs[size])
-        assert solver._operator.cache_info().currsize == size
-        assert _get_operator(configs[0])[0] is first[0][0]
-        assert _get_operator(configs[1])[0] is not first[1][0]  # evicted, rebuilt
+        size = _operator.cache_info().maxsize
+        keys = [self._key(0.1 + 0.01 * k) for k in range(size + 1)]
+        first = [_operator(*key) for key in keys[:size]]
+        assert _operator(*keys[0])[0] is first[0][0]  # now most recently used
+        _operator(*keys[size])
+        assert _operator.cache_info().currsize == size
+        assert _operator(*keys[0])[0] is first[0][0]
+        assert _operator(*keys[1])[0] is not first[1][0]  # evicted, rebuilt
 
     def test_threads_share_a_bounded_cache(self):
         # More threads than cores and a short switch interval, so a lookup and
         # an eviction interleave.
-        size = solver._operator.cache_info().maxsize
-        configs = [self._config(0.2 + 0.01 * k) for k in range(size + 2)]
-        serial = [_get_operator(cfg)[0].lambda1 for cfg in configs]
-        requests = [configs[k % len(configs)] for k in range(1000)]
+        size = _operator.cache_info().maxsize
+        keys = [self._key(0.2 + 0.01 * k) for k in range(size + 2)]
+        serial = [_operator(*key)[0].lambda1 for key in keys]
+        requests = [keys[k % len(keys)] for k in range(1000)]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_get_operator, cfg) for cfg in requests]
+                futures = [pool.submit(_operator, *key) for key in requests]
                 results = [f.result(timeout=120)[0].lambda1 for f in futures]
         finally:
             sys.setswitchinterval(old)
-        assert results == [serial[k % len(configs)] for k in range(1000)]
-        assert solver._operator.cache_info().currsize <= size
+        assert results == [serial[k % len(keys)] for k in range(1000)]
+        assert _operator.cache_info().currsize <= size
 
 
 class TestRun:
@@ -271,7 +288,7 @@ class TestRun:
         cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=10.0,
                         profile="parabola", profile_params={"amplitude": 0.9})
         r = run(cfg)
-        pair, lam, v = _get_operator(cfg)
+        pair, lam, v = _operator(cfg.a, cfg.b, cfg.n, cfg.s)
         h, e1 = cfg.grid.h, pair.e1
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
         history = L1History(u, cfg.alpha, cfg.dt, cfg.t_end)
@@ -364,7 +381,7 @@ class TestRun:
         cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=48, dt=0.05, t_end=2.0,
                         profile="parabola", profile_params={"amplitude": 0.8})
         r = run(cfg, record_fields=True)
-        pair = _get_operator(cfg)[0]
+        pair = _operator(cfg.a, cfg.b, cfg.n, cfg.s)[0]
         e1 = pair.e1
         h = cfg.grid.h
         mass = h * e1.sum()
@@ -481,7 +498,7 @@ class TestBlowupRuns:
         # would pass the budget, and the two estimates differ by more than 1%
         cfg = self._alpha_one_blowup()
         assert round(cfg.t_end / cfg.dt) == 416
-        monkeypatch.setattr(solver, "_MAX_STEPS", 2 * 416)
+        monkeypatch.setattr(caputo, "_MAX_STEPS", 2 * 416)
         finding = detect_blowup(cfg)
         assert (finding.status, finding.t_star) == ("inconclusive", None)
         assert len(finding.estimates) == 2
@@ -562,7 +579,7 @@ class TestDetectBlowup:
         # quadratic-growth equation for the shifted mass H - (1 + lambda1).
         cfg = SimConfig(alpha=1.0, s=0.4, a=0.0, b=40.0, n=128, dt=1e-3, t_end=1.0,
                         profile="constant", profile_params={"amplitude": 3.0})
-        pair = _get_operator(cfg)[0]
+        pair = _operator(cfg.a, cfg.b, cfg.n, cfg.s)[0]
         finding = detect_blowup(cfg)
         assert finding.status == "blowup"
         shifted = 3.0 - (1.0 + pair.lambda1)
@@ -597,6 +614,15 @@ class TestDecayFit:
             decay_rate_fit(t, t**-1.0, (5.0, 20.0))  # t_hi < 10*t_lo
         with pytest.raises(DomainError):
             decay_rate_fit(t, t**-1.0, (0.1, 50.0))  # window leaves the range
+
+    def test_window_starts_at_the_first_positive_time(self):
+        # a solver trace starts at t = 0; before, the window was tested
+        # against min(times) = 0, and (10, 1000) fitted the records from 50 on
+        t = np.arange(0.0, 1001.0, 50.0)
+        e = np.r_[1.0, t[1:] ** -1.0]
+        with pytest.raises(DomainError, match="positive recorded times"):
+            decay_rate_fit(t, e, (10.0, 1000.0))
+        assert decay_rate_fit(t, e, (50.0, 1000.0)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_degenerate_fit_reported(self):
         t = np.array([1.0, 5.0, 20.0, 40.0, 100.0])
