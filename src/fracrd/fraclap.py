@@ -53,17 +53,19 @@ limit is the classical Dirichlet Laplacian.
 
 Both matrices are centrosymmetric bit for bit: the grid is its own mirror
 image under x -> a + b - x.  ``principal_eigenpair`` uses that.  One pass
-over A checks it finite and equal to its mirror image and takes ||A||_1;
-then one inverse-iteration loop runs on the Cholesky factor of the
-ceil(n/2) mirror-even block B = Q^T A Q, one LAPACK ``potrs`` solve per
-iteration, and stops on a backward-error bound, 16 * eps * ||A||_1, met by
-the residual on A itself; it returns lambda1 and e1 as a plain array of
-the values at the interior nodes, which ``dump_eigenpair`` writes against
-the grid's nodes.  ``mirror_eigenbasis`` uses the same fold for the
-full eigendecomposition A = V diag(lam) V^T on which the solver takes its
-implicit steps: ``eigh`` of the even block and of the floor(n/2) mirror-odd
-block.  Dense ``eigh`` of A itself serves only as the independent oracle
-(tests, the eigen_convergence campaign, the benchmark).
+over A, strips of its top half against their mirror strips, checks it
+finite and equal to its mirror image, takes ||A||_1 and forms the
+ceil(n/2) mirror-even block B = Q^T A Q; then one inverse-iteration loop
+runs on the Cholesky factor of B (LAPACK ``potrf`` on B's Fortran-ordered
+transpose, which is B itself, so no transposing copy), one ``potrs`` solve
+per iteration, and stops on a backward-error bound, 16 * eps * ||A||_1,
+met by the residual on A itself; it returns lambda1 and e1 as a plain
+array of the values at the interior nodes, which ``dump_eigenpair`` writes
+against the grid's nodes.  ``mirror_eigenbasis`` uses the same pass for
+the full eigendecomposition A = V diag(lam) V^T on which the solver takes
+its implicit steps: ``eigh`` of the even block and of the floor(n/2)
+mirror-odd block.  Dense ``eigh`` of A itself serves only as the
+independent oracle (tests, the eigen_convergence campaign, the benchmark).
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, toeplitz
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import AssemblyError, ConvergenceError, DomainError
 
@@ -82,7 +84,7 @@ _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
 # The suite meets the bound in 9 to 13 iterations, the tests in 9 to 14, and
 # n <= 1025 with s in [1e-3, 1 - 1e-6] in at most 22.
 _MAX_ITERATIONS = 100
-_STRIP_ROWS = 64  # rows per strip of principal_eigenpair's one pass over A
+_STRIP_ROWS = 64  # rows per strip of _mirror_even_block's one pass over A
 
 
 def _spline_rule(points: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -319,43 +321,47 @@ def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> Opera
     return _symmetric_operator(h, s, column, diag, off)
 
 
-def _centrosymmetric_norm1(a: np.ndarray) -> float:
-    """||A||_1 from one pass over strips of A; ConvergenceError unless A is
-    finite, DomainError unless A equals its mirror image J A J exactly.
+def _mirror_even_block(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(B, ||A||_1) from one pass over A, with B = Q^T A Q for the orthonormal
+    basis Q of mirror-even vectors: the first ceil(n/2) entries of w = Q y
+    are y, scaled by 1/sqrt(2) off the middle node, and the rest are their
+    mirror image.
 
-    Each strip of _STRIP_ROWS rows is compared with its mirror strip
-    reversed in both axes, and |A| is summed by column, so the pass forms no
-    n x n temporary."""
+    Each strip of _STRIP_ROWS rows of the top floor(n/2) is compared with
+    its mirror strip reversed in both axes, which covers every entry of A
+    once; the middle row of an odd n is compared with its own reverse.  |A|
+    is summed by column over the top half, and the bottom half adds the
+    mirrored sums.  ConvergenceError unless A is finite, DomainError unless
+    A equals its mirror image J A J exactly."""
     n, t = len(a), _STRIP_ROWS
+    k, m = (n + 1) // 2, n // 2
+    b = np.empty((k, k))
     colsum = np.zeros(n)
-    finite = mirrored = True
-    for i in range(0, n, t):
-        rows = a[i : i + t]
-        finite = finite and bool(np.isfinite(rows).all())
+    mirrored = True
+    for i in range(0, m, t):
+        rows = a[i : min(i + t, m)]
         mirrored = mirrored and np.array_equal(rows, a[n - i - len(rows) : n - i][::-1, ::-1])
         colsum += np.abs(rows).sum(axis=0)
-    if not finite:
-        raise ConvergenceError("operator matrix has non-finite entries")
-    if not mirrored:
-        raise DomainError(
-            "operator matrix is not centrosymmetric (A != J A J, J the reversal): "
-            "principal_eigenpair needs the mirror symmetry of a uniform grid"
-        )
-    return float(np.max(colsum))
-
-
-def _mirror_even_block(a: np.ndarray) -> np.ndarray:
-    """B = Q^T A Q for the orthonormal basis Q of mirror-even vectors: the
-    first ceil(n/2) entries of w = Q y are y, scaled by 1/sqrt(2) off the
-    middle node, and the rest are their mirror image."""
-    n = len(a)
-    k, m = (n + 1) // 2, n // 2
-    b = a[:k, :k].copy()
-    b[:, :m] += a[:k, ::-1][:, :m]
+        np.add(rows[:, :m], rows[:, ::-1][:, :m], out=b[i : i + len(rows), :m])
+    colsum = colsum + colsum[::-1]
     if k > m:  # odd n: the middle node is its own mirror image
-        b[:m, m] *= math.sqrt(2.0)
+        middle = a[m]
+        mirrored = mirrored and np.array_equal(middle, middle[::-1])
+        colsum += np.abs(middle)
+        b[:m, m] = a[:m, m] * math.sqrt(2.0)
         b[m, :m] = b[:m, m]
-    return b
+        b[m, m] = middle[m]
+    norm = float(np.max(colsum))
+    if not (mirrored and math.isfinite(norm)):
+        # a NaN or inf off the top half shows only as a mismatch
+        if not np.isfinite(a).all():
+            raise ConvergenceError("operator matrix has non-finite entries")
+        if not mirrored:
+            raise DomainError(
+                "operator matrix is not centrosymmetric (A != J A J, J the reversal): "
+                "principal_eigenpair needs the mirror symmetry of a uniform grid"
+            )
+    return b, norm
 
 
 def _mirror_odd_block(a: np.ndarray) -> np.ndarray:
@@ -387,10 +393,11 @@ def mirror_eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2.4 ms at n = 128, 107 against 311 ms at n = 1024, 5.5 against 21 s at
     n = 4096, one BLAS thread).  ``eigh`` is LAPACK's divide and conquer
     ``syevd``: ||V^T V - I||_max is 0.007 to 0.05 n*eps for n from 128 to
-    4096, where ``syevr`` gave up to 1.1 n*eps.  A is not checked:
-    ``principal_eigenpair`` checks it finite and centrosymmetric."""
+    4096, where ``syevr`` gave up to 1.1 n*eps.  The pass that forms the
+    even block checks A finite (ConvergenceError) and centrosymmetric
+    (DomainError)."""
     n = len(a)
-    lam_even, y = np.linalg.eigh(_mirror_even_block(a))
+    lam_even, y = np.linalg.eigh(_mirror_even_block(a)[0])
     lam_odd, z = np.linalg.eigh(_mirror_odd_block(a))
     lam = np.concatenate((lam_even, lam_odd))
     order = np.argsort(lam, kind="stable")
@@ -417,7 +424,10 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     so plain inverse iteration on B finds it.  Odd modes are never seen:
     the result is A's ground state when that is positive, as this
     operator's is (dense eigh agrees for n up to 1025 and s from 1e-3 to
-    1 - 1e-6).  Once
+    1 - 1e-6).  One pass over A checks it, takes ||A||_1 and forms B
+    (``_mirror_even_block``); B is symmetric bit for bit, so its transpose
+    is the same matrix in the Fortran order LAPACK's ``potrf`` takes, and
+    the factor costs one plain copy of B, not a transposing one.  Once
     B's residual ||B y - lambda y|| for the unit iterate y is at most
     16 * eps * ||A||_1, lambda and the residual are recomputed on A itself
     for w = Q y, and the loop stops when that residual (a backward error: w
@@ -439,13 +449,13 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     if grid.n != op.dim:
         raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
     a, n = op.entries, op.dim
-    a_norm = _centrosymmetric_norm1(a)
+    b, a_norm = _mirror_even_block(a)
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * a_norm
-    b = _mirror_even_block(a)
-    try:
-        factor = cho_factor(b, check_finite=False)[0]
-    except np.linalg.LinAlgError:
-        raise ConvergenceError("operator matrix is not positive definite") from None
+    # B is symmetric bit for bit, so B.T is B in Fortran order and LAPACK's
+    # copy of it is a plain memcpy; B itself stays intact for b @ y below
+    factor, info = dpotrf(b.T, lower=0, overwrite_a=0, clean=0)
+    if info > 0:
+        raise ConvergenceError("operator matrix is not positive definite")
     y = np.full(len(b), 1.0 / math.sqrt(len(b)))
     for _ in range(_MAX_ITERATIONS):
         y = dpotrs(factor, y)[0]  # its info is nonzero only for an illegal argument

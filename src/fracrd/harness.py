@@ -454,12 +454,13 @@ def _run_decay(campaign) -> tuple:
     result = run(cfg)
     traces[f"{name}_alpha{alpha:g}"] = result
     slope = result.decay_slope
+    note = f";error:{result.slope_error}" if result.slope_error else ""
     # E(t) = ||u||^2 and each mode's amplitude decays like t^-alpha, so the
     # sharp rate of E is t^(-2 alpha); the band's half-width is alpha*band.
     band = 0.15
     frag.append(_record(name, "slope", f"alpha:{alpha:g};s:{p['s']:g}",
                         slope if slope is not None else math.nan,
-                        within(-alpha * (2 + band), -alpha * (2 - band), alpha * band), t0))
+                        within(-alpha * (2 + band), -alpha * (2 - band), alpha * band), t0, note))
 
     t0 = time.perf_counter()
     e0 = result.energy[0]

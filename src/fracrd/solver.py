@@ -262,6 +262,7 @@ class SimulationResult:
     decay_slope: float | None
     lambda1: float
     inconclusive: str | None = None
+    slope_error: str | None = None  # decay_rate_fit's error type when it rejected the trace
     fields: list | None = None  # the field at each entry of times, with record_fields
 
 
@@ -391,7 +392,7 @@ def run(
     Builds the cached operator and the checked initial field, runs them
     through ``_march``, and fits the decay slope of a run that neither blew
     up nor ended unresolved: ``decay_rate_fit`` on (t_end/100, t_end), None
-    when it rejects the trace.
+    when it rejects the trace, with the type of its error in ``slope_error``.
     """
     grid = config.grid
     eigenpair, lam, v = _operator(config.a, config.b, config.n, config.s)
@@ -409,12 +410,12 @@ def run(
         lam, v, eigenpair.e1, grid.h, u0, config.alpha, config.dt, config.t_end, record_fields,
     )
     times, energy, h_func, umin, umax = monitors.columns()
-    decay_slope = None
+    decay_slope = slope_error = None
     if blowup is None and inconclusive is None:
         try:
             decay_slope = decay_rate_fit(times, energy, (config.t_end / 100.0, config.t_end))
-        except (DomainError, ConvergenceError):  # a coarse mesh, or E reached 0: no slope
-            pass
+        except (DomainError, ConvergenceError) as exc:  # a coarse mesh, or E reached 0
+            slope_error = type(exc).__name__
 
     return SimulationResult(
         times=times,
@@ -426,6 +427,7 @@ def run(
         decay_slope=decay_slope,
         lambda1=eigenpair.lambda1,
         inconclusive=inconclusive,
+        slope_error=slope_error,
         fields=monitors.fields,
     )
 

@@ -6,14 +6,19 @@ appear; the same checks are produced as report records by ``fracrd run --all``.
 """
 
 import collections
+import importlib.util
+import math
 import time
+from pathlib import Path
 
 import pytest
 
 from fracrd import harness, solver
-from fracrd.harness import Campaign, default_campaigns, run_campaign, run_campaigns
+from fracrd.harness import Campaign, Report, default_campaigns, run_campaign, run_campaigns
 
 _BY_NAME = {c.name: c for c in default_campaigns()}
+_ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_REPORT = _ROOT / "tests" / "data" / "reference_report.txt"
 
 
 def _timed(campaign):
@@ -247,6 +252,36 @@ def test_gates_frozen(ml_result, eigen_result, decay_results, blowup_result, inv
             continue
         (gate,) = [gate for prefix, gate in _FROZEN_GATES.items() if label.startswith(prefix)]
         assert (rec.expected, f"{rec.tol:.15g}") == gate, label
+
+
+def _report_diff():
+    spec = importlib.util.spec_from_file_location(
+        "_script_report_diff", _ROOT / "scripts" / "report_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_matches_committed_reference(ml_result, eigen_result, decay_results,
+                                            blowup_result, invariant_result, tmp_path):
+    # The canonical report of the default suite against the committed one:
+    # the same records, the same gates, and each measured value within 1e-12
+    # relative (NaN equal to NaN).  A change that moves a value updates the
+    # reference in the same change and lists the moves.
+    frags = [ml_result[0], eigen_result[0], blowup_result[0], invariant_result[0],
+             *(frag for frag, _ in decay_results.values())]
+    current = tmp_path / "report.txt"
+    current.write_text(Report([r for frag in frags for r in frag]).canonical_text())
+    read_records = _report_diff().read_records
+    reference, records = read_records(REFERENCE_REPORT), read_records(current)
+    assert len(reference) == 70
+    assert sorted(records) == sorted(reference)
+    for key, ref in reference.items():
+        rec = records[key]
+        assert (rec["expected"], rec["tol"]) == (ref["expected"], ref["tol"]), key
+        got, want = float(rec["measured"]), float(ref["measured"])
+        assert (got == want or (math.isnan(got) and math.isnan(want))
+                or abs(got - want) <= 1e-12 * max(abs(got), abs(want))), key
 
 
 def test_criterion_9_determinism():

@@ -534,6 +534,17 @@ def test_envelope_outside_ml_eval_range_fails_only_its_record():
     assert records["l1_monotone"].passed and records["l1_order"].passed
 
 
+def test_slope_without_a_fit_names_its_error():
+    # dt = 0.5, t_end = 20: the fit window (0.2, 20) starts before the first
+    # step, so decay_rate_fit raises DomainError and the record carries it
+    params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["decay"].items()}
+    params.update(alpha=0.5, s=0.5, n=8, dt=0.5, t_end=20.0)
+    frag, _ = run_campaign(Campaign(name="d", kind="decay", params=params))
+    slope = next(r for r in frag if r.name == "slope")
+    assert math.isnan(slope.measured) and not slope.passed
+    assert slope.expected == "in[-1.075,-0.925];error:DomainError"
+
+
 # Every other key small, so each case of the sweep costs at most about 0.2 s.
 _SWEEP_SMALL = {
     "invariant_region": {"alphas": "1", "s_values": "0.5", "n": "8", "dt": "0.5", "t_end": "1",

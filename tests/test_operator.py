@@ -10,9 +10,11 @@ from fracrd.fraclap import (
     OperatorMatrix,
     _boundary_weight_mass,
     _fullspace_energy_column,
+    _mirror_even_block,
     assemble_regional,
     assemble_regional_untruncated,
     dump_eigenpair,
+    mirror_eigenbasis,
     principal_eigenpair,
 )
 
@@ -285,6 +287,61 @@ class TestEigenpair:
         op = OperatorMatrix(a)
         with pytest.raises(ConvergenceError, match="non-finite entries"):
             principal_eigenpair(op, grid)
+
+    # (n, row, column) off the top half that the mirror pass reads only as a
+    # mirror image: the bottom half, the middle row of an odd n, its centre
+    _OFF_TOP = [(8, 6, 2), (9, 7, 1), (9, 4, 2), (9, 4, 8), (9, 4, 4)]
+    _SOLVES = pytest.mark.parametrize(
+        "solve",
+        [lambda a: principal_eigenpair(OperatorMatrix(a), Grid1D(0.0, 1.0, len(a))),
+         mirror_eigenbasis],
+        ids=["principal_eigenpair", "mirror_eigenbasis"],
+    )
+
+    @pytest.mark.parametrize("where", _OFF_TOP)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @_SOLVES
+    def test_non_finite_entry_off_the_top_half_is_named(self, where, value, solve):
+        n, i, j = where
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries.copy()
+        a[i, j] = value
+        with pytest.raises(ConvergenceError, match="non-finite entries"):
+            solve(a)
+
+    @pytest.mark.parametrize("where", _OFF_TOP[:4])  # a change at the centre keeps J A J = A
+    @_SOLVES
+    def test_finite_change_off_the_top_half_is_not_centrosymmetric(self, where, solve):
+        n, i, j = where
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries.copy()
+        a[i, j] *= 1.5
+        with pytest.raises(DomainError, match="not centrosymmetric"):
+            solve(a)
+
+    @pytest.mark.parametrize("n", [8, 65, 600])
+    def test_operator_entries_are_left_intact(self, n):
+        grid = Grid1D(0.0, 1.0, n)
+        op = assemble_regional(grid, 0.7)
+        before = op.entries.copy()
+        principal_eigenpair(op, grid)
+        assert op.entries.tobytes() == before.tobytes()
+        mirror_eigenbasis(op.entries)
+        assert op.entries.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 127, 128, 1023, 1024])
+    def test_mirror_pass_forms_the_even_block_bit_for_bit(self, n):
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.3).entries
+        k, m = (n + 1) // 2, n // 2
+        expected = a[:k, :k].copy()
+        expected[:, :m] = a[:k, :m] + a[:k, ::-1][:, :m]
+        if k > m:  # the middle column, and row, carry sqrt(2)
+            expected[:m, m] *= math.sqrt(2.0)
+            expected[m, :m] = expected[:m, m]
+        b, norm = _mirror_even_block(a)
+        assert b.tobytes() == expected.tobytes()
+        assert np.array_equal(b, b.T)  # so potrf may read b.T as b
+        # only the summation order differs from numpy's column sums, each a
+        # sum of n nonnegative terms within (n - 1) * eps of the exact one
+        assert math.isclose(norm, np.linalg.norm(a, 1), rel_tol=2 * n * np.finfo(float).eps)
 
     def test_eigenvector_overflow_is_named(self):
         # an operator paired with a grid of subnormal cell width: e1 = w / (h * sum w)

@@ -322,6 +322,14 @@ class TestRun:
         r = run(cfg)
         assert r.times[1] == 0.025
 
+    def test_rejected_fit_names_its_error(self):
+        # the window (0.2, 20) starts before the first step at t = 0.5
+        cfg = SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=8, dt=0.5, t_end=20.0)
+        r = run(cfg)
+        assert r.decay_slope is None and r.slope_error == "DomainError"
+        fitted = run(SimConfig(alpha=0.5, s=0.5, a=0.0, b=1.0, n=8, dt=0.05, t_end=20.0))
+        assert fitted.decay_slope is not None and fitted.slope_error is None
+
     def test_zero_data(self):
         cfg = SimConfig(alpha=0.8, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=1.0,
                         profile="constant", profile_params={"amplitude": 0.0})
