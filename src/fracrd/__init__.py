@@ -15,7 +15,6 @@ from .fraclap import (
     Grid1D,
     OperatorMatrix,
     assemble_regional,
-    assemble_regional_untruncated,
     principal_eigenpair,
 )
 from .solver import (
@@ -36,7 +35,6 @@ __all__ = [
     "OperatorMatrix",
     "EigenPair",
     "assemble_regional",
-    "assemble_regional_untruncated",
     "principal_eigenpair",
     "SimConfig",
     "SimulationResult",

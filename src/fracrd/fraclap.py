@@ -35,23 +35,16 @@ with n: the nearest-neighbour entry is positive below it.  Measured on
 (0, 1), the largest failing s on a 0.01 grid is 0.08 at n = 16, 0.17 at
 n = 64, 0.21 at n = 256, 0.22 at n = 1024 and 2048, and 0.23 at n = 4096.
 
-``assemble_regional_untruncated`` keeps a cell-collocation construction on a
-cell-centred grid tiling all of (a, b): midpoint values against exact
-cell-wise kernel integrals plus a symmetric-cancellation treatment of the
-singular cell.  It annihilates constant fields exactly, which is the
-property it exists to check; quadrature of the kernel itself would blow up
-near the singularity, hence the closed-form cell integrals
-
-    int_cell |x_i - xi|^(-1-2s) dxi
-        = ((d - h/2)^(-2s) - (d + h/2)^(-2s)) / (2s),   d = |i-j| h.
-
-Both variants build A symmetric by construction, a Toeplitz matrix with its
-three central diagonals overwritten, and check its 3n distinct values finite
-before forming it.  Both use the normalization
+``assemble_regional`` builds A symmetric by construction, a Toeplitz matrix
+with its three central diagonals overwritten, and checks its 3n distinct
+values finite before forming it.  It uses the normalization
 C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under which the s -> 1
-limit is the classical Dirichlet Laplacian.
+limit is the classical Dirichlet Laplacian.  The eigen_convergence
+campaign's ``energy_s*`` record checks A against an independent value: the
+closed-form regional energy of the parabola xi (1 - xi), xi = (x-a)/(b-a),
+against h u^T A u for its nodal values u.
 
-Both matrices are centrosymmetric bit for bit: the grid is its own mirror
+The matrix is centrosymmetric bit for bit: the grid is its own mirror
 image under x -> a + b - x.  ``principal_eigenpair`` uses that.  One pass
 over A, strips of its top half against their mirror strips, checks it
 finite and equal to its mirror image, takes ||A||_1 and forms the
@@ -165,29 +158,6 @@ def normalizing_constant(s: float) -> float:
     return 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * abs(gamma_s))
 
 
-def _cell_kernel_integrals(h: float, offsets: np.ndarray, s: float) -> np.ndarray:
-    """Exact integral of |x - xi|^(-1-2s) over a width-h cell at distance k*h."""
-    d = offsets * h
-    return ((d - 0.5 * h) ** (-2.0 * s) - (d + 0.5 * h) ** (-2.0 * s)) / (2.0 * s)
-
-
-def _symmetric_operator(h: float, s: float, column, diag, off) -> OperatorMatrix:
-    """A = toeplitz(column) with its diagonal set to diag and both neighbouring
-    diagonals to off, symmetric by construction.  Every entry of A is one of
-    these O(n) values, so checking them finite checks A; AssemblyError if not."""
-    if not all(np.isfinite(v).all() for v in (column, diag, off)):
-        raise AssemblyError(
-            f"assembled matrix has non-finite entries: the cell width h = {h:g} is "
-            f"outside the range its kernel powers can represent at s = {s:g}"
-        )
-    n = len(column)
-    entries = toeplitz(column)
-    entries.flat[:: n + 1] = diag
-    entries.flat[1 :: n + 1] = off
-    entries.flat[n :: n + 1] = off
-    return OperatorMatrix(entries)
-
-
 def _slope_kernel_primitive(t: np.ndarray, s: float) -> np.ndarray:
     """Double cell primitive of |t|^(1-2s)/(2s(2s-1)); log form at s = 1/2.
 
@@ -274,7 +244,7 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
     c = normalizing_constant(s)
     # A's 3n distinct values: the scaled Toeplitz column, and its first two
     # entries less the boundary mass.  Powers of h that leave the double range
-    # are an AssemblyError from _symmetric_operator; numpy's warnings would repeat it.
+    # are an AssemblyError below; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         column = _fullspace_energy_column(n, h, s)
         try:
@@ -287,38 +257,19 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         diag = (column[0] - diag) * scale
         off = (column[1] - off) * scale
         column *= scale
-    return _symmetric_operator(h, s, column, diag, off)
-
-
-def assemble_regional_untruncated(a: float, b: float, n: int, s: float) -> OperatorMatrix:
-    """Auxiliary assembly with cell-centred nodes tiling all of (a, b).
-
-    No exterior-zero mass is imposed, so the discrete operator annihilates
-    constant fields exactly; used to check consistency with the principal-
-    value definition, which kills u(x) - u(xi) for constants.
-    """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must be in (0, 1), got {s}")
-    if not (2 <= n <= _MAX_NODES):
-        raise DomainError(f"n={n} outside supported range [2, {_MAX_NODES}]")
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    h = (b - a) / n
-    c = normalizing_constant(s)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kernel = _cell_kernel_integrals(h, np.arange(1, n, dtype=float), s)
-        csum = np.concatenate(([0.0], np.cumsum(kernel)))
-        # Singular-cell curvature correction as a second difference with
-        # reflected ends (no exterior coupling), so constants stay in the kernel;
-        # a numpy scalar, so that h * h = 0 or an overflow gives inf, not an error.
-        gh2 = np.float64(0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / (h * h)
-        diag_corr = np.full(n, 2.0 * gh2)
-        diag_corr[0] = diag_corr[-1] = gh2
-        column = np.concatenate(([0.0], -kernel)) * c
-        diag = (csum + csum[::-1] + diag_corr) * c
-        off = (-kernel[0] - gh2) * c
-    return _symmetric_operator(h, s, column, diag, off)
+    # every entry of A is one of these values, so checking them finite checks A
+    if not all(np.isfinite(v).all() for v in (column, diag, off)):
+        raise AssemblyError(
+            f"assembled matrix has non-finite entries: the cell width h = {h:g} is "
+            f"outside the range its kernel powers can represent at s = {s:g}"
+        )
+    # symmetric by construction: the diagonal and both neighbouring diagonals
+    # of toeplitz(column) are overwritten with equal values
+    entries = toeplitz(column)
+    entries.flat[:: n + 1] = diag
+    entries.flat[1 :: n + 1] = off
+    entries.flat[n :: n + 1] = off
+    return OperatorMatrix(entries)
 
 
 def _mirror_even_block(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -77,8 +77,10 @@ A uniform step at n = 128 takes about 15 us in all at best, one BLAS thread.
 
 A run counts as blown up once its value (max u for a field) reaches
 ``BLOW_THRESHOLD``, and ends unresolved once its adaptive step falls below
-``DT_FLOOR_REL * t_end``.  ``_dt_ladder`` is the one dt-halving ladder of
-a crossing time, for ``detect_blowup`` and ``harness``'s one-mode oracle.
+``DT_FLOOR_REL * max(t, dt)`` at the time t it has reached: a floor
+relative to that time, not to the horizon t_end.  ``_dt_ladder`` is the one
+dt-halving ladder of a crossing time, for ``detect_blowup`` and
+``harness``'s one-mode oracle.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ from .fraclap import (
 )
 
 BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) reaches this
-DT_FLOOR_REL = 1e-14  # an adaptive step below DT_FLOOR_REL * t_end ends the run unresolved
+# an adaptive step below DT_FLOOR_REL * max(t_last, dt), t_last the time reached, ends the
+# run unresolved
+DT_FLOOR_REL = 1e-14
 
 # --- initial-data profiles --------------------------------------------------
 # All profiles are expressed in the relative coordinate xr = (x-a)/(b-a) and
@@ -457,13 +461,14 @@ def _march(
     and the step size halved whenever the relative growth of max u exceeds
     1/2.  The adaptive regime ends the run unresolved after
     ``_MAX_ADAPTIVE_STEPS`` committed steps or once its step falls below
-    ``DT_FLOOR_REL * t_end``.
+    ``DT_FLOOR_REL * max(t_last, dt)``, t_last the last committed time: a
+    floor relative to the time reached, not to t_end, and one that stays
+    positive for a run adaptive from t = 0.
     """
     history = L1History(u0, alpha, dt, t_end)
     n_steps, dt = history.n_steps, history.dt
     step, append, scale = history.step, history.append, history.scale
     cur_dt = dt
-    floor = DT_FLOOR_REL * t_end
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
     # A step of the uniform size is one product with the step matrix, once
@@ -505,6 +510,7 @@ def _march(
                 max_new = math.sqrt(norm2)
             if adaptive and max_new - u_max > 0.5 * max(u_max, 1.0):
                 cur_dt *= 0.5
+                floor = DT_FLOOR_REL * max(history.t_last, dt)
                 if cur_dt < floor:
                     inconclusive = (
                         f"step size collapsed below floor {floor:g} "

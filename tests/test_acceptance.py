@@ -121,7 +121,7 @@ def test_criterion_3_scalar_blowup_oracle(blowup_result):
 
 def test_criterion_4_operator_correctness(eigen_result):
     frag, elapsed = eigen_result
-    wanted = ["symmetry", "psd_probes", "annihilate_constants", "cauchy_lambda1"]
+    wanted = ["symmetry", "min_eigenvalue", "energy_s0.9", "cauchy_lambda1"]
     recs = {r.name: r for r in frag}
     ok = all(recs[w].passed for w in wanted)
     oracle = _records(frag, "lambda1_vs_dense_s")
@@ -131,8 +131,9 @@ def test_criterion_4_operator_correctness(eigen_result):
         4,
         "operator",
         ok,
-        f"symmetry={recs['symmetry'].measured:.2g}, psd_min={recs['psd_probes'].measured:.2g}, "
-        f"const_resid={recs['annihilate_constants'].measured:.2g}, "
+        f"symmetry={recs['symmetry'].measured:.2g}, "
+        f"min_eigenvalue={recs['min_eigenvalue'].measured:.2g}, "
+        f"energy_rel={recs['energy_s0.9'].measured:.2g}, "
         f"lambda1_rel_max={max(r.measured for r in oracle):.2g}, "
         f"cauchy_min_ratio={recs['cauchy_lambda1'].measured:.3f} (>=1.5), "
         f"runtime={elapsed:.1f}s",
@@ -222,8 +223,8 @@ _FROZEN_GATES = {
     "ml/erfc_identity": ("<=1e-09", "1e-09"),
     "ml/repeat_identical": ("==0", "0"),
     "eigen/symmetry": ("<=1e-12", "1e-12"),
-    "eigen/psd_probes": (">=-1e-10", "1e-10"),
-    "eigen/annihilate_constants": ("<=1e-12", "1e-12"),
+    "eigen/min_eigenvalue": (">=-1e-10", "1e-10"),
+    "eigen/energy_s": ("<=0.0001", "0.0001"),
     "eigen/lambda1_vs_dense_s": ("<=1e-10", "1e-10"),
     "eigen/cauchy_lambda1": (">=1.5", "1.5"),
     "decay-a05/l1_monotone": ("==1", "0"),

@@ -16,7 +16,7 @@ from fracrd.caputo import (
 from fracrd import caputo, solver
 from fracrd.errors import DomainError
 from fracrd.harness import _logistic_crossing
-from fracrd.solver import BLOW_THRESHOLD, _dt_ladder, _march
+from fracrd.solver import BLOW_THRESHOLD, DT_FLOOR_REL, _dt_ladder, _march
 from fracrd.special import ml_eval
 
 
@@ -507,7 +507,9 @@ class TestLogisticFode:
         assert times[-1] == pytest.approx(0.05, rel=1e-9)
 
     def test_floor_collapse_reported(self):
-        # at alpha 0.5 the threshold lies below the step floor DT_FLOOR_REL * t_end
-        _, _, blowup, inconclusive = _logistic(0.5, 1.0, 0.01, 2.0)
+        # at alpha 0.5 the threshold lies past the step floor
+        # DT_FLOOR_REL * t_last, t_last the last committed time
+        times, _, blowup, inconclusive = _logistic(0.5, 1.0, 0.01, 2.0)
         assert blowup is None
-        assert inconclusive.startswith("step size collapsed below floor 2e-14")
+        floor = DT_FLOOR_REL * times[-1]
+        assert inconclusive.startswith(f"step size collapsed below floor {floor:g} ")

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
-from fracrd import caputo, cli, harness, solver
+from fracrd import caputo, cli, fraclap, harness, solver
 from fracrd.errors import ConfigError
 from fracrd.harness import (
     CAMPAIGN_SCHEMA,
@@ -517,6 +518,53 @@ class TestBlowupRecords:
         assert record.name == "campaign_error" and not record.passed
         assert re.search(rf"h0 factor {re.escape(f'{factor:g}')} scales the data to max u0 = "
                          r".*, not below the blow-up threshold 1e\+08", record.expected)
+
+
+class TestEnergyRecord:
+    @staticmethod
+    def _record(s, domain):
+        params = {key: spec[1] for key, spec in CAMPAIGN_SCHEMA["eigen_convergence"].items()}
+        params.update(cauchy_s=s, domain=domain)
+        frag, _ = run_campaign(Campaign(name="eigen", kind="eigen_convergence", params=params))
+        (record,) = [r for r in frag if r.name.startswith("energy_")]
+        return record
+
+    def test_closed_form_at_one_half(self):
+        # C_{1,1/2} = 1/pi and 2 Gamma(1) / Gamma(5) = 1/12
+        assert fraclap.normalizing_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
+        assert harness._parabola_energy(0.0, 1.0, 0.5) == pytest.approx(
+            1.0 / (12.0 * math.pi), rel=1e-15)
+
+    def test_closed_form_against_quadrature(self):
+        # the double integral over the square; with u(x) - u(y) =
+        # (x - y)(a + b - x - y) / (b - a)^2 the integrand is continuous at s < 1/2
+        s, (a, b) = 0.25, (-1.0, 3.0)
+        c = fraclap.normalizing_constant(s)
+
+        def integrand(y, x):
+            return (0.5 * c * ((a + b - x - y) / (b - a) ** 2) ** 2
+                    * abs(x - y) ** (1.0 - 2.0 * s))
+
+        value, _ = dblquad(integrand, a, b, a, b, epsabs=0.0, epsrel=1e-11)
+        assert harness._parabola_energy(a, b, s) == pytest.approx(value, rel=1e-11)
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 3.0)])
+    @pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+    def test_passes_on_the_assembled_operator(self, s, domain):
+        record = self._record(s, domain)
+        assert record.name == f"energy_s{s:g}" and record.params == f"n:256;s:{s:g}"
+        assert record.expected == "<=0.0001" and record.passed
+
+    def test_fails_on_a_boundary_mass_off_by_a_thousandth(self, monkeypatch):
+        mass = fraclap._boundary_weight_mass
+
+        def scaled(n, h, s):
+            diag, off = mass(n, h, s)
+            return 1.001 * diag, 1.001 * off
+
+        monkeypatch.setattr(fraclap, "_boundary_weight_mass", scaled)
+        record = self._record(0.9, (0.0, 1.0))
+        assert record.measured > 1e-4 and not record.passed
 
 
 def test_envelope_outside_ml_eval_range_fails_only_its_record():

@@ -12,7 +12,6 @@ from fracrd.fraclap import (
     _fullspace_energy_column,
     _mirror_even_block,
     assemble_regional,
-    assemble_regional_untruncated,
     dump_eigenpair,
     mirror_eigenbasis,
     principal_eigenpair,
@@ -108,13 +107,12 @@ class TestGrid:
 class TestAssembly:
     @pytest.mark.parametrize("n", [64, 130, 131])
     def test_exactly_symmetric(self, n):
-        # Both assemblies overwrite three diagonals of a Toeplitz matrix with
+        # The assembly overwrites three diagonals of a Toeplitz matrix with
         # equal values, so no runtime check re-verifies the symmetry.
         a, b = (-1.0, 3.0) if n % 2 else (0.0, 1.0)
         for s in (0.1, 0.5, 0.9):
-            for op in (assemble_regional(Grid1D(a, b, n), s),
-                       assemble_regional_untruncated(a, b, n, s)):
-                assert np.array_equal(op.entries, op.entries.T), s
+            op = assemble_regional(Grid1D(a, b, n), s)
+            assert np.array_equal(op.entries, op.entries.T), s
 
     @pytest.mark.parametrize("n", [2, 3, 65, 1000])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -129,14 +127,11 @@ class TestAssembly:
 
     @pytest.mark.parametrize("width,cause", [(1e-300, "non-finite entries"), (1e300, "overflows")])
     def test_extreme_domain_is_named(self, width, cause):
-        with pytest.raises(AssemblyError, match=cause):
-            assemble_regional(Grid1D(0.0, width, 8), 0.9)
-        # The untruncated singular-cell correction divides by h * h, which
-        # underflows to 0 at width 1e-300; at 1e300 its power of h overflows
-        # for small s.  Either is one typed error, with no warning.
-        for s in (0.01, 0.9) if width < 1.0 else (0.01,):
-            with pytest.raises(AssemblyError, match="cell width h = "):
-                assemble_regional_untruncated(0.0, width, 8, s)
+        # One typed error that names the cell width, with no warning.
+        for s in (0.01, 0.9):
+            with pytest.raises(AssemblyError, match=cause) as info:
+                assemble_regional(Grid1D(0.0, width, 8), s)
+            assert "cell width h = " in str(info.value), s
 
     def test_positive_semidefinite_probes(self, op64):
         _, op = op64
@@ -171,14 +166,9 @@ class TestAssembly:
         assert np.max(a) <= 0
 
     def test_centrosymmetric_bit_for_bit(self):
-        for a in (assemble_regional(Grid1D(-1.0, 3.0, 131), 0.3).entries,
-                  assemble_regional_untruncated(0.0, 1.0, 130, 0.7).entries):
+        for grid, s in ((Grid1D(-1.0, 3.0, 131), 0.3), (Grid1D(0.0, 1.0, 130), 0.7)):
+            a = assemble_regional(grid, s).entries
             assert np.array_equal(a, a[::-1, ::-1])
-
-    def test_untruncated_annihilates_constants(self):
-        op = assemble_regional_untruncated(0.0, 1.0, 64, 0.5)
-        resid = np.max(np.abs(op.entries @ np.ones(64)))
-        assert resid <= 1e-12 * np.max(np.abs(np.diag(op.entries)))
 
     def test_classical_limit_action_in_bulk(self):
         # For s -> 1 the bulk action approaches -u''; near the boundary the
@@ -202,8 +192,6 @@ class TestAssembly:
             assemble_regional(grid, 1.0)
         with pytest.raises(DomainError):
             assemble_regional(Grid1D(0.0, 1.0, 5000), 0.5)
-        with pytest.raises(DomainError):
-            assemble_regional_untruncated(0.0, 1.0, 1, 0.5)
 
 
 class TestApply:

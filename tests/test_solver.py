@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrd import caputo, solver
+from fracrd import caputo, solver, special
 from fracrd.caputo import L1History
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
 from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
@@ -281,6 +281,39 @@ class TestOperatorCache:
         assert _operator.cache_info().currsize <= size
 
 
+def test_concurrent_callers_match_a_serial_pass():
+    # The three module caches start empty and see more keys than they hold:
+    # 8 operator keys against maxsize 4, and 24 SOE and 18 spectral-rule
+    # alphas against 16, so lookups, builds and evictions interleave.
+    caches = (solver._operator, caputo._soe_modes, special._rule)
+    configs = [SimConfig(alpha=0.35 + 0.025 * k, s=0.3 + 0.05 * (k % 8), a=0.0, b=1.0, n=16,
+                         dt=0.05, t_end=2.0 + 0.5 * (k % 3)) for k in range(24)]
+    arrays = [(0.3 + 0.035 * (k % 18), np.linspace(-8.0 + 0.01 * k, 2.0, 40)) for k in range(36)]
+
+    def call(job):
+        if isinstance(job, SimConfig):
+            r = run(job)
+            return [r.times, r.energy, r.h_functional, r.umin, r.umax, r.lambda1, r.decay_slope]
+        return [ml_eval(*job)]
+
+    jobs = configs + arrays
+    serial = [call(job) for job in jobs]
+    for cache in caches:
+        cache.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so a lookup, a build and an eviction interleave
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = list(pool.map(call, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    for job, want, got in zip(jobs, serial, concurrent):
+        assert all(np.array_equal(w, g) for w, g in zip(want, got)), job
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize and info.currsize <= info.maxsize
+
+
 class TestRun:
     def test_matches_hand_loop_of_history_and_basis_solve(self):
         # 200 steps >= n = 16: every step of the run goes through the step
@@ -438,9 +471,9 @@ class TestBracket:
 
 class TestBlowupRuns:
     def test_floor_collapse_is_inconclusive_not_silent(self):
-        # at alpha 0.5 the adaptive step reaches the floor DT_FLOOR_REL * t_end
-        # before max u reaches the threshold, so the run must say so rather
-        # than report "no event"
+        # at alpha 0.5 the adaptive step reaches the floor
+        # DT_FLOOR_REL * max(t, dt) before max u reaches the threshold, so the
+        # run must say so rather than report "no event"
         p = {"domain": (0.0, 2.0), "s": 0.4, "n": 32, "dt": 2e-3, "width": 0.2}
         cfg, _ = scaled_blowup_config(p, 0.5, 1.2)
         r = run(cfg)
@@ -450,6 +483,19 @@ class TestBlowupRuns:
         assert finding.status == "inconclusive"
         assert finding.t_star is None
 
+
+    @pytest.mark.parametrize("amplitude,crossing", [(2.39, 0.86125), (2.85, 0.3975)])
+    def test_verdict_does_not_depend_on_the_horizon(self, amplitude, crossing):
+        # The floor is relative to the time reached.  One relative to t_end,
+        # 5e-13 at t_end = 50, ended both t_end = 50 runs inconclusive, and the
+        # t_end = 2 run of amplitude 2.39 too
+        runs = [run(SimConfig(alpha=0.6, s=0.4, a=0.0, b=2.0, n=128, dt=0.02, t_end=t_end,
+                              profile="gauss",
+                              profile_params={"amplitude": amplitude, "width": 0.2}))
+                for t_end in (2.0, 50.0, 1000.0)]
+        assert [r.inconclusive for r in runs] == [None] * 3
+        assert runs[0].blowup == runs[1].blowup == runs[2].blowup
+        assert runs[0].blowup == pytest.approx(crossing, abs=1e-5)
 
     def test_zero_mass_unit_profile_is_a_domain_error(self):
         # the square in the gauss profile overflows, so every node reads 0
