@@ -49,8 +49,8 @@ image under x -> a + b - x.  ``principal_eigenpair`` uses that.  One pass
 over A, strips of its top half against their mirror strips, checks it
 finite and equal to its mirror image, takes ||A||_1 and forms the
 ceil(n/2) mirror-even block B = Q^T A Q; then one inverse-iteration loop
-runs on the Cholesky factor of B (LAPACK ``potrf`` on B's Fortran-ordered
-transpose, which is B itself, so no transposing copy), one ``potrs`` solve
+runs on the Cholesky factor of B, which LAPACK ``potrf`` writes over B
+(read as its Fortran-ordered transpose, B itself), one ``potrs`` solve
 per iteration, and stops on a backward-error bound, 16 * eps * ||A||_1,
 met by the residual on A itself; it returns lambda1 and e1 as a plain
 array of the values at the interior nodes, which ``dump_eigenpair`` writes
@@ -77,7 +77,7 @@ _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
 # The suite meets the bound in 9 to 13 iterations, the tests in 9 to 14, and
 # n <= 1025 with s in [1e-3, 1 - 1e-6] in at most 22.
 _MAX_ITERATIONS = 100
-_STRIP_ROWS = 64  # rows per strip of _mirror_even_block's one pass over A
+_STRIP_ROWS = 64  # rows per strip of the pass over A and of the sort of V
 
 
 def _spline_rule(points: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -315,21 +315,10 @@ def _mirror_even_block(a: np.ndarray) -> tuple[np.ndarray, float]:
     return b, norm
 
 
-def _mirror_odd_block(a: np.ndarray) -> np.ndarray:
-    """C = P^T A P for the orthonormal basis P of mirror-odd vectors: the
-    first floor(n/2) entries of w = P z are z / sqrt(2), the middle node of
-    an odd n is 0, and the rest are their mirror image negated."""
-    m = len(a) // 2
-    return a[:m, :m] - a[:m, ::-1][:, :m]
-
-
-def _unfold(y: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
-    """w = Q y (P y when odd): the mirror-even (mirror-odd) vector of length
-    n with half y, or one such column per column of a matrix y."""
+def _unfold(y: np.ndarray, n: int) -> np.ndarray:
+    """w = Q y: the mirror-even vector of length n with half y."""
     m = n // 2
     half = y[:m] / math.sqrt(2.0)
-    if odd:
-        return np.concatenate((half, np.zeros((n - 2 * m,) + y.shape[1:]), -half[::-1]))
     return np.concatenate((half, y[m:], half[::-1]))
 
 
@@ -340,23 +329,31 @@ def mirror_eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A commutes with the reversal J, so its eigenvectors split into
     mirror-even and mirror-odd ones: ``eigh`` of the ceil(n/2) block
     Q^T A Q and of the floor(n/2) block P^T A P, unfolded by Q and P, gives
-    all n, at a third to a quarter of the cost of ``eigh`` of A (1.6 against
-    2.4 ms at n = 128, 107 against 311 ms at n = 1024, 5.5 against 21 s at
-    n = 4096, one BLAS thread).  ``eigh`` is LAPACK's divide and conquer
-    ``syevd``: ||V^T V - I||_max is 0.007 to 0.05 n*eps for n from 128 to
-    4096, where ``syevr`` gave up to 1.1 n*eps.  The pass that forms the
-    even block checks A finite (ConvergenceError) and centrosymmetric
-    (DomainError)."""
+    all n.  P z has z / sqrt(2) in its first floor(n/2) entries, 0 at the
+    middle node of an odd n and their mirror image negated in the rest.
+    Both unfold straight into V, whose columns are then sorted by lam a
+    strip of rows at a time, so V is the call's one n x n array (0.9 against
+    1.4 ms for ``eigh`` of A at n = 128, 78 against 266 ms at n = 1024, 3.7
+    against 13.9 s at n = 4096, one BLAS thread).  ``eigh`` is the divide
+    and conquer ``syevd``: ||V^T V - I||_max is 0.007 to 0.05 n*eps for n
+    from 128 to 4096, where ``syevr`` gave up to 1.1 n*eps.  The pass that
+    forms the even block checks A finite (ConvergenceError) and
+    centrosymmetric (DomainError)."""
     n = len(a)
+    k, m = (n + 1) // 2, n // 2
     lam_even, y = np.linalg.eigh(_mirror_even_block(a)[0])
-    lam_odd, z = np.linalg.eigh(_mirror_odd_block(a))
+    lam_odd, z = np.linalg.eigh(a[:m, :m] - a[:m, ::-1][:, :m])  # P^T A P
     lam = np.concatenate((lam_even, lam_odd))
     order = np.argsort(lam, kind="stable")
-    column = np.empty(n, dtype=np.intp)  # the column of V each block eigenvector goes to
-    column[order] = np.arange(n)
-    v = np.empty((n, n))
-    v[:, column[: len(lam_even)]] = _unfold(y, n)
-    v[:, column[len(lam_even) :]] = _unfold(z, n, odd=True)
+    v = np.empty((n, n))  # Q y in the first k columns, P z in the rest
+    np.divide(y[:m], math.sqrt(2.0), out=v[:m, :k])
+    v[m:k, :k], v[m:k, k:] = y[m:], 0.0  # the middle row of an odd n
+    v[k:, :k] = v[:m, :k][::-1]
+    np.divide(z, math.sqrt(2.0), out=v[:m, k:])
+    np.negative(v[:m, k:][::-1], out=v[k:, k:])
+    del y, z
+    for i in range(0, n, _STRIP_ROWS):
+        v[i : i + _STRIP_ROWS] = v[i : i + _STRIP_ROWS].take(order, axis=1)
     return lam[order], v
 
 
@@ -378,10 +375,11 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     1 - 1e-6).  One pass over A checks it, takes ||A||_1 and forms B
     (``_mirror_even_block``); B is symmetric bit for bit, so its transpose
     is the same matrix in the Fortran order LAPACK's ``potrf`` takes, and
-    the factor costs one plain copy of B, not a transposing one.  Once
-    B's residual ||B y - lambda y|| for the unit iterate y is at most
+    the factor is written over B, with no copy.  The solve B x = y for the
+    unit iterate y gives B y' = y / ||x|| for the next, y' = x / ||x||, up
+    to its backward error; once the residual ||B y' - lambda y'|| is at most
     16 * eps * ||A||_1, lambda and the residual are recomputed on A itself
-    for w = Q y, and the loop stops when that residual (a backward error: w
+    for w = Q y', and the loop stops when that residual (a backward error: w
     is an exact eigenvector of a matrix within that distance of A) meets the
     same bound.  The floating-point floor of that residual measures 0.27 to
     2.4 eps * ||A||_1 for n from 8 to 4096 and s from 0.01 to 0.99, so the
@@ -402,23 +400,20 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     a, n = op.entries, op.dim
     b, a_norm = _mirror_even_block(a)
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * a_norm
-    # B is symmetric bit for bit, so B.T is B in Fortran order and LAPACK's
-    # copy of it is a plain memcpy; B itself stays intact for b @ y below
-    factor, info = dpotrf(b.T, lower=0, overwrite_a=0, clean=0)
+    factor, info = dpotrf(b.T, lower=0, overwrite_a=1, clean=0)
     if info > 0:
         raise ConvergenceError("operator matrix is not positive definite")
     y = np.full(len(b), 1.0 / math.sqrt(len(b)))
     for _ in range(_MAX_ITERATIONS):
-        y = dpotrs(factor, y)[0]  # its info is nonzero only for an illegal argument
+        x = dpotrs(factor, y)[0]  # its info is nonzero only for an illegal argument
         with np.errstate(over="ignore"):  # an infinite norm is reported below
-            norm = np.linalg.norm(y)
+            norm = np.linalg.norm(x)
         if not 0.0 < norm < math.inf:
             raise ConvergenceError(
                 f"inverse iterate's norm {'underflowed to 0' if norm == 0 else 'overflowed'} "
                 f"at operator scale ||A||_1 = {a_norm:g} on the domain ({grid.a:g}, {grid.b:g})"
             )
-        y /= norm
-        by = b @ y
+        by, y = y / norm, x / norm  # B x = y, so by is B y up to the solve's error
         lam = float(y @ by)
         residual = float(np.linalg.norm(by - lam * y))
         if residual <= bound:

@@ -52,12 +52,15 @@ follows ``expected`` and fails the record.
 
 Reports are plain text, one record per line, sorted by campaign/name/params;
 wall times are excluded from the canonical form used for determinism checks.
+The summary also names the BLAS thread variables as the run saw them,
+which move the last bits of lambda1; the canonical form leaves it out.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -133,6 +136,8 @@ class Report:
             f"overall={'pass' if self.overall else 'fail'} "
             f"checks={len(self.records)} failures={failures}"
         )
+        lines.append(" ".join(f"{v}={os.environ.get(v, 'unset')}"
+                              for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")))
         return "\n".join(lines) + "\n"
 
     def canonical_text(self) -> str:

@@ -367,8 +367,8 @@ _MAX_ADAPTIVE_STEPS = 200_000  # run: committed steps after the adaptive switch 
 
 # A few entries cover every campaign's working set.  An entry holds the
 # principal eigenpair and the eigenbasis (lam, V) of A, not A itself, so it
-# is n^2 doubles, 134 MB at n = 4096; the basis takes 5.5 s to build there
-# (one Cholesky factor of the step matrix took 1.0 s, dense eigh of A 21 s).
+# is n^2 doubles, 134 MB at n = 4096; the basis takes 3.7 s to build there
+# (one Cholesky factor of the step matrix takes 0.8 s, dense eigh of A 13.9 s).
 # Keyed on the grid and s, since a SimConfig's profile_params dict is not
 # hashable; concurrent misses on one key may each build it.
 @functools.lru_cache(maxsize=4)

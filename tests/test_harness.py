@@ -224,6 +224,19 @@ class TestReportAndOutputs:
         assert "overall=pass checks=0" in text
         assert paths[-1].name == "report.txt"
 
+    def test_summary_names_the_blas_threads_outside_the_canonical_text(self, monkeypatch):
+        record = harness.CheckRecord("c", "r", "", 1.0, "<=2", 2.0, True, 0.5)
+        report = Report([record])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        lines = report.text().splitlines()
+        assert lines[-3:] == [
+            "# summary",
+            "overall=pass checks=1 failures=0",
+            "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset",
+        ]
+        assert report.canonical_text() == record.line(with_wall=False) + "\n"
+
     def test_trace_csv_contract(self, tmp_path):
         campaign = Campaign(
             name="inv",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,26 @@ class TestEigenpair:
         # sum of n nonnegative terms within (n - 1) * eps of the exact one
         assert math.isclose(norm, np.linalg.norm(a, 1), rel_tol=2 * n * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 127, 128, 1023, 1024])
+    def test_basis_matches_unfold_and_column_scatter_bit_for_bit(self, n):
+        # the reference builds V the direct way: each block's eigenvectors
+        # unfolded into n x k and n x m arrays, scattered to their columns
+        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.3).entries
+        k, m = (n + 1) // 2, n // 2
+        lam_even, y = np.linalg.eigh(_mirror_even_block(a)[0])
+        lam_odd, z = np.linalg.eigh(a[:m, :m] - a[:m, ::-1][:, :m])
+        half_y, half_z = y[:m] / math.sqrt(2.0), z / math.sqrt(2.0)
+        lam = np.concatenate((lam_even, lam_odd))
+        order = np.argsort(lam, kind="stable")
+        column = np.empty(n, dtype=np.intp)
+        column[order] = np.arange(n)
+        v = np.empty((n, n))
+        v[:, column[:k]] = np.concatenate((half_y, y[m:], half_y[::-1]))
+        v[:, column[k:]] = np.concatenate((half_z, np.zeros((k - m, m)), -half_z[::-1]))
+        lam_got, v_got = mirror_eigenbasis(a)
+        assert lam_got.tobytes() == lam[order].tobytes()
+        assert v_got.tobytes() == v.tobytes()
+
     def test_eigenvector_overflow_is_named(self):
         # an operator paired with a grid of subnormal cell width: e1 = w / (h * sum w)
         # leaves the double range
@@ -354,6 +375,46 @@ class TestEigenpair:
             f = rng.standard_normal(64)
             quad = f @ (op.entries @ f)
             assert quad >= (pair.lambda1 - 1e-9) * (f @ f)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc during call(), above what was live
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestEigenMemory:
+    """The eigen layer holds no dense copy it does not need (n = 1024, s = 0.5;
+    A is built before tracing starts)."""
+
+    N = 1024
+
+    @pytest.fixture(scope="class")
+    def op1024(self):
+        grid = Grid1D(0.0, 1.0, self.N)
+        return grid, assemble_regional(grid, 0.5)
+
+    def test_principal_eigenpair_factors_the_even_block_in_place(self, op1024):
+        # B (k^2 doubles, k = ceil(n/2)) and its factor share one array; the
+        # rest is a strip of the pass over A and vectors
+        grid, op = op1024
+        k = (self.N + 1) // 2
+        assert traced_peak(lambda: principal_eigenpair(op, grid)) <= 1.5 * k * k * 8
+
+    def test_mirror_eigenbasis_holds_one_n_by_n_array(self, op1024):
+        # V (n^2 doubles) and the two blocks' eigenvectors (n^2 / 4 each)
+        _, op = op1024
+        assert traced_peak(lambda: mirror_eigenbasis(op.entries)) <= 1.75 * self.N**2 * 8
 
 
 class TestAgainstIndependentOracles:
