@@ -54,16 +54,19 @@ runs on the Cholesky factor of B, which LAPACK ``potrf`` writes over B
 per iteration, and stops on a backward-error bound, 16 * eps * ||A||_1,
 met by the residual on A itself; it returns lambda1 and e1 as a plain
 array of the values at the interior nodes, which ``dump_eigenpair`` writes
-against the grid's nodes.  ``mirror_eigenbasis`` uses the same pass for
-the full eigendecomposition A = V diag(lam) V^T on which the solver takes
-its implicit steps: ``eigh`` of the even block and of the floor(n/2)
-mirror-odd block.  Dense ``eigh`` of A itself serves only as the
-independent oracle (tests, the eigen_convergence campaign, the benchmark).
+against the grid's nodes.  ``mirror_blocks`` runs the same pass and also
+forms the floor(n/2) mirror-odd block; the solver builds its uniform-step
+matrix from Cholesky inverses of the two.  ``mirror_eigenbasis`` turns the
+two blocks into the full eigendecomposition A = V diag(lam) V^T, ``eigh``
+of each, which serves only the solver's non-uniform (adaptive) steps.
+Dense ``eigh`` of A itself serves only as the independent oracle (tests,
+the eigen_convergence campaign, the benchmark).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +109,10 @@ class Grid1D:
             raise DomainError(f"endpoints must be finite, got ({self.a}, {self.b})")
         if not self.a < self.b:
             raise DomainError(f"need a < b, got ({self.a}, {self.b})")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise DomainError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise DomainError(f"need n >= 2 interior nodes, got {self.n}")
         if not self.h > 0:
@@ -272,11 +279,15 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
     return OperatorMatrix(entries)
 
 
-def _mirror_even_block(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _mirror_even_block(
+    a: np.ndarray, odd: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """(B, ||A||_1) from one pass over A, with B = Q^T A Q for the orthonormal
     basis Q of mirror-even vectors: the first ceil(n/2) entries of w = Q y
     are y, scaled by 1/sqrt(2) off the middle node, and the rest are their
-    mirror image.
+    mirror image.  Given a floor(n/2) square array ``odd``, the same pass
+    writes the mirror-odd block P^T A P = A[:m, :m] - A[:m, ::-1][:, :m]
+    into it (P as in ``mirror_eigenbasis``).
 
     Each strip of _STRIP_ROWS rows of the top floor(n/2) is compared with
     its mirror strip reversed in both axes, which covers every entry of A
@@ -294,6 +305,8 @@ def _mirror_even_block(a: np.ndarray) -> tuple[np.ndarray, float]:
         mirrored = mirrored and np.array_equal(rows, a[n - i - len(rows) : n - i][::-1, ::-1])
         colsum += np.abs(rows).sum(axis=0)
         np.add(rows[:, :m], rows[:, ::-1][:, :m], out=b[i : i + len(rows), :m])
+        if odd is not None:
+            np.subtract(rows[:, :m], rows[:, ::-1][:, :m], out=odd[i : i + len(rows)])
     colsum = colsum + colsum[::-1]
     if k > m:  # odd n: the middle node is its own mirror image
         middle = a[m]
@@ -322,9 +335,22 @@ def _unfold(y: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((half, y[m:], half[::-1]))
 
 
-def mirror_eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mirror_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ceil(n/2) mirror-even block Q^T A Q and the floor(n/2)
+    mirror-odd block P^T A P of a symmetric centrosymmetric A (Q and P as
+    in ``mirror_eigenbasis``), from one pass over A that checks it finite
+    (ConvergenceError) and centrosymmetric (DomainError).  Both blocks are
+    symmetric bit for bit, and A = Q B Q^T + P C P^T for the even block B
+    and the odd block C."""
+    m = len(a) // 2
+    odd = np.empty((m, m))
+    return _mirror_even_block(a, odd)[0], odd
+
+
+def mirror_eigenbasis(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues lam, ascending, and orthonormal eigenvectors V, by column,
-    of a symmetric centrosymmetric A, so that A = V diag(lam) V^T.
+    of the symmetric centrosymmetric A whose ``mirror_blocks`` are even and
+    odd, so that A = V diag(lam) V^T.
 
     A commutes with the reversal J, so its eigenvectors split into
     mirror-even and mirror-odd ones: ``eigh`` of the ceil(n/2) block
@@ -336,13 +362,11 @@ def mirror_eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1.4 ms for ``eigh`` of A at n = 128, 78 against 266 ms at n = 1024, 3.7
     against 13.9 s at n = 4096, one BLAS thread).  ``eigh`` is the divide
     and conquer ``syevd``: ||V^T V - I||_max is 0.007 to 0.05 n*eps for n
-    from 128 to 4096, where ``syevr`` gave up to 1.1 n*eps.  The pass that
-    forms the even block checks A finite (ConvergenceError) and
-    centrosymmetric (DomainError)."""
-    n = len(a)
-    k, m = (n + 1) // 2, n // 2
-    lam_even, y = np.linalg.eigh(_mirror_even_block(a)[0])
-    lam_odd, z = np.linalg.eigh(a[:m, :m] - a[:m, ::-1][:, :m])  # P^T A P
+    from 128 to 4096, where ``syevr`` gave up to 1.1 n*eps."""
+    k, m = len(even), len(odd)
+    n = k + m
+    lam_even, y = np.linalg.eigh(even)
+    lam_odd, z = np.linalg.eigh(odd)
     lam = np.concatenate((lam_even, lam_odd))
     order = np.argsort(lam, kind="stable")
     v = np.empty((n, n))  # Q y in the first k columns, P z in the rest

@@ -560,10 +560,12 @@ def scaled_blowup_config(p, alpha, factor):
 def _logistic_crossing(alpha, y0, t_end):
     """crossing(dt) for ``solver._dt_ladder`` of D^alpha y = y (y + 1),
     y(0) = y0, to t_end: the PDE step with one mode of eigenvalue -2."""
-    lam, basis, e1, u0 = np.array([-2.0]), np.eye(1), np.ones(1), np.array([y0])
+    even, odd, u0 = np.array([[-2.0]]), np.empty((0, 0)), np.array([y0])
+    basis = np.array([-2.0]), np.eye(1)
 
     def crossing(dt):
-        _, t_star, unresolved = _march(lam, basis, e1, 1.0, u0, alpha, dt, t_end)
+        _, t_star, unresolved = _march(even, odd, -2.0, lambda: basis, np.ones(1), 1.0, u0,
+                                       alpha, dt, t_end)
         return t_star, unresolved
 
     return crossing

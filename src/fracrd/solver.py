@@ -31,15 +31,16 @@ two-sided blow-up window
 
 ``harness.scaled_blowup_config`` forms it for the runs it builds.
 
-Stepping.  ``run`` builds the cached operator and the initial field and
-hands them to ``_march``, the package's one stepping loop.  The scalar
-blow-up oracle D^alpha y = y*(y+1) of ``harness`` runs through the same
-loop as one mode, lam = [-2], V = [[1]]: w + 1 + lam is then the w - 1 of
-that equation.  The loop goes over committed steps in two regimes.  The
-uniform regime steps to t = k*dt on the uniform mesh of
-``caputo.L1History``, whose dt divides t_end, and records every output
-stride.  The loop turns adaptive the first time max u exceeds
-10*(1 + lam[0]), or starts adaptive when max u0 already does: it steps to
+Stepping.  ``run`` builds the cached operator (the principal eigenpair and
+the two mirror blocks of A) and the initial field and hands them to
+``_march``, the package's one stepping loop.  The scalar blow-up oracle
+D^alpha y = y*(y+1) of ``harness`` runs through the same loop as one mode:
+an even block [[-2]], no odd block, lam = [-2] and V = [[1]], so that
+w + 1 + lam is the w - 1 of that equation.  The loop goes over committed
+steps in two regimes.  The uniform regime steps to t = k*dt on the uniform
+mesh of ``caputo.L1History``, whose dt divides t_end, and records every
+output stride.  The loop turns adaptive the first time max u exceeds
+10*(1 + lambda1), or starts adaptive when max u0 already does: it steps to
 min(t_last + dt', t_end), records every committed step, and rejects a step
 and halves dt' when max u grows by more than half.  Each regime only picks
 t_new; ``caputo.L1History.step(t_new)`` returns the weight w of the step
@@ -51,13 +52,15 @@ in both regimes:
 * one right-hand side, u_last*(w + u_last) - memory, and one solve.
   A step of the uniform size w = ``scale`` (every uniform step, and the
   adaptive steps before the first halving) is one product with the step
-  matrix ((w + 1) I + A)^-1, formed once per run from the eigenbasis
-  A = V diag(lam) V^T cached per operator, when the run has at least n
-  steps to pay for its n-product build.  Any
-  other step solves in the eigenbasis, u = V ((V^T rhs) / (w + 1 + lam)),
-  two products and one division for any w, so a step of a new size needs no
-  new factor.  At n = 128 with one BLAS thread the step-matrix solve takes
-  4.1 us and the basis solve 8.0 us (13 and 25 us at n = 256).  Each
+  matrix ((w + 1) I + A)^-1, formed once per run from Cholesky inverses of
+  the two shifted mirror blocks, about n^3 / 4 flops (``_step_matrix``).
+  Any other step solves in the eigenbasis A = V diag(lam) V^T,
+  u = V ((V^T rhs) / (w + 1 + lam)), two products and one division for any
+  w, so a step of a new size needs no new factor.  The basis is cached per
+  operator and built only when a run takes its first such step, so a run
+  that stays on the uniform mesh never builds it.  At n = 128 with one BLAS
+  thread the step-matrix solve takes 4.1 us and the basis solve 8.0 us
+  (13 and 25 us at n = 256).  Each
   returns u and u @ u, its one finiteness check of the solution; a failure
   raises StepFailureError naming the cause;
 * one history object, ``caputo.L1History``, which keeps the uniform mesh as
@@ -90,6 +93,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .caputo import L1History, uniform_mesh
 from .errors import ConvergenceError, DomainError, StepFailureError
@@ -97,6 +101,7 @@ from .fraclap import (
     EigenPair,
     Grid1D,
     assemble_regional,
+    mirror_blocks,
     mirror_eigenbasis,
     principal_eigenpair,
 )
@@ -105,6 +110,7 @@ BLOW_THRESHOLD = 1e8  # a run has blown up once its value (max u for a field) re
 # an adaptive step below DT_FLOOR_REL * max(t_last, dt), t_last the time reached, ends the
 # run unresolved
 DT_FLOOR_REL = 1e-14
+_STRIP_ROWS = 64  # rows per strip of the copies that form the step matrix
 
 # --- initial-data profiles --------------------------------------------------
 # All profiles are expressed in the relative coordinate xr = (x-a)/(b-a) and
@@ -129,6 +135,8 @@ def _profile_plateau(xr, p):
 
 def _profile_gauss(xr, p):
     width = p.get("width", 0.1)
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"gauss width must be positive and finite, got {width}")
     with np.errstate(over="ignore"):  # a square past the double range is exp(-inf) = 0
         return p.get("amplitude", 1.0) * np.exp(-(((xr - 0.5) / width) ** 2))
 
@@ -289,17 +297,6 @@ class BlowupFinding:
 # --- stepping ----------------------------------------------------------------
 
 
-def _definite_shift(lam: np.ndarray, w: float) -> float:
-    """w + 1, after checking that (w + 1) I + A is positive definite (lam ascending)."""
-    shift = w + 1.0
-    if not shift + lam[0] > 0:
-        raise StepFailureError(
-            f"step matrix (w + 1)*I + A is not positive definite: "
-            f"w = {w:.6g}, min eigenvalue of A = {lam[0]:.6g}"
-        )
-    return shift
-
-
 def _check_finite(u: np.ndarray, rhs: np.ndarray, mat: np.ndarray, name: str) -> None:
     """Raise StepFailureError naming the cause when the solution u of a step
     with right-hand side rhs and solve matrix mat is not finite."""
@@ -325,7 +322,13 @@ def _implicit_step(
     finite, naming the cause: a non-finite right-hand side or basis, or an
     overflow.
     """
-    u = v @ ((rhs @ v) / (lam + _definite_shift(lam, w)))
+    shift = w + 1.0
+    if not shift + lam[0] > 0:
+        raise StepFailureError(
+            f"step matrix (w + 1)*I + A is not positive definite: "
+            f"w = {w:.6g}, min eigenvalue of A = {lam[0]:.6g}"
+        )
+    u = v @ ((rhs @ v) / (lam + shift))
     # u @ u is finite when every entry is, short of overflow past 1e154,
     # and one BLAS call is cheaper than an elementwise test
     norm2 = u @ u
@@ -334,20 +337,76 @@ def _implicit_step(
     return u, norm2
 
 
-def _step_matrix(lam: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
-    """((w + 1) I + A)^-1 = V diag(1 / (w + 1 + lam)) V^T, about n
-    matrix-vector products of work.
+def _shifted_inverse(block: np.ndarray, w: float) -> np.ndarray:
+    """(block + (w + 1) I)^-1 of a finite symmetric mirror block, in a new
+    array: LAPACK ``potrf`` and ``potri`` write the Cholesky factor and then
+    the inverse over one shifted copy, whose other triangle is then filled
+    from it a strip at a time.  Raises StepFailureError naming w when the
+    shifted block is not positive definite."""
+    inv = block.copy()
+    k = len(inv)
+    if k == 0:  # the one-mode operator has no odd block
+        return inv
+    inv.flat[:: k + 1] += w + 1.0
+    # inv is symmetric, so its transpose is inv itself in the Fortran order
+    # LAPACK takes: both calls write inv's lower triangle in place
+    factor, info = dpotrf(inv.T, lower=0, overwrite_a=1, clean=0)
+    if info == 0:
+        info = dpotri(factor, lower=0, overwrite_c=1)[1]
+    if info != 0:
+        raise StepFailureError(
+            f"step matrix (w + 1)*I + A is not positive definite: w = {w:.6g}"
+        )
+    for i in range(0, k, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, k)
+        corner = inv[i:j, i:j]
+        corner[...] = np.tril(corner) + np.tril(corner, -1).T
+        inv[i:j, j:] = inv[j:, i:j].T
+    return inv
 
-    Raises StepFailureError, as ``_implicit_step`` does, before the product
-    when the step matrix is not positive definite, and after it when the
-    product is not finite.
+
+def _step_matrix(even: np.ndarray, odd: np.ndarray, w: float) -> np.ndarray:
+    """((w + 1) I + A)^-1 for the A whose ``fraclap.mirror_blocks`` are
+    even and odd, from the inverses E and D of the two shifted blocks:
+    about n^3 / 4 flops in all.
+
+    With Q and P the mirror-even and mirror-odd bases, the step matrix is
+    Q E Q^T + P D P^T.  Its top floor(n/2) rows hold (E11 + D) / 2 and, in
+    reversed column order, (E11 - D) / 2, with E11 the leading floor(n/2)
+    block of E; the middle row and column of an odd n hold E's last row
+    and column, scaled by 1/sqrt(2) off the middle node; and the bottom rows
+    are the top ones reversed in both axes.
+
+    Raises StepFailureError naming w when a block is not finite or a
+    shifted block is not positive definite, and when the result overflows.
     """
-    shift = _definite_shift(lam, w)
+    if not (np.isfinite(even).all() and np.isfinite(odd).all()):
+        raise StepFailureError(
+            f"step matrix ((w + 1)*I + A)^-1 at w = {w:.6g}: a mirror block of A is not finite"
+        )
+    e = _shifted_inverse(even, w)
+    d = _shifted_inverse(odd, w)
+    k, m = len(e), len(d)
+    n = k + m
+    step_matrix = np.empty((n, n))
+    top = step_matrix[:m]
     with np.errstate(invalid="ignore", over="ignore"):  # reported as the typed error below
-        step_matrix = (v / (lam + shift)) @ v.T
+        np.add(e[:m, :m], d, out=top[:, :m])
+        np.subtract(e[:m, :m], d, out=top[:, ::-1][:, :m])
+        top[:, :m] *= 0.5
+        top[:, k:] *= 0.5
+    if k > m:  # odd n: the middle node is its own mirror image
+        middle = step_matrix[m]
+        np.divide(e[:m, m], math.sqrt(2.0), out=top[:, m])
+        middle[:m], middle[m], middle[k:] = top[:, m], e[m, m], top[::-1, m]
+    del e, d
+    for i in range(0, m, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, m)
+        step_matrix[n - j : n - i] = step_matrix[i:j][::-1, ::-1]
     if not np.isfinite(step_matrix).all():
-        cause = "the eigenbasis is not finite" if not np.isfinite(v).all() else "it overflowed"
-        raise StepFailureError(f"step matrix ((w + 1)*I + A)^-1 is not finite: {cause}")
+        raise StepFailureError(
+            f"step matrix ((w + 1)*I + A)^-1 is not finite at w = {w:.6g}: it overflowed"
+        )
     return step_matrix
 
 
@@ -366,24 +425,37 @@ def _matrix_step(step_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, 
 _MAX_ADAPTIVE_STEPS = 200_000  # run: committed steps after the adaptive switch before giving up
 
 # A few entries cover every campaign's working set.  An entry holds the
-# principal eigenpair and the eigenbasis (lam, V) of A, not A itself, so it
-# is n^2 doubles, 134 MB at n = 4096; the basis takes 3.7 s to build there
-# (one Cholesky factor of the step matrix takes 0.8 s, dense eigh of A 13.9 s).
+# principal eigenpair and the two mirror blocks of A, not A itself, so it is
+# n^2 / 2 doubles, 67 MB at n = 4096.  The step matrix takes 0.6 s to build
+# from the blocks there; the eigenbasis, which only a run's first non-uniform
+# step builds (``_eigenbasis``), takes 3.5 s, and dense eigh of A 13.9 s.
 # Keyed on the grid and s, since a SimConfig's profile_params dict is not
 # hashable; concurrent misses on one key may each build it.
 @functools.lru_cache(maxsize=4)
 def _operator(
     a: float, b: float, n: int, s: float
 ) -> tuple[EigenPair, np.ndarray, np.ndarray]:
-    """The principal eigenpair and eigenbasis (lam, V) of A on the grid
-    (a, b, n) at order s: A = V diag(lam) V^T with lam ascending."""
+    """The principal eigenpair and the mirror-even and mirror-odd blocks of
+    A on the grid (a, b, n) at order s, all read-only."""
     grid = Grid1D(a, b, n)
     op = assemble_regional(grid, s)
-    pair = principal_eigenpair(op, grid)  # checks A finite and centrosymmetric
-    lam, v = mirror_eigenbasis(op.entries)
+    pair = principal_eigenpair(op, grid)
+    even, odd = mirror_blocks(op.entries)
     # shared by every caller
-    lam.flags.writeable = v.flags.writeable = pair.e1.flags.writeable = False
-    return pair, lam, v
+    even.flags.writeable = odd.flags.writeable = pair.e1.flags.writeable = False
+    return pair, even, odd
+
+
+# n^2 doubles an entry; only runs that take a non-uniform step ask for one
+@functools.lru_cache(maxsize=4)
+def _eigenbasis(a: float, b: float, n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenbasis (lam, V) of A on the grid (a, b, n) at order s,
+    A = V diag(lam) V^T with lam ascending, from the blocks ``_operator``
+    caches; both read-only."""
+    _, even, odd = _operator(a, b, n, s)
+    lam, v = mirror_eigenbasis(even, odd)
+    lam.flags.writeable = v.flags.writeable = False
+    return lam, v
 
 
 def run(
@@ -399,7 +471,8 @@ def run(
     when it rejects the trace, with the type of its error in ``slope_error``.
     """
     grid = config.grid
-    eigenpair, lam, v = _operator(config.a, config.b, config.n, config.s)
+    key = (config.a, config.b, config.n, config.s)
+    eigenpair, even, odd = _operator(*key)
 
     if u0_override is not None:
         u0 = np.asarray(u0_override, dtype=float)
@@ -411,7 +484,8 @@ def run(
         raise DomainError("initial data must be finite")
 
     monitors, blowup, inconclusive = _march(
-        lam, v, eigenpair.e1, grid.h, u0, config.alpha, config.dt, config.t_end, record_fields,
+        even, odd, eigenpair.lambda1, functools.partial(_eigenbasis, *key), eigenpair.e1,
+        grid.h, u0, config.alpha, config.dt, config.t_end, record_fields,
     )
     times, energy, h_func, umin, umax = monitors.columns()
     decay_slope = slope_error = None
@@ -437,8 +511,10 @@ def run(
 
 
 def _march(
-    lam: np.ndarray,
-    v: np.ndarray,
+    even: np.ndarray,
+    odd: np.ndarray,
+    lam_min: float,
+    eigenbasis,
     e1: np.ndarray,
     h: float,
     u0: np.ndarray,
@@ -447,15 +523,20 @@ def _march(
     t_end: float,
     record_fields: bool = False,
 ) -> tuple[_Monitors, float | None, str | None]:
-    """Step D^alpha u + A u + u = u^2, A = V diag(lam) V^T with lam
-    ascending, from u0 to t_end or blow-up; return the monitors, the time
-    max u crossed ``BLOW_THRESHOLD`` (None without a crossing) and the
-    reason a run ended unresolved.
+    """Step D^alpha u + A u + u = u^2 from u0 to t_end or blow-up; return
+    the monitors, the time max u crossed ``BLOW_THRESHOLD`` (None without a
+    crossing) and the reason a run ended unresolved.
+
+    A is given by its mirror blocks even and odd (``fraclap.mirror_blocks``),
+    from which every step of the uniform size is taken through the step
+    matrix, and by lam_min, its smallest eigenvalue.  eigenbasis() returns
+    (lam, V), A = V diag(lam) V^T with lam ascending; the loop calls it
+    once, at its first step of another size.
 
     The uniform mesh is the one ``L1History(u0, alpha, dt, t_end)`` forms,
     which ends at t_end for any dt.  Records E, H and the field bounds every
     output stride (at most ~2000 entries) of that mesh.  Once max u exceeds
-    10*(1 + lam[0]), or from the start when max u0 already does, the loop
+    10*(1 + lam_min), or from the start when max u0 already does, the loop
     steps adaptively: every committed step is recorded, the L1 memory
     weights are evaluated from the actual step times, and a step is rejected
     and the step size halved whenever the relative growth of max u exceeds
@@ -471,14 +552,13 @@ def _march(
     cur_dt = dt
     t_stop = t_end - 1e-12 * t_end
     stride = max(1, n_steps // 2000)
-    # A step of the uniform size is one product with the step matrix, once
-    # the run has enough steps to pay for its build
-    step_matrix = _step_matrix(lam, v, scale) if n_steps >= len(u0) else None
+    step_matrix = _step_matrix(even, odd, scale)
+    basis = None  # (lam, V), from the first step of another size on
 
     u_max = float(u0.max())
     monitors = _Monitors(h, e1, record_fields)
     monitors.record(0.0, u0)
-    adaptive_trigger = 10.0 * (1.0 + float(lam[0]))  # a float: np.float64 slows each step
+    adaptive_trigger = 10.0 * (1.0 + float(lam_min))  # a float: np.float64 slows each step
     # max u <= sqrt(u @ u), which each step solve returns: while that bound
     # stays below half of both thresholds, u_max holds it, not the max
     bound_norm2 = (0.5 * min(adaptive_trigger, BLOW_THRESHOLD)) ** 2
@@ -500,10 +580,12 @@ def _march(
             u_last = history.last
             rhs = u_last * (w + u_last)
             rhs -= memory
-            if w == scale and step_matrix is not None:
+            if w == scale:
                 u_new, norm2 = _matrix_step(step_matrix, rhs)
             else:
-                u_new, norm2 = _implicit_step(lam, v, w, rhs)
+                if basis is None:
+                    basis = eigenbasis()
+                u_new, norm2 = _implicit_step(*basis, w, rhs)
             if adaptive or not norm2 < bound_norm2:
                 max_new = float(u_new.max())
             else:

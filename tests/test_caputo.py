@@ -464,8 +464,10 @@ class TestLinearFode:
 def _logistic(alpha, y0, dt, t_end):
     """D^alpha y = y (y + 1) through the solver's stepping loop, as one mode
     of eigenvalue -2: times, recorded values, crossing time, unresolved reason."""
-    monitors, blowup, inconclusive = _march(np.array([-2.0]), np.eye(1), np.ones(1), 1.0,
-                                            np.array([y0]), alpha, dt, t_end)
+    basis = np.array([-2.0]), np.eye(1)
+    monitors, blowup, inconclusive = _march(np.array([[-2.0]]), np.empty((0, 0)), -2.0,
+                                            lambda: basis, np.ones(1), 1.0, np.array([y0]),
+                                            alpha, dt, t_end)
     times, _, _, _, values = monitors.columns()
     return times, values, blowup, inconclusive
 

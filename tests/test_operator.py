@@ -14,9 +14,11 @@ from fracrd.fraclap import (
     _mirror_even_block,
     assemble_regional,
     dump_eigenpair,
+    mirror_blocks,
     mirror_eigenbasis,
     principal_eigenpair,
 )
+from fracrd.solver import _step_matrix
 
 
 def backward_error_bound(op):
@@ -283,8 +285,8 @@ class TestEigenpair:
     _SOLVES = pytest.mark.parametrize(
         "solve",
         [lambda a: principal_eigenpair(OperatorMatrix(a), Grid1D(0.0, 1.0, len(a))),
-         mirror_eigenbasis],
-        ids=["principal_eigenpair", "mirror_eigenbasis"],
+         mirror_blocks],
+        ids=["principal_eigenpair", "mirror_blocks"],
     )
 
     @pytest.mark.parametrize("where", _OFF_TOP)
@@ -313,7 +315,7 @@ class TestEigenpair:
         before = op.entries.copy()
         principal_eigenpair(op, grid)
         assert op.entries.tobytes() == before.tobytes()
-        mirror_eigenbasis(op.entries)
+        mirror_blocks(op.entries)
         assert op.entries.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 127, 128, 1023, 1024])
@@ -328,6 +330,10 @@ class TestEigenpair:
         b, norm = _mirror_even_block(a)
         assert b.tobytes() == expected.tobytes()
         assert np.array_equal(b, b.T)  # so potrf may read b.T as b
+        even, odd = mirror_blocks(a)
+        assert even.tobytes() == expected.tobytes()
+        assert odd.tobytes() == (a[:m, :m] - a[:m, ::-1][:, :m]).tobytes()
+        assert np.array_equal(odd, odd.T)
         # only the summation order differs from numpy's column sums, each a
         # sum of n nonnegative terms within (n - 1) * eps of the exact one
         assert math.isclose(norm, np.linalg.norm(a, 1), rel_tol=2 * n * np.finfo(float).eps)
@@ -338,8 +344,9 @@ class TestEigenpair:
         # unfolded into n x k and n x m arrays, scattered to their columns
         a = assemble_regional(Grid1D(0.0, 1.0, n), 0.3).entries
         k, m = (n + 1) // 2, n // 2
-        lam_even, y = np.linalg.eigh(_mirror_even_block(a)[0])
-        lam_odd, z = np.linalg.eigh(a[:m, :m] - a[:m, ::-1][:, :m])
+        even, odd = mirror_blocks(a)
+        lam_even, y = np.linalg.eigh(even)
+        lam_odd, z = np.linalg.eigh(odd)
         half_y, half_z = y[:m] / math.sqrt(2.0), z / math.sqrt(2.0)
         lam = np.concatenate((lam_even, lam_odd))
         order = np.argsort(lam, kind="stable")
@@ -348,7 +355,7 @@ class TestEigenpair:
         v = np.empty((n, n))
         v[:, column[:k]] = np.concatenate((half_y, y[m:], half_y[::-1]))
         v[:, column[k:]] = np.concatenate((half_z, np.zeros((k - m, m)), -half_z[::-1]))
-        lam_got, v_got = mirror_eigenbasis(a)
+        lam_got, v_got = mirror_eigenbasis(even, odd)
         assert lam_got.tobytes() == lam[order].tobytes()
         assert v_got.tobytes() == v.tobytes()
 
@@ -413,8 +420,15 @@ class TestEigenMemory:
 
     def test_mirror_eigenbasis_holds_one_n_by_n_array(self, op1024):
         # V (n^2 doubles) and the two blocks' eigenvectors (n^2 / 4 each)
-        _, op = op1024
-        assert traced_peak(lambda: mirror_eigenbasis(op.entries)) <= 1.75 * self.N**2 * 8
+        blocks = mirror_blocks(op1024[1].entries)
+        assert traced_peak(lambda: mirror_eigenbasis(*blocks)) <= 1.75 * self.N**2 * 8
+
+    def test_step_matrix_holds_one_n_by_n_array(self, op1024):
+        # S (n^2 doubles) and the two blocks' inverses (n^2 / 4 each); one
+        # temporary of a block's size while all three are held exceeds the
+        # bound
+        blocks = mirror_blocks(op1024[1].entries)
+        assert traced_peak(lambda: _step_matrix(*blocks, 2.0)) <= 1.75 * self.N**2 * 8
 
 
 class TestAgainstIndependentOracles:

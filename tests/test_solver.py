@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from fracrd import caputo, solver, special
 from fracrd.caputo import L1History
 from fracrd.errors import ConvergenceError, DomainError, StepFailureError
-from fracrd.fraclap import Grid1D, assemble_regional, mirror_eigenbasis
+from fracrd.fraclap import Grid1D, assemble_regional, mirror_blocks, mirror_eigenbasis
 from fracrd.harness import CAMPAIGN_SCHEMA, Campaign, run_campaign, scaled_blowup_config
 from fracrd.solver import (
     BLOW_THRESHOLD,
     SimConfig,
+    _eigenbasis,
     _implicit_step,
     _matrix_step,
     _Monitors,
@@ -44,6 +45,13 @@ class TestConfig:
             SimConfig(**{**base, "dt": 2.0})
         with pytest.raises(DomainError):
             SimConfig(**{**base, "profile": "no-such-profile"})
+
+    @pytest.mark.parametrize("n", [16.5, 16.0, "16"])
+    def test_grid_size_must_be_an_integer(self, n):
+        base = dict(alpha=0.5, s=0.5, a=0.0, b=1.0, dt=0.1, t_end=1.0)
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+            SimConfig(**base, n=n)
+        assert run(SimConfig(**base, n=np.int64(16))).energy.shape == (11,)
 
     @pytest.mark.parametrize("dt,t_end", [(1e-7, 1000.0), (1e-300, 1e300)])
     def test_step_budget(self, dt, t_end):
@@ -97,6 +105,14 @@ class TestConfig:
             run(cfg)
         initial_field(grid, "gauss", {"amplitude": 1.0, "width": 0.3})
 
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_gauss_width_must_be_positive_and_finite(self, width, n):
+        # width 0 divided by zero: a numpy warning, and all-zero data for even n
+        with pytest.raises(DomainError, match=f"gauss width must be positive and finite, "
+                                              f"got {width}"):
+            initial_field(Grid1D(0.0, 1.0, n), "gauss", {"width": width})
+
 
 class TestStep:
     def test_first_step_matches_dense_solve_at_alpha_one(self):
@@ -136,10 +152,19 @@ class TestStep:
         assert rel <= 1e-3
 
 
+def _blocks(n):
+    """The mirror blocks of the operator on n nodes of (0, 1) at s = 0.5."""
+    return mirror_blocks(assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries)
+
+
+# D^alpha y = y (y + 1) as an operator of one mode, eigenvalue -2: no odd block
+_ONE_MODE = np.array([[-2.0]]), np.empty((0, 0))
+
+
 class TestSolve:
     @staticmethod
     def _basis(n):
-        return mirror_eigenbasis(assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries)
+        return mirror_eigenbasis(*_blocks(n))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
     def test_matches_dense_solve(self, n):
@@ -147,7 +172,7 @@ class TestSolve:
         # deviation here is 1.7e-14 (at s = 0.9, n = 255 and w = 1e-3 it is
         # 7e-13, as the condition number 1e4 of the step matrix allows)
         a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
-        lam, v = mirror_eigenbasis(a)
+        lam, v = mirror_eigenbasis(*mirror_blocks(a))
         rng = np.random.default_rng(n)
         for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
@@ -181,37 +206,46 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
     def test_step_matrix_matches_dense_solve(self, n):
+        # the step matrix from the inverses of the two shifted mirror blocks
         a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
-        lam, v = mirror_eigenbasis(a)
+        blocks = mirror_blocks(a)
         rng = np.random.default_rng(n)
         for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
             expected = np.linalg.solve((w + 1.0) * np.eye(n) + a, rhs)
-            u, norm2 = _matrix_step(_step_matrix(lam, v, w), rhs)
+            u, norm2 = _matrix_step(_step_matrix(*blocks, w), rhs)
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
             assert norm2 == u @ u and u.max() <= np.sqrt(norm2)
 
-    def test_step_matrix_nan_rhs_raises_step_failure(self):
-        lam, v = self._basis(3)
-        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
-            _matrix_step(_step_matrix(lam, v, 1.0), np.array([0.5, np.nan, 0.5]))
+    @pytest.mark.parametrize("w", [1.5, 3.0, 1e4])
+    def test_step_matrix_of_one_mode(self, w):
+        # ((w + 1) - 2)^-1, through a Cholesky factor and its inverse
+        (value,), = _step_matrix(*_ONE_MODE, w)
+        assert value == pytest.approx(1.0 / (w - 1.0), rel=4 * np.finfo(float).eps)
 
-    def test_non_finite_basis_raises_when_step_matrix_is_formed(self):
-        lam, v = self._basis(3)
-        v[1, 1] = np.inf
-        with pytest.raises(StepFailureError, match="not finite: the eigenbasis is not finite"):
-            _step_matrix(lam, v, 1.0)
+    @pytest.mark.parametrize("blocks", [_ONE_MODE, (np.array([[5.0]]), np.array([[-2.0]]))],
+                             ids=["even", "odd"])
+    def test_non_spd_shift_raises_step_failure(self, blocks):
+        # w + 1 - 2 = 0 exactly: the Cholesky factor of that block fails
+        with pytest.raises(StepFailureError, match="not positive definite: w = 1$"):
+            _step_matrix(*blocks, 1.0)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_block_raises_when_step_matrix_is_formed(self, which, value):
+        blocks = [b.copy() for b in _blocks(5)]
+        blocks[which][1, 1] = value
+        with pytest.raises(StepFailureError, match="a mirror block of A is not finite"):
+            _step_matrix(*blocks, 1.0)
+
+    def test_step_matrix_nan_rhs_raises_step_failure(self):
+        with pytest.raises(StepFailureError, match="right-hand side is not finite"):
+            _matrix_step(_step_matrix(*_blocks(3), 1.0), np.array([0.5, np.nan, 0.5]))
 
     def test_step_matrix_overflow_names_the_solve(self):
         # numpy reports the overflow itself as well; the typed error names it
         with np.errstate(over="ignore"), pytest.raises(StepFailureError, match="solve overflowed"):
             _matrix_step(np.full((2, 2), 1e300), np.full(2, 1e300))
-
-    def test_non_spd_shift_raises_before_step_matrix_is_formed(self):
-        # no basis at all: the definiteness test must come before the product
-        lam = np.array([-2.0, 1.0, 3.0])
-        with pytest.raises(StepFailureError, match="w = 1, min eigenvalue of A = -2$"):
-            _step_matrix(lam, None, 1.0)
 
 
 class TestMonitors:
@@ -239,18 +273,34 @@ class TestOperatorCache:
         """(a, b, n, s) of an 8-node grid on [0, 1]."""
         return 0.0, 1.0, 8, s
 
-    def test_hit_returns_same_objects(self):
-        pair, lam, v = _operator(*self._key(0.31))
-        again = _operator(*self._key(0.31))
-        assert again[0] is pair and again[1] is lam and again[2] is v
-        assert not (lam.flags.writeable or v.flags.writeable)
+    @pytest.mark.parametrize("cache", [_operator, _eigenbasis], ids=["operator", "eigenbasis"])
+    def test_hit_returns_same_objects(self, cache):
+        entry = cache(*self._key(0.31))
+        again = cache(*self._key(0.31))
+        assert all(x is y for x, y in zip(again, entry))
 
     def test_cached_arrays_reject_writes(self):
         # every run on the grid shares them
-        pair, lam, v = _operator(*self._key(0.32))
-        for array in (pair.e1, lam, v):
+        pair, even, odd = _operator(*self._key(0.32))
+        lam, v = _eigenbasis(*self._key(0.32))
+        for array in (pair.e1, even, odd, lam, v):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    def test_only_a_run_with_a_non_uniform_step_builds_the_basis(self):
+        # the basis is built on the first step of another size, once per
+        # operator: a second lookup in the same run would count as a hit.
+        # The uniform run has fewer steps (10) than nodes (16).
+        uniform = SimConfig(alpha=0.6, s=0.33, a=0.0, b=1.0, n=16, dt=0.5, t_end=5.0)
+        adaptive = SimConfig(alpha=1.0, s=0.4, a=0.0, b=1.0, n=32, dt=0.05, t_end=1.0,
+                             profile="constant", profile_params={"amplitude": 20.0})
+        _eigenbasis.cache_clear()
+        assert run(uniform).blowup is None
+        assert _eigenbasis.cache_info().currsize == 0
+        r = run(adaptive)
+        assert r.times[1] == 0.025  # a halved step: the run went through the basis
+        info = _eigenbasis.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
     def test_evicts_least_recently_used(self):
         size = _operator.cache_info().maxsize
@@ -282,12 +332,16 @@ class TestOperatorCache:
 
 
 def test_concurrent_callers_match_a_serial_pass():
-    # The three module caches start empty and see more keys than they hold:
-    # 8 operator keys against maxsize 4, and 24 SOE and 18 spectral-rule
-    # alphas against 16, so lookups, builds and evictions interleave.
-    caches = (solver._operator, caputo._soe_modes, special._rule)
+    # The four module caches start empty and see more keys than they hold:
+    # 8 operator keys against maxsize 4, 6 eigenbasis keys, built lazily by
+    # the blow-up runs, against 4, and 24 SOE and 18 spectral-rule alphas
+    # against 16, so lookups, builds and evictions interleave.
+    caches = (solver._operator, solver._eigenbasis, caputo._soe_modes, special._rule)
     configs = [SimConfig(alpha=0.35 + 0.025 * k, s=0.3 + 0.05 * (k % 8), a=0.0, b=1.0, n=16,
                          dt=0.05, t_end=2.0 + 0.5 * (k % 3)) for k in range(24)]
+    configs += [SimConfig(alpha=1.0, s=0.3 + 0.05 * (k % 6), a=0.0, b=1.0, n=16, dt=0.05,
+                          t_end=1.0, profile="constant", profile_params={"amplitude": 20.0})
+                for k in range(12)]
     arrays = [(0.3 + 0.035 * (k % 18), np.linspace(-8.0 + 0.01 * k, 2.0, 40)) for k in range(36)]
 
     def call(job):
@@ -316,12 +370,13 @@ def test_concurrent_callers_match_a_serial_pass():
 
 class TestRun:
     def test_matches_hand_loop_of_history_and_basis_solve(self):
-        # 200 steps >= n = 16: every step of the run goes through the step
-        # matrix; the hand loop solves in the eigenbasis and records every step
+        # every step of the run goes through the step matrix; the hand loop
+        # solves in the eigenbasis and records every step
         cfg = SimConfig(alpha=0.6, s=0.5, a=0.0, b=1.0, n=16, dt=0.05, t_end=10.0,
                         profile="parabola", profile_params={"amplitude": 0.9})
         r = run(cfg)
-        pair, lam, v = _operator(cfg.a, cfg.b, cfg.n, cfg.s)
+        pair = _operator(cfg.a, cfg.b, cfg.n, cfg.s)[0]
+        lam, v = _eigenbasis(cfg.a, cfg.b, cfg.n, cfg.s)
         h, e1 = cfg.grid.h, pair.e1
         u = initial_field(cfg.grid, cfg.profile, cfg.profile_params)
         history = L1History(u, cfg.alpha, cfg.dt, cfg.t_end)
