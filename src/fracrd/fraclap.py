@@ -35,52 +35,55 @@ with n: the nearest-neighbour entry is positive below it.  Measured on
 (0, 1), the largest failing s on a 0.01 grid is 0.08 at n = 16, 0.17 at
 n = 64, 0.21 at n = 256, 0.22 at n = 1024 and 2048, and 0.23 at n = 4096.
 
-``assemble_regional`` builds A symmetric by construction, a Toeplitz matrix
-with its three central diagonals overwritten, and checks its 3n distinct
-values finite before forming it.  It uses the normalization
-C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under which the s -> 1
-limit is the classical Dirichlet Laplacian.  The eigen_convergence
-campaign's ``energy_s*`` record checks A against an independent value: the
+``assemble_regional`` returns A as its 3n distinct values, an
+``OperatorMatrix``: the Toeplitz column and the two mass-corrected central
+diagonals, checked when the operator is made.  Assembly uses the
+normalization C_{1,s} = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), under
+which the s -> 1 limit is the classical Dirichlet Laplacian.  The
+eigen_convergence campaign's ``energy_s*`` record checks A against an independent value: the
 closed-form regional energy of the parabola xi (1 - xi), xi = (x-a)/(b-a),
 against h u^T A u for its nodal values u.
 
 The matrix is centrosymmetric bit for bit: the grid is its own mirror
-image under x -> a + b - x.  ``principal_eigenpair`` uses that.  One pass
-over A, strips of its top half against their mirror strips, checks it
-finite and equal to its mirror image, takes ||A||_1 and forms the
-ceil(n/2) mirror-even block B = Q^T A Q; then one inverse-iteration loop
-runs on the Cholesky factor of B, which LAPACK ``potrf`` writes over B
-(read as its Fortran-ordered transpose, B itself), one ``potrs`` solve
-per iteration, and stops on a backward-error bound, 16 * eps * ||A||_1,
-met by the residual on A itself; it returns lambda1 and e1 as a plain
-array of the values at the interior nodes, which ``dump_eigenpair`` writes
-against the grid's nodes.  ``mirror_blocks`` runs the same pass and also
-forms the floor(n/2) mirror-odd block; the solver builds its uniform-step
-matrix from Cholesky inverses of the two.  ``mirror_eigenbasis`` turns the
-two blocks into the full eigendecomposition A = V diag(lam) V^T, ``eigh``
-of each, which serves only the solver's non-uniform (adaptive) steps.
-Dense ``eigh`` of A itself serves only as the independent oracle (tests,
-the eigen_convergence campaign, the benchmark).
+image under x -> a + b - x.  ``principal_eigenpair`` uses that.  It forms
+the ceil(n/2) mirror-even block B = Q^T A Q from the values, through
+strided Toeplitz and Hankel views of the column, takes ||A||_1 from prefix
+sums of the column, and runs one inverse-iteration loop on the Cholesky
+factor of B, which LAPACK ``potrf`` writes over B (read as its
+Fortran-ordered transpose, B itself), one ``potrs`` solve per iteration.  It
+stops on a backward-error bound, 16 * eps * ||A||_1, met by the residual on
+A itself, formed a strip of rows at a time (``OperatorMatrix.matvec``); it
+returns lambda1 and e1 as a plain array of the values at the interior
+nodes, which ``dump_eigenpair`` writes against the grid's nodes.
+``mirror_blocks`` forms B and the floor(n/2) mirror-odd block the same
+way; the solver builds its uniform-step matrix from Cholesky inverses of
+the two.  ``mirror_eigenbasis`` turns the two blocks into the full
+eigendecomposition A = V diag(lam) V^T, ``eigh`` of each, which serves only
+the solver's non-uniform (adaptive) steps.  None of these forms a dense A;
+``OperatorMatrix.entries`` does, for the independent oracles only: dense
+``eigh`` of A (tests, the eigen_convergence campaign, the benchmark) and
+the energy and symmetry records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import AssemblyError, ConvergenceError, DomainError
 
-_MAX_NODES = 4096  # dense storage; the kernel has global support
+_MAX_NODES = 4096  # the cached mirror blocks (n^2 / 2 doubles) and the n^2 step matrix
 _RESIDUAL_FACTOR = 16.0  # eigen residual bound in units of eps * ||A||_1
 # The suite meets the bound in 9 to 13 iterations, the tests in 9 to 14, and
 # n <= 1025 with s in [1e-3, 1 - 1e-6] in at most 22.
 _MAX_ITERATIONS = 100
-_STRIP_ROWS = 64  # rows per strip of the pass over A and of the sort of V
+_STRIP_ROWS = 64  # rows per strip of A @ w and of the sort of V
 
 
 def _spline_rule(points: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -129,16 +132,76 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetric positive-semidefinite discretization of the operator.
+    """Symmetric positive-semidefinite discretization of the operator as its
+    3n distinct values, copied and read-only: A[i, j] = column[|i - j|] off
+    the three central diagonals, A[i, i] = diag[i] and A[i, i + 1] =
+    A[i + 1, i] = off[i].
 
-    On a uniform grid the matrix is also centrosymmetric, J A J = A with J
-    the reversal, exactly; ``principal_eigenpair`` requires that."""
+    Construction checks the shapes n, n and n - 1, n >= 2, and every value
+    finite (AssemblyError), and diag and off palindromic bit for bit
+    (DomainError): then A is centrosymmetric, J A J = A with J the
+    reversal, exactly, as the mirror blocks and ``principal_eigenpair``
+    require."""
 
-    entries: np.ndarray
+    column: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __post_init__(self):
+        values = [np.array(v, dtype=float) for v in (self.column, self.diag, self.off)]
+        column, diag, off = values
+        n = len(column) if column.ndim == 1 else -1
+        if not (n >= 2 and diag.shape == (n,) and off.shape == (n - 1,)):
+            raise AssemblyError(
+                f"operator values need shapes (n,), (n,) and (n - 1,), n >= 2, got "
+                f"column {column.shape}, diag {diag.shape} and off {off.shape}"
+            )
+        if not all(np.isfinite(v).all() for v in values):
+            raise AssemblyError("operator matrix has non-finite entries")
+        if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+            raise DomainError(
+                "operator matrix is not centrosymmetric (A != J A J, J the reversal): "
+                "its diagonal and off-diagonal must be palindromic bit for bit"
+            )
+        for name, v in zip(("column", "diag", "off"), values):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.column)
+
+    def _rows(self, i: int, j: int) -> np.ndarray:
+        """A[i:j] as a new array: its Toeplitz rows, read from a strided
+        view of column, with the three central diagonals written."""
+        n = self.dim
+        strip = np.array(_toeplitz_rows(self.column, n)[i:j])
+        strip.flat[i :: n + 1] = self.diag[i:j]
+        strip.flat[i + 1 :: n + 1] = self.off[i : min(j, n - 1)]
+        strip.flat[i - 1 if i else n :: n + 1] = self.off[max(i - 1, 0) : j - 1]
+        return strip
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """A @ w, a strip of _STRIP_ROWS rows at a time; with one BLAS thread,
+        bit for bit the dense ``entries @ w``.  A last strip of one row joins
+        the one before it: numpy hands a one-row product to a dot kernel
+        that sums in another order than gemv."""
+        n = self.dim
+        out = np.empty(n)
+        stops = list(range(_STRIP_ROWS, n, _STRIP_ROWS))
+        if stops and n - stops[-1] == 1:
+            stops.pop()
+        for i, j in zip([0] + stops, stops + [n]):
+            out[i:j] = self._rows(i, j) @ w
+        return out
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix A, read-only, built on first use; only the
+        independent oracles read it."""
+        a = self._rows(0, self.dim)
+        a.flags.writeable = False
+        return a
 
 
 @dataclass(frozen=True)
@@ -264,68 +327,73 @@ def assemble_regional(grid: Grid1D, s: float) -> OperatorMatrix:
         diag = (column[0] - diag) * scale
         off = (column[1] - off) * scale
         column *= scale
-    # every entry of A is one of these values, so checking them finite checks A
-    if not all(np.isfinite(v).all() for v in (column, diag, off)):
+    # every entry of A is one of these values; the operator checks them finite
+    try:
+        return OperatorMatrix(column, diag, off)
+    except AssemblyError:
         raise AssemblyError(
             f"assembled matrix has non-finite entries: the cell width h = {h:g} is "
             f"outside the range its kernel powers can represent at s = {s:g}"
-        )
-    # symmetric by construction: the diagonal and both neighbouring diagonals
-    # of toeplitz(column) are overwritten with equal values
-    entries = toeplitz(column)
-    entries.flat[:: n + 1] = diag
-    entries.flat[1 :: n + 1] = off
-    entries.flat[n :: n + 1] = off
-    return OperatorMatrix(entries)
+        ) from None
 
 
-def _mirror_even_block(
-    a: np.ndarray, odd: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """(B, ||A||_1) from one pass over A, with B = Q^T A Q for the orthonormal
-    basis Q of mirror-even vectors: the first ceil(n/2) entries of w = Q y
-    are y, scaled by 1/sqrt(2) off the middle node, and the rest are their
-    mirror image.  Given a floor(n/2) square array ``odd``, the same pass
-    writes the mirror-odd block P^T A P = A[:m, :m] - A[:m, ::-1][:, :m]
-    into it (P as in ``mirror_eigenbasis``).
+def _toeplitz_rows(column: np.ndarray, width: int) -> np.ndarray:
+    """The Toeplitz matrix column[|i - j|], j < width, as a read-only strided
+    view of its rows: row i is the window of concat(column[::-1],
+    column[1:]) that starts at n - 1 - i."""
+    n = len(column)
+    return sliding_window_view(np.concatenate((column[::-1], column[1:])), width)[n - 1 :: -1]
 
-    Each strip of _STRIP_ROWS rows of the top floor(n/2) is compared with
-    its mirror strip reversed in both axes, which covers every entry of A
-    once; the middle row of an odd n is compared with its own reverse.  |A|
-    is summed by column over the top half, and the bottom half adds the
-    mirrored sums.  ConvergenceError unless A is finite, DomainError unless
-    A equals its mirror image J A J exactly."""
-    n, t = len(a), _STRIP_ROWS
-    k, m = (n + 1) // 2, n // 2
-    b = np.empty((k, k))
-    colsum = np.zeros(n)
-    mirrored = True
-    for i in range(0, m, t):
-        rows = a[i : min(i + t, m)]
-        mirrored = mirrored and np.array_equal(rows, a[n - i - len(rows) : n - i][::-1, ::-1])
-        colsum += np.abs(rows).sum(axis=0)
-        np.add(rows[:, :m], rows[:, ::-1][:, :m], out=b[i : i + len(rows), :m])
-        if odd is not None:
-            np.subtract(rows[:, :m], rows[:, ::-1][:, :m], out=odd[i : i + len(rows)])
-    colsum = colsum + colsum[::-1]
-    if k > m:  # odd n: the middle node is its own mirror image
-        middle = a[m]
-        mirrored = mirrored and np.array_equal(middle, middle[::-1])
-        colsum += np.abs(middle)
-        b[:m, m] = a[:m, m] * math.sqrt(2.0)
-        b[m, :m] = b[:m, m]
-        b[m, m] = middle[m]
-    norm = float(np.max(colsum))
-    if not (mirrored and math.isfinite(norm)):
-        # a NaN or inf off the top half shows only as a mismatch
-        if not np.isfinite(a).all():
-            raise ConvergenceError("operator matrix has non-finite entries")
-        if not mirrored:
-            raise DomainError(
-                "operator matrix is not centrosymmetric (A != J A J, J the reversal): "
-                "principal_eigenpair needs the mirror symmetry of a uniform grid"
-            )
-    return b, norm
+
+def _mirror_block(op: OperatorMatrix, even: bool) -> np.ndarray:
+    """The ceil(n/2) mirror-even block Q^T A Q (even) or the floor(n/2)
+    mirror-odd block P^T A P of A, from its values.
+
+    Over the top m = floor(n/2) rows and columns the blocks are T + H and
+    T - H, T[i, j] = A[i, j] a Toeplitz and H[i, j] = A[i, n - 1 - j] =
+    column[n - 1 - i - j] a Hankel view of column, with the central
+    diagonals of T and, for an even n, H's corner A[m - 1, m] = off[m - 1]
+    written from diag and off.  The middle row and column of an odd n's even
+    block are A's middle column, times sqrt(2) off the middle node.  Each
+    entry is the same sum of two entries of A as in a pass over A, so the
+    blocks are the same bit for bit, and symmetric."""
+    column, diag, off = op.column, op.diag, op.off
+    n = op.dim
+    m = n // 2
+    size = n - m if even else m
+    combine = np.add if even else np.subtract
+    block = np.empty((size, size))
+    top = block[:m, :m]
+    hankel = sliding_window_view(column[::-1], m)[:m]
+    combine(_toeplitz_rows(column, m)[:m], hankel, out=top)
+    i = np.arange(m)
+    mirror = hankel[i, i]
+    if n % 2 == 0:
+        mirror[-1] = off[m - 1]
+    top[i, i] = combine(diag[:m], mirror)
+    i = i[:-1]
+    top[i, i + 1] = top[i + 1, i] = combine(off[: m - 1], hankel[i, i + 1])
+    if size > m:  # odd n: the middle node is its own mirror image
+        block[: m - 1, m] = column[m:1:-1] * math.sqrt(2.0)
+        block[m - 1, m] = off[m - 1] * math.sqrt(2.0)
+        block[m, :m] = block[:m, m]
+        block[m, m] = diag[m]
+    return block
+
+
+def _norm1(op: OperatorMatrix) -> float:
+    """||A||_1, the largest column sum of |A|, in O(n): column j holds
+    column[d] for 2 <= d <= j above the central diagonals and for
+    2 <= d <= n - 1 - j below them, sums read from prefix sums of
+    |column[2:]|, plus |diag[j]| and its neighbours in off."""
+    n = op.dim
+    far = np.concatenate(([0.0], np.cumsum(np.abs(op.column[2:]))))
+    j = np.arange(n)
+    sums = far[np.maximum(j - 1, 0)] + far[np.maximum(n - 2 - j, 0)] + np.abs(op.diag)
+    near = np.abs(op.off)
+    sums[1:] += near
+    sums[:-1] += near
+    return float(np.max(sums))
 
 
 def _unfold(y: np.ndarray, n: int) -> np.ndarray:
@@ -335,16 +403,13 @@ def _unfold(y: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((half, y[m:], half[::-1]))
 
 
-def mirror_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mirror_blocks(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The ceil(n/2) mirror-even block Q^T A Q and the floor(n/2)
-    mirror-odd block P^T A P of a symmetric centrosymmetric A (Q and P as
-    in ``mirror_eigenbasis``), from one pass over A that checks it finite
-    (ConvergenceError) and centrosymmetric (DomainError).  Both blocks are
-    symmetric bit for bit, and A = Q B Q^T + P C P^T for the even block B
-    and the odd block C."""
-    m = len(a) // 2
-    odd = np.empty((m, m))
-    return _mirror_even_block(a, odd)[0], odd
+    mirror-odd block P^T A P of the operator (Q and P as in
+    ``mirror_eigenbasis``), formed from its values with no dense A.  Both
+    blocks are symmetric bit for bit, and A = Q B Q^T + P C P^T for the
+    even block B and the odd block C."""
+    return _mirror_block(op, even=True), _mirror_block(op, even=False)
 
 
 def mirror_eigenbasis(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,33 +461,37 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
     so plain inverse iteration on B finds it.  Odd modes are never seen:
     the result is A's ground state when that is positive, as this
     operator's is (dense eigh agrees for n up to 1025 and s from 1e-3 to
-    1 - 1e-6).  One pass over A checks it, takes ||A||_1 and forms B
-    (``_mirror_even_block``); B is symmetric bit for bit, so its transpose
-    is the same matrix in the Fortran order LAPACK's ``potrf`` takes, and
-    the factor is written over B, with no copy.  The solve B x = y for the
-    unit iterate y gives B y' = y / ||x|| for the next, y' = x / ||x||, up
-    to its backward error; once the residual ||B y' - lambda y'|| is at most
+    1 - 1e-6).  B is formed from the operator's values (``_mirror_block``)
+    and ||A||_1 from prefix sums of its column (``_norm1``), with no dense
+    A; the operator was checked finite and centrosymmetric when it was
+    made.  B is symmetric bit for bit, so its transpose is the same matrix
+    in the Fortran order LAPACK's ``potrf`` takes, and the factor is
+    written over B, with no copy.  The solve B x = y for the unit iterate y
+    gives B y' = y / ||x|| for the next, y' = x / ||x||, up to its backward
+    error; once the residual ||B y' - lambda y'|| is at most
     16 * eps * ||A||_1, lambda and the residual are recomputed on A itself
-    for w = Q y', and the loop stops when that residual (a backward error: w
-    is an exact eigenvector of a matrix within that distance of A) meets the
-    same bound.  The floating-point floor of that residual measures 0.27 to
+    for w = Q y', a strip of rows at a time (``OperatorMatrix.matvec``),
+    and the loop stops when that residual (a backward error: w is an exact
+    eigenvector of a matrix within that distance of A) meets the same
+    bound.  The floating-point floor of that residual measures 0.27 to
     2.4 eps * ||A||_1 for n from 8 to 4096 and s from 0.01 to 0.99, so the
     factor 16 leaves about 7x headroom; a bound relative to lambda1 instead
     would sit below the floor on fine grids with s near 1.  The eigenvector
     is sign-fixed (largest-magnitude entry positive), checked positive,
     rescaled to h * sum(e1) = 1, and is mirror-symmetric bit for bit.
 
-    Raises DomainError when grid and matrix differ in size, when A is not
-    centrosymmetric, or when the rescaled e1 overflows (a cell width near
-    the bottom of the double range); ConvergenceError when A is not finite
-    or not positive definite, when an iterate's norm underflows to 0 or
-    overflows (the scale of A is too far from 1), when the bound is not met
-    within 100 iterations, or when the limit is not a positive eigenpair.
+    Raises DomainError when grid and matrix differ in size, or when the
+    rescaled e1 overflows (a cell width near the bottom of the double
+    range); ConvergenceError when A is not positive definite, when an
+    iterate's norm underflows to 0 or overflows (the scale of A is too far
+    from 1), when the bound is not met within 100 iterations, or when the
+    limit is not a positive eigenpair.
     """
     if grid.n != op.dim:
         raise DomainError(f"grid has n={grid.n} nodes but the operator has dim={op.dim}")
-    a, n = op.entries, op.dim
-    b, a_norm = _mirror_even_block(a)
+    n = op.dim
+    b = _mirror_block(op, even=True)
+    a_norm = _norm1(op)
     bound = _RESIDUAL_FACTOR * np.finfo(float).eps * a_norm
     factor, info = dpotrf(b.T, lower=0, overwrite_a=1, clean=0)
     if info > 0:
@@ -442,7 +511,7 @@ def principal_eigenpair(op: OperatorMatrix, grid: Grid1D) -> EigenPair:
         residual = float(np.linalg.norm(by - lam * y))
         if residual <= bound:
             w = _unfold(y, n)
-            aw = a @ w
+            aw = op.matvec(w)
             lam = float(w @ aw)
             residual = float(np.linalg.norm(aw - lam * w))
             if residual <= bound:

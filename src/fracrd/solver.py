@@ -425,10 +425,11 @@ def _matrix_step(step_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, 
 _MAX_ADAPTIVE_STEPS = 200_000  # run: committed steps after the adaptive switch before giving up
 
 # A few entries cover every campaign's working set.  An entry holds the
-# principal eigenpair and the two mirror blocks of A, not A itself, so it is
-# n^2 / 2 doubles, 67 MB at n = 4096.  The step matrix takes 0.6 s to build
-# from the blocks there; the eigenbasis, which only a run's first non-uniform
-# step builds (``_eigenbasis``), takes 3.5 s, and dense eigh of A 13.9 s.
+# principal eigenpair and the two mirror blocks, which both calls form from
+# A's 3n values: no n x n A is made on this path.  It is n^2 / 2 doubles,
+# 67 MB at n = 4096.  The step matrix takes 0.6 s to build from the blocks
+# there; the eigenbasis, which only a run's first non-uniform step builds
+# (``_eigenbasis``), takes 3.5 s, and dense eigh of A 13.9 s.
 # Keyed on the grid and s, since a SimConfig's profile_params dict is not
 # hashable; concurrent misses on one key may each build it.
 @functools.lru_cache(maxsize=4)
@@ -440,7 +441,7 @@ def _operator(
     grid = Grid1D(a, b, n)
     op = assemble_regional(grid, s)
     pair = principal_eigenpair(op, grid)
-    even, odd = mirror_blocks(op.entries)
+    even, odd = mirror_blocks(op)
     # shared by every caller
     even.flags.writeable = odd.flags.writeable = pair.e1.flags.writeable = False
     return pair, even, odd

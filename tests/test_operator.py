@@ -3,15 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 
+from fracrd import solver
 from fracrd.errors import AssemblyError, ConvergenceError, DomainError
 from fracrd.fraclap import (
     Grid1D,
     OperatorMatrix,
     _boundary_weight_mass,
     _fullspace_energy_column,
-    _mirror_even_block,
+    _norm1,
     assemble_regional,
     dump_eigenpair,
     mirror_blocks,
@@ -24,6 +25,30 @@ from fracrd.solver import _step_matrix
 def backward_error_bound(op):
     """The eigen residual contract: 16 * eps * ||A||_1."""
     return 16.0 * np.finfo(float).eps * np.linalg.norm(op.entries, 1)
+
+
+def reference_mirror_pass(a, strip=64):
+    """(B, C, ||A||_1) by the dense pass over A that formed the mirror blocks
+    before A was held as its values: strips of the top floor(n/2) rows, each
+    added to and subtracted from its column-reversed self, |A| summed by
+    column over the top half and mirrored.  The oracle for
+    ``mirror_blocks`` and ``_norm1``."""
+    n = len(a)
+    k, m = (n + 1) // 2, n // 2
+    b, odd = np.empty((k, k)), np.empty((m, m))
+    colsum = np.zeros(n)
+    for i in range(0, m, strip):
+        rows = a[i : min(i + strip, m)]
+        colsum += np.abs(rows).sum(axis=0)
+        np.add(rows[:, :m], rows[:, ::-1][:, :m], out=b[i : i + len(rows), :m])
+        np.subtract(rows[:, :m], rows[:, ::-1][:, :m], out=odd[i : i + len(rows)])
+    colsum = colsum + colsum[::-1]
+    if k > m:  # odd n: the middle node is its own mirror image
+        colsum += np.abs(a[m])
+        b[:m, m] = a[:m, m] * math.sqrt(2.0)
+        b[m, :m] = b[:m, m]
+        b[m, m] = a[m, m]
+    return b, odd, float(np.max(colsum))
 
 
 def reference_boundary_mass(n, h, s):
@@ -163,7 +188,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
     def test_m_matrix_structure_on_the_largest_grid(self, s):
-        a = assemble_regional(Grid1D(0.0, 1.0, 4096), s).entries
+        a = assemble_regional(Grid1D(0.0, 1.0, 4096), s).entries.copy()
         assert np.all(a.sum(axis=1) >= 0)
         np.fill_diagonal(a, -np.inf)
         assert np.max(a) <= 0
@@ -257,94 +282,117 @@ class TestEigenpair:
         e1 = pair.e1
         assert np.array_equal(e1, e1[::-1])
 
-    def test_not_centrosymmetric_is_named(self):
-        grid = Grid1D(0.0, 1.0, 8)
-        a = assemble_regional(grid, 0.5).entries.copy()
-        a[0, 1] = a[1, 0] = 1.5 * a[0, 1]
-        with pytest.raises(DomainError, match="not centrosymmetric"):
-            principal_eigenpair(OperatorMatrix(a), grid)
-
     @pytest.mark.parametrize("n", [8, 600])
     def test_not_positive_definite_is_named(self, n):
-        grid = Grid1D(0.0, 1.0, n)
-        op = OperatorMatrix(-np.eye(n))
+        # -I as values: column [-1, 0, ...], both diagonals -1 and 0
+        column = np.zeros(n)
+        column[0] = -1.0
+        op = OperatorMatrix(column, np.full(n, -1.0), np.zeros(n - 1))
         with pytest.raises(ConvergenceError, match="not positive definite"):
-            principal_eigenpair(op, grid)
+            principal_eigenpair(op, Grid1D(0.0, 1.0, n))
 
-    def test_non_finite_entries_are_named(self):
-        grid = Grid1D(0.0, 1.0, 8)
-        a = assemble_regional(grid, 0.5).entries.copy()
-        a[3, 5] = np.nan
-        op = OperatorMatrix(a)
-        with pytest.raises(ConvergenceError, match="non-finite entries"):
-            principal_eigenpair(op, grid)
+    @staticmethod
+    def _values(n):
+        op = assemble_regional(Grid1D(0.0, 1.0, n), 0.5)
+        return {"column": op.column.copy(), "diag": op.diag.copy(), "off": op.off.copy()}
 
-    # (n, row, column) off the top half that the mirror pass reads only as a
-    # mirror image: the bottom half, the middle row of an odd n, its centre
-    _OFF_TOP = [(8, 6, 2), (9, 7, 1), (9, 4, 2), (9, 4, 8), (9, 4, 4)]
-    _SOLVES = pytest.mark.parametrize(
-        "solve",
-        [lambda a: principal_eigenpair(OperatorMatrix(a), Grid1D(0.0, 1.0, len(a))),
-         mirror_blocks],
-        ids=["principal_eigenpair", "mirror_blocks"],
-    )
+    # (n, array, index): both ends and the middle of each array, even and odd n
+    _PLACES = [(8, "column", 0), (9, "column", 8), (9, "diag", 0), (9, "diag", 4),
+               (8, "diag", 7), (8, "off", 0), (9, "off", 3), (9, "off", 7)]
 
-    @pytest.mark.parametrize("where", _OFF_TOP)
+    @pytest.mark.parametrize("where", _PLACES)
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @_SOLVES
-    def test_non_finite_entry_off_the_top_half_is_named(self, where, value, solve):
-        n, i, j = where
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries.copy()
-        a[i, j] = value
-        with pytest.raises(ConvergenceError, match="non-finite entries"):
-            solve(a)
+    def test_non_finite_entries_are_named(self, where, value):
+        # every entry of A is one of the values, so they are checked when the
+        # operator is made, before any solve
+        n, name, i = where
+        values = self._values(n)
+        values[name][i] = value
+        with pytest.raises(AssemblyError, match="non-finite entries"):
+            OperatorMatrix(**values)
 
-    @pytest.mark.parametrize("where", _OFF_TOP[:4])  # a change at the centre keeps J A J = A
-    @_SOLVES
-    def test_finite_change_off_the_top_half_is_not_centrosymmetric(self, where, solve):
-        n, i, j = where
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries.copy()
-        a[i, j] *= 1.5
+    # a change at the centre of a palindrome keeps J A J = A
+    @pytest.mark.parametrize("where", [p for p in _PLACES if p[1] != "column" and p[2] != 4])
+    def test_not_centrosymmetric_is_named(self, where):
+        n, name, i = where
+        values = self._values(n)
+        values[name][i] *= 1.5
         with pytest.raises(DomainError, match="not centrosymmetric"):
-            solve(a)
+            OperatorMatrix(**values)
+
+    def test_value_shapes_are_checked(self):
+        values = self._values(8)
+        for name, bad in (("column", np.zeros((8, 8))), ("diag", np.zeros(7)),
+                          ("off", np.zeros(8))):
+            with pytest.raises(AssemblyError, match=r"shapes \(n,\), \(n,\) and \(n - 1,\)"):
+                OperatorMatrix(**{**values, name: bad})
+        with pytest.raises(AssemblyError, match="n >= 2"):
+            OperatorMatrix([1.0], [1.0], [])
 
     @pytest.mark.parametrize("n", [8, 65, 600])
-    def test_operator_entries_are_left_intact(self, n):
+    def test_operator_values_are_read_only_and_left_intact(self, n):
         grid = Grid1D(0.0, 1.0, n)
-        op = assemble_regional(grid, 0.7)
-        before = op.entries.copy()
+        values = self._values(n)
+        op = OperatorMatrix(**values)
+        values["diag"][:] = 0.0  # the operator holds copies
+        before = [v.tobytes() for v in (op.column, op.diag, op.off)]
+        assert before[1] != values["diag"].tobytes()
         principal_eigenpair(op, grid)
-        assert op.entries.tobytes() == before.tobytes()
-        mirror_blocks(op.entries)
-        assert op.entries.tobytes() == before.tobytes()
+        mirror_blocks(op)
+        assert [v.tobytes() for v in (op.column, op.diag, op.off)] == before
+        assert "entries" not in vars(op)  # no dense A on either path
+        assert not any(v.flags.writeable for v in (op.column, op.diag, op.off, op.entries))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 64, 127, 128, 1023, 1024])
-    def test_mirror_pass_forms_the_even_block_bit_for_bit(self, n):
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.3).entries
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 63, 64, 65, 127, 128, 129, 513, 1023, 1024, 1025])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_mirror_blocks_match_the_dense_pass_bit_for_bit(self, n, s):
+        op = assemble_regional(Grid1D(0.0, 1.0, n), s)
+        even, odd = mirror_blocks(op)
+        assert "entries" not in vars(op)  # formed from the values alone
+        a = op.entries
         k, m = (n + 1) // 2, n // 2
+        b, c, norm = reference_mirror_pass(a)
+        assert even.tobytes() == b.tobytes()
+        assert odd.tobytes() == c.tobytes()
         expected = a[:k, :k].copy()
         expected[:, :m] = a[:k, :m] + a[:k, ::-1][:, :m]
         if k > m:  # the middle column, and row, carry sqrt(2)
             expected[:m, m] *= math.sqrt(2.0)
             expected[m, :m] = expected[:m, m]
-        b, norm = _mirror_even_block(a)
         assert b.tobytes() == expected.tobytes()
-        assert np.array_equal(b, b.T)  # so potrf may read b.T as b
-        even, odd = mirror_blocks(a)
-        assert even.tobytes() == expected.tobytes()
-        assert odd.tobytes() == (a[:m, :m] - a[:m, ::-1][:, :m]).tobytes()
+        assert c.tobytes() == (a[:m, :m] - a[:m, ::-1][:, :m]).tobytes()
+        assert np.array_equal(even, even.T)  # so potrf may read even.T as even
         assert np.array_equal(odd, odd.T)
-        # only the summation order differs from numpy's column sums, each a
-        # sum of n nonnegative terms within (n - 1) * eps of the exact one
-        assert math.isclose(norm, np.linalg.norm(a, 1), rel_tol=2 * n * np.finfo(float).eps)
+        # only the summation order differs, each a sum of n nonnegative terms
+        # within (n - 1) * eps of the exact one
+        for ref in (norm, np.linalg.norm(a, 1)):
+            assert math.isclose(_norm1(op), ref, rel_tol=2 * n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [65, 513, 1025, 4096])
+    def test_matvec_is_the_dense_product_bit_for_bit(self, n):
+        # 513 and 1025 end in a strip that would hold one row
+        op = assemble_regional(Grid1D(0.0, 1.0, n), 0.7)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            w = rng.standard_normal(n)
+            assert op.matvec(w).tobytes() == (op.entries @ w).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1025])
+    def test_entries_are_the_toeplitz_matrix_with_three_diagonals_written(self, n):
+        op = assemble_regional(Grid1D(0.0, 1.0, n), 0.3)
+        expected = toeplitz(op.column)
+        expected.flat[:: n + 1] = op.diag
+        expected.flat[1 :: n + 1] = op.off
+        expected.flat[n :: n + 1] = op.off
+        assert op.entries.tobytes() == expected.tobytes()
+        assert op.entries is op.entries  # built once
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 127, 128, 1023, 1024])
     def test_basis_matches_unfold_and_column_scatter_bit_for_bit(self, n):
         # the reference builds V the direct way: each block's eigenvectors
         # unfolded into n x k and n x m arrays, scattered to their columns
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.3).entries
         k, m = (n + 1) // 2, n // 2
-        even, odd = mirror_blocks(a)
+        even, odd = mirror_blocks(assemble_regional(Grid1D(0.0, 1.0, n), 0.3))
         lam_even, y = np.linalg.eigh(even)
         lam_odd, z = np.linalg.eigh(odd)
         half_y, half_z = y[:m] / math.sqrt(2.0), z / math.sqrt(2.0)
@@ -372,7 +420,8 @@ class TestEigenpair:
         with pytest.raises(DomainError, match="n=9 .* dim=8"):
             principal_eigenpair(op, Grid1D(0.0, 1.0, 9))
         with pytest.raises(DomainError, match="n=8 .* dim=3"):
-            principal_eigenpair(OperatorMatrix(2.0 * np.eye(3)), Grid1D(0.0, 1.0, 8))
+            principal_eigenpair(OperatorMatrix([2.0, 0.0, 0.0], [2.0] * 3, [0.0] * 2),
+                                Grid1D(0.0, 1.0, 8))
 
     def test_discrete_poincare(self, op64):
         grid, op = op64
@@ -402,7 +451,7 @@ def traced_peak(call) -> int:
 
 class TestEigenMemory:
     """The eigen layer holds no dense copy it does not need (n = 1024, s = 0.5;
-    A is built before tracing starts)."""
+    the operator's values are built before tracing starts)."""
 
     N = 1024
 
@@ -413,21 +462,39 @@ class TestEigenMemory:
 
     def test_principal_eigenpair_factors_the_even_block_in_place(self, op1024):
         # B (k^2 doubles, k = ceil(n/2)) and its factor share one array; the
-        # rest is a strip of the pass over A and vectors
+        # rest is a strip of A's rows for the residual, and vectors
         grid, op = op1024
         k = (self.N + 1) // 2
         assert traced_peak(lambda: principal_eigenpair(op, grid)) <= 1.5 * k * k * 8
 
     def test_mirror_eigenbasis_holds_one_n_by_n_array(self, op1024):
         # V (n^2 doubles) and the two blocks' eigenvectors (n^2 / 4 each)
-        blocks = mirror_blocks(op1024[1].entries)
+        blocks = mirror_blocks(op1024[1])
         assert traced_peak(lambda: mirror_eigenbasis(*blocks)) <= 1.75 * self.N**2 * 8
+
+    def test_solver_operator_holds_no_dense_matrix(self, monkeypatch):
+        # the eigenpair's B and then the two cached blocks (n^2 / 4 doubles
+        # each); holding A as well, n^2 doubles, exceeds the bound
+        built = []
+
+        def assemble(grid, s):
+            built.append(assemble_regional(grid, s))
+            return built[-1]
+
+        monkeypatch.setattr(solver, "assemble_regional", assemble)
+        solver._operator.cache_clear()
+        try:
+            peak = traced_peak(lambda: solver._operator(0.0, 1.0, self.N, 0.5))
+        finally:
+            solver._operator.cache_clear()
+        assert peak < 0.8 * self.N**2 * 8
+        assert len(built) == 1 and "entries" not in vars(built[0])
 
     def test_step_matrix_holds_one_n_by_n_array(self, op1024):
         # S (n^2 doubles) and the two blocks' inverses (n^2 / 4 each); one
         # temporary of a block's size while all three are held exceeds the
         # bound
-        blocks = mirror_blocks(op1024[1].entries)
+        blocks = mirror_blocks(op1024[1])
         assert traced_peak(lambda: _step_matrix(*blocks, 2.0)) <= 1.75 * self.N**2 * 8
 
 
@@ -474,9 +541,7 @@ class TestAgainstIndependentOracles:
         # With the boundary-weight correction disabled the assembly is the
         # full-kernel (restricted) fractional Dirichlet operator; its ground
         # state on (-1, 1) at s = 1/2 is known to high precision: 1.157773883.
-        from scipy.linalg import toeplitz
-
-        from fracrd.fraclap import _fullspace_energy_column, normalizing_constant
+        from fracrd.fraclap import normalizing_constant
 
         n = 1024
         h = 2.0 / (n + 1)

@@ -4,10 +4,12 @@ every name the package exports resolves on it.
 A script is loaded as a module, so its imports run but its ``main`` does
 not; a script that imports a removed name, or an ``__all__`` entry left
 behind by one, fails here.  ``report_diff.py`` is also run on small
-output directories made here.
+output directories made here, and ``step_solve_timing.py`` on one small
+grid.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -40,6 +42,13 @@ def test_script_imports(path, monkeypatch):
 @pytest.mark.parametrize("name", fracrd.__all__)
 def test_package_export_resolves(name):
     assert hasattr(fracrd, name)
+
+
+def test_step_solve_timing_runs(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _load(SCRIPTS_DIR / "step_solve_timing.py").main(ns=(8,))
+    row = json.loads(capsys.readouterr().out.splitlines()[-1])["8"]
+    assert row["operator_build_us"] > 0 and len(row) == 6
 
 
 def _run_output(path, records, trace):

@@ -154,7 +154,7 @@ class TestStep:
 
 def _blocks(n):
     """The mirror blocks of the operator on n nodes of (0, 1) at s = 0.5."""
-    return mirror_blocks(assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries)
+    return mirror_blocks(assemble_regional(Grid1D(0.0, 1.0, n), 0.5))
 
 
 # D^alpha y = y (y + 1) as an operator of one mode, eigenvalue -2: no odd block
@@ -171,8 +171,9 @@ class TestSolve:
         # odd n exercise the middle node of the mirror fold; the largest
         # deviation here is 1.7e-14 (at s = 0.9, n = 255 and w = 1e-3 it is
         # 7e-13, as the condition number 1e4 of the step matrix allows)
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
-        lam, v = mirror_eigenbasis(*mirror_blocks(a))
+        op = assemble_regional(Grid1D(0.0, 1.0, n), 0.5)
+        lam, v = mirror_eigenbasis(*mirror_blocks(op))
+        a = op.entries
         rng = np.random.default_rng(n)
         for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
@@ -207,8 +208,9 @@ class TestSolve:
     @pytest.mark.parametrize("n", [2, 3, 7, 128, 255])
     def test_step_matrix_matches_dense_solve(self, n):
         # the step matrix from the inverses of the two shifted mirror blocks
-        a = assemble_regional(Grid1D(0.0, 1.0, n), 0.5).entries
-        blocks = mirror_blocks(a)
+        op = assemble_regional(Grid1D(0.0, 1.0, n), 0.5)
+        blocks = mirror_blocks(op)
+        a = op.entries
         rng = np.random.default_rng(n)
         for w in (1e-3, 1.0, 1e4):
             rhs = rng.standard_normal(n)
